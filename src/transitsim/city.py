@@ -128,7 +128,8 @@ class TransitLine:
     Direction ``+1`` walks ``stations`` forward (index 0 is the up terminal),
     ``-1`` walks it backward. Circular lines close the loop from the last
     station back to the first; the station at index 0 acts as the loop anchor
-    where trains are dispatched and retired.
+    where trains are dispatched and retired. ``station_ids`` must not change
+    after construction: station positions are indexed once.
     """
 
     name: str
@@ -141,13 +142,25 @@ class TransitLine:
             raise InvariantViolationError(f"line {self.name!r} needs at least 2 stations")
         if len(set(self.station_ids)) != len(self.station_ids):
             raise InvariantViolationError(f"line {self.name!r} visits a station twice")
+        self._index = {sid: i for i, sid in enumerate(self.station_ids)}
 
     @property
     def n(self) -> int:
         return len(self.station_ids)
 
+    def serves(self, station_id: int) -> bool:
+        return station_id in self._index
+
     def index_of(self, station_id: int) -> int:
-        return self.station_ids.index(station_id)
+        try:
+            return self._index[station_id]
+        except KeyError:
+            raise ValueError(f"station {station_id} is not on line {self.name!r}") from None
+
+    def position(self, station_id: int, direction: int) -> int:
+        """Index of the station along ``path(direction)``."""
+        i = self.index_of(station_id)
+        return i if direction == +1 else self.n - 1 - i
 
     def terminal(self, direction: int) -> int:
         if self.circular:
@@ -210,7 +223,13 @@ class TransitNetwork:
         for line in self.lines.values():
             for idx, sid in enumerate(line.station_ids):
                 self.memberships[sid].append((line.name, idx))
+        # station -> [(line, direction)] with a next stop from that station
+        self._routes: dict[int, list[tuple[str, int]]] = {
+            sid: [(name, d) for name, _ in ms for d in (+1, -1)
+                  if self.lines[name].next_station(sid, d) is not None]
+            for sid, ms in self.memberships.items()}
         self._ordered_ids = sorted(self.stations)
+        self._nearest: dict[GeoPoint, Station] = {}
 
     def station(self, station_id: int) -> Station:
         try:
@@ -218,22 +237,34 @@ class TransitNetwork:
         except KeyError:
             raise UnknownStationError(f"unknown station {station_id}") from None
 
+    def routes_at(self, station_id: int) -> list[tuple[str, int]]:
+        """(line, direction) routes that leave the station for a next stop."""
+        return self._routes[station_id]
+
     def nearest_station(self, point: GeoPoint) -> Station:
-        """Closest station by great-circle distance; ties go to the lower id."""
-        best_id = None
-        best_d = math.inf
-        for sid in self._ordered_ids:
-            d = haversine_km(point, self.stations[sid].point)
-            if d < best_d:
-                best_d, best_id = d, sid
-        return self.stations[best_id]
+        """Closest station by great-circle distance; ties go to the lower id.
+
+        The answer is cached per query point (keyed by the point's value) for
+        the life of the network, so stations must not be added, removed or
+        moved after construction.
+        """
+        best = self._nearest.get(point)
+        if best is None:
+            best_id = None
+            best_d = math.inf
+            for sid in self._ordered_ids:
+                d = haversine_km(point, self.stations[sid].point)
+                if d < best_d:
+                    best_d, best_id = d, sid
+            best = self._nearest[point] = self.stations[best_id]
+        return best
 
     def lines_between(self, a: int, b: int) -> list[tuple[str, int]]:
         """Lines serving both stations, with a direction that goes a -> b."""
         out = []
         for name, _ in self.memberships[a]:
             line = self.lines[name]
-            if b in line.station_ids and b != a:
+            if line.serves(b) and b != a:
                 for direction in (+1, -1):
                     if line.hops(a, b, direction):
                         out.append((name, direction))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
@@ -163,6 +164,7 @@ def mix64(*values: int) -> int:
     return h
 
 
+@lru_cache(maxsize=None)
 def _name_key(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
 

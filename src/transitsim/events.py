@@ -133,6 +133,10 @@ class BroadcastFeed:
         self.poll_probability = poll_probability
         self._seen: dict[int, set[int]] = {}
 
+    def on_air(self, t: SimTime) -> bool:
+        """Is any event being broadcast at t?"""
+        return any(ev.broadcast_from <= t < ev.end for ev in self.events)
+
     def poll(self, h: Human, t: SimTime, streams: RngStreams) -> list[SocialEvent]:
         tick = t // self.poll_interval
         if streams.keyed_uniform("polls", h.id, tick) >= self.poll_probability:

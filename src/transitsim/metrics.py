@@ -78,19 +78,26 @@ class OccupancySeries:
             self.capacity.append(capacity)
 
     def integrate(self, t0: SimTime, t1: SimTime) -> tuple[float, float]:
-        """(occupied seat-seconds, available seat-seconds) over [t0, t1)."""
-        if t1 <= t0 or not self.times:
+        """(occupied seat-seconds, available seat-seconds) over [t0, t1).
+
+        Only the segments that overlap the window are visited: the scan
+        starts at the last record at or before t0 and stops at t1.
+        """
+        times = self.times
+        if t1 <= t0 or not times:
             return 0.0, 0.0
         seat_s = 0.0
         cap_s = 0.0
-        for i, t in enumerate(self.times):
-            seg_start = t
-            seg_end = self.times[i + 1] if i + 1 < len(self.times) else t1
-            d = overlap(seg_start, seg_end, t0, t1)
+        n = len(times)
+        # before the first record the train does not exist for the metric
+        i = max(0, bisect_right(times, t0) - 1)
+        while i < n and times[i] < t1:
+            seg_end = times[i + 1] if i + 1 < n else t1
+            d = overlap(times[i], seg_end, t0, t1)
             if d > 0:
                 seat_s += self.onboard[i] * d
                 cap_s += self.capacity[i] * d
-        # before the first record the train does not exist for the metric
+            i += 1
         return seat_s, cap_s
 
 

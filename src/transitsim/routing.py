@@ -56,20 +56,35 @@ class RoutePlanner:
     def __init__(self, network: TransitNetwork, road: RoadRouter):
         self.network = network
         self.road = road
+        # (board, alight, closed routes at board) -> _rail_path result
+        self._rail_paths: dict[tuple[int, int, frozenset], Optional[tuple]] = {}
 
     def plan(self, origin: GeoPoint, dest: GeoPoint, inquiry=None, t: SimTime = 0) -> Route:
         """Fastest route from origin to dest, rail if it beats the road.
 
         Boarding happens at the station nearest the origin and alighting at
         the station nearest the destination; the search is over train legs
-        between those two. A strictly faster pure-road trip wins.
+        between those two. A strictly faster pure-road trip wins. Routes at
+        the boarding station for which ``inquiry`` reports no further
+        departure at t are closed to the first boarding.
+
+        Apart from that mask the rail search is time-independent, so its
+        result is cached per (board station, alight station, closed routes).
+        The network must not change after the planner is built.
         """
         road_total = self.road.travel_seconds(origin, dest)
         b = self.network.nearest_station(origin)
         a = self.network.nearest_station(dest)
         if b.id == a.id:
             return _road_route(origin, dest, road_total)
-        rail = self._rail_path(b.id, a.id, inquiry=inquiry, t=t)
+        closed = frozenset() if inquiry is None else frozenset(
+            (line, d) for line, d in self.network.routes_at(b.id)
+            if inquiry.next_departure(line, b.id, d, t) is None)
+        key = (b.id, a.id, closed)
+        if key in self._rail_paths:
+            rail = self._rail_paths[key]
+        else:
+            rail = self._rail_paths[key] = self._rail_path(b.id, a.id, closed)
         if rail is None:
             return _road_route(origin, dest, road_total)
         legs, wait_s, ride_s = rail
@@ -78,7 +93,7 @@ class RoutePlanner:
         total = access + wait_s + ride_s + egress
         if road_total < total:
             return _road_route(origin, dest, road_total)
-        return Route(origin, dest, b.id, a.id, tuple(legs), access, wait_s, ride_s, egress, total)
+        return Route(origin, dest, b.id, a.id, legs, access, wait_s, ride_s, egress, total)
 
     def alternative(self, station_id: int, dest: GeoPoint, current_first: tuple[str, int],
                     inquiry, t: SimTime, exclude_train: Optional[int] = None) -> Route:
@@ -88,21 +103,17 @@ class RoutePlanner:
         after it is a valid option and is priced with its real departure
         time, as is the first boarding on every other line here. Road travel
         straight from the station is the fallback, so something feasible
-        always comes back.
+        always comes back. The first waits are live, so nothing is cached.
         """
         here = self.network.station(station_id).point
         road_total = self.road.travel_seconds(here, dest)
         alight = self.network.nearest_station(dest)
         first_waits: dict[tuple[str, int], int] = {}
-        for line_name, _ in self.network.memberships[station_id]:
-            line = self.network.lines[line_name]
-            for d in (+1, -1):
-                if line.next_station(station_id, d) is None:
-                    continue
-                skip = exclude_train if (line_name, d) == current_first else None
-                dep = inquiry.next_departure(line_name, station_id, d, t, exclude_train=skip)
-                if dep is not None:
-                    first_waits[(line_name, d)] = dep - t
+        for route in self.network.routes_at(station_id):
+            skip = exclude_train if route == current_first else None
+            dep = inquiry.next_departure(route[0], station_id, route[1], t, exclude_train=skip)
+            if dep is not None:
+                first_waits[route] = dep - t
         rail = None
         if alight.id != station_id and first_waits:
             rail = self._rail_path(station_id, alight.id, first_waits=first_waits)
@@ -113,9 +124,9 @@ class RoutePlanner:
         total = wait_s + ride_s + egress
         if road_total < total:
             return _road_route(here, dest, road_total)
-        return Route(here, dest, station_id, alight.id, tuple(legs), 0, wait_s, ride_s, egress, total)
+        return Route(here, dest, station_id, alight.id, legs, 0, wait_s, ride_s, egress, total)
 
-    def _rail_path(self, src: int, dst: int, inquiry=None, t: SimTime = 0,
+    def _rail_path(self, src: int, dst: int, closed: frozenset = frozenset(),
                    first_waits: Optional[dict[tuple[str, int], int]] = None):
         """Dijkstra from station src to dst over (station, line, direction)
         states. Returns (legs, wait_seconds, ride_seconds) or None.
@@ -123,6 +134,9 @@ class RoutePlanner:
         States: ("hub", s) = standing at station s; ("on", s, line, d) =
         onboard, doors just opened at s. Boarding jumps straight to the next
         station (wait + run); continuing costs dwell + run; alighting is free.
+        The first boarding skips the (line, direction) routes in ``closed``;
+        with ``first_waits`` it may only take the routes listed there, at
+        the given waits.
         """
         net = self.network
         start = ("hub", src)
@@ -148,23 +162,19 @@ class RoutePlanner:
 
             if state[0] == "hub":
                 s = state[1]
-                for line_name, _ in net.memberships[s]:
+                for line_name, d in net.routes_at(s):
                     line = net.lines[line_name]
-                    for d in (+1, -1):
-                        s2 = line.next_station(s, d)
-                        if s2 is None:
+                    if s == src and first_waits is not None:
+                        if (line_name, d) not in first_waits:
                             continue
-                        if s == src and first_waits is not None:
-                            if (line_name, d) not in first_waits:
-                                continue
-                            w = first_waits[(line_name, d)]
-                        else:
-                            w = line.service.headway_seconds / 2.0
-                            if s == src and inquiry is not None and \
-                                    inquiry.next_departure(line_name, s, d, t) is None:
-                                continue
-                        relax(("on", s2, line_name, d), cost + w + line.service.run_seconds,
-                              ("board", line_name, d, s, w))
+                        w = first_waits[(line_name, d)]
+                    else:
+                        if s == src and (line_name, d) in closed:
+                            continue
+                        w = line.service.headway_seconds / 2.0
+                    relax(("on", line.next_station(s, d), line_name, d),
+                          cost + w + line.service.run_seconds,
+                          ("board", line_name, d, s, w))
             else:
                 _, s, line_name, d = state
                 line = net.lines[line_name]
@@ -195,4 +205,4 @@ class RoutePlanner:
             line = self.network.lines[leg.line]
             k = line.hops(leg.board, leg.alight, leg.direction)
             ride_s += k * line.service.run_seconds + (k - 1) * line.service.dwell_seconds
-        return legs, int(round(wait_s)), int(ride_s)
+        return tuple(legs), int(round(wait_s)), int(ride_s)

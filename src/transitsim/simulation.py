@@ -258,11 +258,14 @@ class World:
 
     def _on_poll(self, now: SimTime) -> None:
         fresh: dict[int, list[int]] = {}
-        for h in self.humans:
-            for ev in self.feed.poll(h, now, self.streams):
-                if wants_to_seed(h, ev, self.planner, self.manager, now,
-                                 origin=self.state[h.id].point):
-                    fresh.setdefault(ev.id, []).append(h.id)
+        # with nothing on air every poll comes back empty; the poll coins are
+        # keyed and stateless, so skipping them shifts no other draw
+        if self.feed.on_air(now):
+            for h in self.humans:
+                for ev in self.feed.poll(h, now, self.streams):
+                    if wants_to_seed(h, ev, self.planner, self.manager, now,
+                                     origin=self.state[h.id].point):
+                        fresh.setdefault(ev.id, []).append(h.id)
         live = fresh or any(self.spread_frontier.values())
         if live and now + 1 <= self.horizon:
             self.scheduler.schedule(now + 1, "social", "diffuse", fresh)
@@ -378,7 +381,7 @@ class World:
         if line.circular and station == line.terminal(train.direction) and train.path_pos > 0:
             train.loops += 1
         train.at_station = station
-        train.path_pos = line.path(train.direction).index(station)
+        train.path_pos = line.position(station, train.direction)
         train.halt_start = now
         master = self.manager.masters[station]
         if master.request_arrival(tid, now):

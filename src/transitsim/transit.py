@@ -188,8 +188,6 @@ class TransportManager:
         self.attach_claims: dict[int, int] = {}
         self._token_seq = 0
         self.issue_history: dict[tuple[int, int], int] = {}  # (station, abs hour) -> count
-        self.wait_records: list[tuple[int, int, SimTime, SimTime]] = []  # human, station, start, end
-        self._nearest_cache: dict[GeoPoint, int] = {}
         for line in network.lines.values():
             fleet = self.fleet_size(line)
             ends = [line.terminal(+1)] if line.circular else [line.terminal(+1), line.terminal(-1)]
@@ -231,24 +229,22 @@ class TransportManager:
         hi = lo + SECONDS_PER_HOUR
         return sum(1 for s in self.scheduled_slots(line_name, day) if lo <= s < hi)
 
-    def station_offset(self, line: TransitLine, direction: int, station_id: int) -> int:
-        """Scheduled seconds from terminal departure to departing this station."""
-        p = line.path(direction).index(station_id)
-        return p * (line.service.run_seconds + line.service.dwell_seconds)
-
     def next_departure(self, line_name: str, station_id: int, direction: int,
                        t: SimTime, exclude_train: Optional[int] = None) -> Optional[SimTime]:
         """Earliest predicted departure of the route from a station at or
         after t: live trains shifted by their known delays, then still
-        undispatched schedule slots."""
+        undispatched schedule slots. The first undispatched slot of a day
+        comes from ceiling arithmetic over its first departure, headway and
+        last departure."""
         if station_id not in self.network.stations:
             raise UnknownStationError(f"unknown station {station_id}")
         line = self.network.lines[line_name]
         if line.next_station(station_id, direction) is None:
             return None
-        p = line.path(direction).index(station_id)
-        offset = p * (line.service.run_seconds + line.service.dwell_seconds)
-        period = line.n * (line.service.run_seconds + line.service.dwell_seconds)
+        svc = line.service
+        p = line.position(station_id, direction)
+        offset = p * (svc.run_seconds + svc.dwell_seconds)
+        period = line.n * (svc.run_seconds + svc.dwell_seconds)
         best: Optional[SimTime] = None
         for tid in sorted(self.active[(line_name, direction)]):
             if tid == exclude_train:
@@ -264,16 +260,17 @@ class TransportManager:
                 pred = max(pred, t)
             if pred >= t and (best is None or pred < best):
                 best = pred
+        # earliest slot that is undispatched and departs here at or after t
+        earliest = max(self.dispatched_upto[(line_name, direction)] + 1, t - offset)
         day = t // SECONDS_PER_DAY
         for d in (day, day + 1):
-            for slot in self.scheduled_slots(line_name, d):
-                if slot <= self.dispatched_upto[(line_name, direction)]:
-                    continue
+            first = d * SECONDS_PER_DAY + svc.first_departure
+            k = max(0, -((first - earliest) // svc.headway_seconds))
+            slot = first + k * svc.headway_seconds
+            if slot <= d * SECONDS_PER_DAY + svc.last_departure:
                 pred = slot + offset
-                if pred >= t:
-                    if best is None or pred < best:
-                        best = pred
-                    break
+                if best is None or pred < best:
+                    best = pred
             if best is not None:
                 break
         return best
@@ -293,11 +290,9 @@ class TransportManager:
         return tok
 
     def return_token(self, station_id: int, token_id: int, now: SimTime) -> int:
-        """Retire a token; records and returns the wait duration."""
+        """Retire a token; returns the wait duration."""
         tok = self.masters[station_id].retire(token_id)
-        wait = now - tok.issued_at
-        self.wait_records.append((tok.human, station_id, tok.issued_at, now))
-        return wait
+        return now - tok.issued_at
 
     # compartments
 
@@ -358,22 +353,6 @@ class TransportManager:
 
     # ridership
 
-    def _nearest_id(self, point: GeoPoint) -> int:
-        sid = self._nearest_cache.get(point)
-        if sid is None:
-            sid = self.network.nearest_station(point).id
-            self._nearest_cache[point] = sid
-        return sid
-
-    def routes_serving(self, station_id: int) -> list[tuple[str, int]]:
-        out = []
-        for line_name, _ in self.network.memberships[station_id]:
-            line = self.network.lines[line_name]
-            for d in (+1, -1):
-                if line.next_station(station_id, d) is not None:
-                    out.append((line_name, d))
-        return out
-
     def estimate_ridership(self, day: int, attendee_sets, humans: list[Human]) -> RidershipEstimate:
         """Hourly per-route demand for one day.
 
@@ -397,7 +376,7 @@ class TransportManager:
                 if abs_hour // 24 != day - 1:
                     continue
                 hour = abs_hour % 24
-                routes = self.routes_serving(sid)
+                routes = self.network.routes_at(sid)
                 if not routes:
                     continue
                 share = count / len(routes)
@@ -411,19 +390,17 @@ class TransportManager:
             for event, attendees in attendee_sets:
                 if not (event.start < hi and event.end > lo):
                     continue
-                dest = self._nearest_id(event.location)
-                sources = []
-                for hid in sorted(attendees):
-                    src_point = attendee_source_point(humans[hid], hour)
-                    sources.append(self._nearest_id(src_point))
+                dest = self.network.nearest_station(event.location).id
+                sources = [
+                    self.network.nearest_station(attendee_source_point(humans[hid], hour)).id
+                    for hid in sorted(attendees)]
                 for line_name, line in self.network.lines.items():
+                    if not line.serves(dest):
+                        continue
                     for d in (+1, -1):
-                        path = line.path(d)
-                        if dest not in path:
-                            continue
-                        dest_idx = path.index(dest)
-                        pos = {sid: i for i, sid in enumerate(path)}
-                        count = sum(1 for s in sources if s in pos and pos[s] < dest_idx)
+                        dest_idx = line.position(dest, d)
+                        count = sum(1 for s in sources
+                                    if line.serves(s) and line.position(s, d) < dest_idx)
                         if count:
                             key = (line_name, d, hour)
                             est.delta[key] = est.delta.get(key, 0) + count

