@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 EARTH_RADIUS_KM = 6371.0
 ROAD_SPEED_KMH = 35.0
 
@@ -230,6 +232,12 @@ class TransitNetwork:
             for sid, ms in self.memberships.items()}
         self._ordered_ids = sorted(self.stations)
         self._nearest: dict[GeoPoint, Station] = {}
+        # radians and cos-latitude per station in id order, taken with the
+        # same scalar calls haversine_km makes
+        points = [self.stations[sid].point for sid in self._ordered_ids]
+        self._lat = np.array([math.radians(p.lat) for p in points])
+        self._lon = np.array([math.radians(p.lon) for p in points])
+        self._cos_lat = np.array([math.cos(math.radians(p.lat)) for p in points])
 
     def station(self, station_id: int) -> Station:
         try:
@@ -250,25 +258,31 @@ class TransitNetwork:
         """
         best = self._nearest.get(point)
         if best is None:
-            best_id = None
-            best_d = math.inf
-            for sid in self._ordered_ids:
-                d = haversine_km(point, self.stations[sid].point)
-                if d < best_d:
-                    best_d, best_id = d, sid
-            best = self._nearest[point] = self.stations[best_id]
+            best = self._nearest[point] = self.stations[self._scan_nearest(point)]
         return best
 
-    def lines_between(self, a: int, b: int) -> list[tuple[str, int]]:
-        """Lines serving both stations, with a direction that goes a -> b."""
-        out = []
-        for name, _ in self.memberships[a]:
-            line = self.lines[name]
-            if line.serves(b) and b != a:
-                for direction in (+1, -1):
-                    if line.hops(a, b, direction):
-                        out.append((name, direction))
-        return out
+    def _scan_nearest(self, point: GeoPoint) -> int:
+        """Id of the station nearest to ``point``, as a full scan with
+        haversine_km and a strict ``<`` in id order would find it.
+
+        Distance grows with the haversine term h, so the vector step keeps
+        only the stations whose h is within a relative 1e-9 of the least
+        (numpy's sin may differ from math.sin in the last bits), and the
+        exact scalar scan breaks ties among those.
+        """
+        la, lo = math.radians(point.lat), math.radians(point.lon)
+        h = (np.sin((self._lat - la) / 2) ** 2
+             + math.cos(la) * self._cos_lat * np.sin((self._lon - lo) / 2) ** 2)
+        near = np.flatnonzero(h <= h.min() * (1 + 1e-9))
+        if len(near) == 1:
+            return self._ordered_ids[near[0]]
+        best_id, best_d = None, math.inf
+        for i in near:
+            sid = self._ordered_ids[i]
+            d = haversine_km(point, self.stations[sid].point)
+            if d < best_d:
+                best_d, best_id = d, sid
+        return best_id
 
 
 def network_from_dict(doc: dict) -> TransitNetwork:

@@ -87,16 +87,25 @@ class EventLog:
         self.keep_records = keep_records
         self.records: list[dict] = []
         self._fh = open(path, "w") if path else None
+        # (actor, kind) -> the encoded rest of a data-free record after "t"
+        self._tails: dict[tuple[str, str], str] = {}
 
     def append(self, t: SimTime, actor: str, kind: str, **data: Any) -> None:
-        rec = {"t": t, "actor": actor, "kind": kind}
-        if data:
-            rec.update(data)
+        rec = {"t": t, "actor": actor, "kind": kind, **data}
         if self.keep_records:
             self.records.append(rec)
-        if self._fh is not None:
-            self._fh.write(json.dumps(rec, separators=(",", ":"), sort_keys=False))
-            self._fh.write("\n")
+        if self._fh is None:
+            return
+        if data:
+            self._fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            return
+        # the scheduler's own records: the bytes json.dumps would write, with
+        # the two names encoded once per (actor, kind)
+        tail = self._tails.get((actor, kind))
+        if tail is None:
+            tail = self._tails[(actor, kind)] = (
+                json.dumps({"actor": actor, "kind": kind}, separators=(",", ":"))[1:])
+        self._fh.write(f'{{"t":{t},{tail}\n')
 
     def close(self) -> None:
         if self._fh is not None:
@@ -202,7 +211,7 @@ class RngStreams:
 
     def keyed_uniform(self, name: str, *key: int) -> float:
         h = mix64(self._base(name), _name_key(name), *key)
-        return h / 2.0**64
+        return (h >> 11) * 2.0**-53
 
     # Draw helpers. These are the only sampling primitives the model uses,
     # so parameter validation lives here.

@@ -11,9 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .city import BoundingBox, GeoPoint
 from .engine import RngStreams, SimTime
 from .population import Human
+from .social import keyed_uniform_batch
 
 DEFAULT_POLL_INTERVAL = 3600  # seconds
 DEFAULT_POLL_PROBABILITY = 0.25
@@ -137,10 +140,17 @@ class BroadcastFeed:
         """Is any event being broadcast at t?"""
         return any(ev.broadcast_from <= t < ev.end for ev in self.events)
 
-    def poll(self, h: Human, t: SimTime, streams: RngStreams) -> list[SocialEvent]:
+    def polls_succeed(self, human_ids: np.ndarray, t: SimTime,
+                      streams: RngStreams) -> np.ndarray:
+        """Mask over ``human_ids``: whose poll at t succeeds, one keyed coin
+        per (human, tick)."""
         tick = t // self.poll_interval
-        if streams.keyed_uniform("polls", h.id, tick) >= self.poll_probability:
-            return []
+        coins = keyed_uniform_batch(streams, "polls", (), human_ids, suffix=(tick,))
+        return coins < self.poll_probability
+
+    def poll(self, h: Human, t: SimTime) -> list[SocialEvent]:
+        """What a successful poll at t shows h: the events on air that it
+        has not seen before."""
         seen = self._seen.setdefault(h.id, set())
         out = []
         for ev in self.events:

@@ -56,8 +56,9 @@ class RoutePlanner:
     def __init__(self, network: TransitNetwork, road: RoadRouter):
         self.network = network
         self.road = road
-        # (board, alight, closed routes at board) -> _rail_path result
-        self._rail_paths: dict[tuple[int, int, frozenset], Optional[tuple]] = {}
+        # _rail_path results, keyed (board, alight, closed routes at board)
+        # for plan and (board, alight, sorted first waits) for alternative
+        self._rail_paths: dict[tuple, Optional[tuple]] = {}
 
     def plan(self, origin: GeoPoint, dest: GeoPoint, inquiry=None, t: SimTime = 0) -> Route:
         """Fastest route from origin to dest, rail if it beats the road.
@@ -80,11 +81,7 @@ class RoutePlanner:
         closed = frozenset() if inquiry is None else frozenset(
             (line, d) for line, d in self.network.routes_at(b.id)
             if inquiry.next_departure(line, b.id, d, t) is None)
-        key = (b.id, a.id, closed)
-        if key in self._rail_paths:
-            rail = self._rail_paths[key]
-        else:
-            rail = self._rail_paths[key] = self._rail_path(b.id, a.id, closed)
+        rail = self._cached_rail_path((b.id, a.id, closed), b.id, a.id, closed=closed)
         if rail is None:
             return _road_route(origin, dest, road_total)
         legs, wait_s, ride_s = rail
@@ -103,7 +100,9 @@ class RoutePlanner:
         after it is a valid option and is priced with its real departure
         time, as is the first boarding on every other line here. Road travel
         straight from the station is the fallback, so something feasible
-        always comes back. The first waits are live, so nothing is cached.
+        always comes back. The rail search is cached per (station, alight
+        station, first waits): riders left behind by the same train see the
+        same live waits.
         """
         here = self.network.station(station_id).point
         road_total = self.road.travel_seconds(here, dest)
@@ -116,7 +115,8 @@ class RoutePlanner:
                 first_waits[route] = dep - t
         rail = None
         if alight.id != station_id and first_waits:
-            rail = self._rail_path(station_id, alight.id, first_waits=first_waits)
+            key = (station_id, alight.id, tuple(sorted(first_waits.items())))
+            rail = self._cached_rail_path(key, station_id, alight.id, first_waits=first_waits)
         if rail is None:
             return _road_route(here, dest, road_total)
         legs, wait_s, ride_s = rail
@@ -125,6 +125,11 @@ class RoutePlanner:
         if road_total < total:
             return _road_route(here, dest, road_total)
         return Route(here, dest, station_id, alight.id, legs, 0, wait_s, ride_s, egress, total)
+
+    def _cached_rail_path(self, key: tuple, src: int, dst: int, **search):
+        if key not in self._rail_paths:
+            self._rail_paths[key] = self._rail_path(src, dst, **search)
+        return self._rail_paths[key]
 
     def _rail_path(self, src: int, dst: int, closed: frozenset = frozenset(),
                    first_waits: Optional[dict[tuple[str, int], int]] = None):

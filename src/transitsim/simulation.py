@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .city import GeoPoint, RoadRouter, TransitNetwork
 from .engine import (
     SECONDS_PER_DAY,
@@ -59,10 +61,6 @@ class ActiveTrip:
     road_s: int = 0
     used_alt: bool = False
 
-    @property
-    def waiting_at(self) -> Optional[int]:
-        return self.token_station if self.token_id is not None else None
-
     def current_leg(self) -> Optional[TrainLeg]:
         if self.leg_index < len(self.legs):
             return self.legs[self.leg_index]
@@ -104,6 +102,10 @@ class World:
         self.feed = BroadcastFeed(self.events, poll_interval, poll_probability)
         self.metrics = MetricsLedger()
         self.state = [HumanState(h.home) for h in humans]
+        self._human_ids = np.array([h.id for h in humans], dtype=np.uint64)
+        # the base strategy ignores the hourly demand view, so it is only
+        # built for a strategy that overrides on_hour
+        self._hourly_view = type(strategy).on_hour is not Strategy.on_hour
         self.activation = {ev.id: ActivationState(event_key=ev.id) for ev in self.events}
         self.attempted: dict[int, set[tuple[int, int]]] = {ev.id: set() for ev in self.events}
         self.attendees: dict[int, set[int]] = {ev.id: set() for ev in self.events}
@@ -261,8 +263,10 @@ class World:
         # with nothing on air every poll comes back empty; the poll coins are
         # keyed and stateless, so skipping them shifts no other draw
         if self.feed.on_air(now):
-            for h in self.humans:
-                for ev in self.feed.poll(h, now, self.streams):
+            hits = self.feed.polls_succeed(self._human_ids, now, self.streams)
+            for i in np.flatnonzero(hits):
+                h = self.humans[i]
+                for ev in self.feed.poll(h, now):
                     if wants_to_seed(h, ev, self.planner, self.manager, now,
                                      origin=self.state[h.id].point):
                         fresh.setdefault(ev.id, []).append(h.id)
@@ -555,15 +559,16 @@ class World:
 
     def _on_hour(self, now: SimTime) -> None:
         self._sweep(now)
-        day = now // SECONDS_PER_DAY
-        hour_of_day = (now % SECONDS_PER_DAY) // SECONDS_PER_HOUR
-        sets = [(ev, self.attendees[ev.id]) for ev in self.events]
-        estimate = self.manager.estimate_ridership(day, sets, self.humans)
-        view = snapshot(self.manager, estimate, hour_of_day, now)
-        decision = self.strategy.on_hour(view)
-        apply_decision(decision, self.manager)
-        if self.log is not None and decision.moves:
-            self.log.append(now, "strategy", "decision", moves=len(decision.moves))
+        if self._hourly_view:
+            day = now // SECONDS_PER_DAY
+            hour_of_day = (now % SECONDS_PER_DAY) // SECONDS_PER_HOUR
+            sets = [(ev, self.attendees[ev.id]) for ev in self.events]
+            estimate = self.manager.estimate_ridership(day, sets, self.humans)
+            view = snapshot(self.manager, estimate, hour_of_day, now)
+            decision = self.strategy.on_hour(view)
+            apply_decision(decision, self.manager)
+            if self.log is not None and decision.moves:
+                self.log.append(now, "strategy", "decision", moves=len(decision.moves))
         self._rescue_stranded(now)
 
     def _rescue_stranded(self, now: SimTime) -> None:

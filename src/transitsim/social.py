@@ -298,7 +298,7 @@ def keyed_uniform_batch(streams: RngStreams, name: str, fixed_prefix: tuple[int,
     h = _np_mix_step(h, varying.astype(np.uint64))
     for v in suffix:
         h = _np_mix_step(h, v)
-    return h.astype(np.float64) / 2.0**64
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def cascade_trial_batch(graph: SocialGraph, seeds: Iterable[int], trials: int,

@@ -275,9 +275,6 @@ class TransportManager:
                 break
         return best
 
-    def expected_wait(self, line_name: str) -> float:
-        return self.network.lines[line_name].service.headway_seconds / 2.0
-
     # tokens
 
     def issue_token(self, station_id: int, human: int, destination: int,

@@ -1,6 +1,9 @@
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +18,12 @@ from transitsim.city import (
     TransitLine,
     TransitNetwork,
     UnknownStationError,
+    bounding_box_around,
     haversine_km,
     network_from_dict,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SVC = LineService(run_seconds=120, dwell_seconds=30, headway_seconds=300,
                   first_departure=5 * 3600, last_departure=23 * 3600)
@@ -84,6 +90,63 @@ def test_nearest_station_brute_force_and_ties():
     assert net.nearest_station(tie).id == 1
 
 
+def singapore_like_stations():
+    with open(ROOT / "scenarios" / "singapore-like.yaml", encoding="utf-8") as f:
+        doc = yaml.safe_load(f)
+    return [Station(int(s["id"]), s["name"], GeoPoint(float(s["lat"]), float(s["lon"])))
+            for s in doc["network"]["stations"]]
+
+
+def brute_nearest(net, p):
+    return min(net.stations.values(), key=lambda s: (haversine_km(p, s.point), s.id)).id
+
+
+def test_nearest_station_matches_full_scan_on_singapore_like():
+    stations = singapore_like_stations()
+    assert len(stations) == 87
+    net = TransitNetwork(stations, [])
+    rng = np.random.default_rng(87)
+    points = [bounding_box_around([s.point for s in stations]).sample(rng) for _ in range(3000)]
+    points += [s.point for s in stations[::10]]   # on a station
+    for p in points:
+        assert net.nearest_station(p).id == brute_nearest(net, p)
+
+
+def test_nearest_station_ties_on_singapore_like():
+    stations = singapore_like_stations()
+    extra = max(s.id for s in stations) + 1
+
+    def copies():
+        return [Station(s.id, s.name, s.point) for s in stations]
+
+    # two stations at the same coordinates: the lower id wins
+    south = min(stations, key=lambda s: (s.point.lat, s.id))
+    net = TransitNetwork(copies() + [Station(extra, "X", south.point)], [])
+    for p in (south.point, GeoPoint(south.point.lat - 0.001, south.point.lon)):
+        assert net.nearest_station(p).id == brute_nearest(net, p) == south.id
+    # a point on the equator is exactly as far from a station as from its
+    # mirror image; nudged toward the equator by an ulp or two, the mirror
+    # can lie closer in the haversine term yet at the same rounded distance,
+    # a tie the full scan gives to the lower id
+    near_ties = 0
+    for s in stations:
+        p = GeoPoint(0.0, s.point.lon)
+        lat = -s.point.lat
+        for nudge in range(4):
+            mirror = Station(extra, "M", GeoPoint(lat, s.point.lon))
+            net = TransitNetwork([Station(s.id, s.name, s.point), mirror], [])
+            assert net.nearest_station(p).id == brute_nearest(net, p)
+            near_ties += nudge > 0 and haversine_km(p, mirror.point) == haversine_km(p, s.point)
+            lat = math.nextafter(lat, 0.0)
+    assert near_ties > 10
+    # a point halfway between two stations on a meridian
+    a, b = stations[0], stations[1]
+    assert a.point.lon == b.point.lon
+    net = TransitNetwork(copies(), [])
+    mid = GeoPoint((a.point.lat + b.point.lat) / 2, a.point.lon)
+    assert net.nearest_station(mid).id == brute_nearest(net, mid)
+
+
 def test_line_geometry_and_direction():
     net = grid_network()
     ew = net.lines["EW"]
@@ -91,10 +154,6 @@ def test_line_geometry_and_direction():
     assert ew.path(-1) == [2, 1, 0]
     assert ew.terminal(+1) == 0 and ew.terminal(-1) == 2
     assert ew.one_way_seconds() == 2 * 120 + 1 * 30
-    assert net.lines_between(0, 2) == [("EW", +1)]
-    assert net.lines_between(2, 0) == [("EW", -1)]
-    assert net.lines_between(1, 3) == [("NS", -1)]
-    assert net.lines_between(0, 3) == []
 
 
 def test_station_line_memberships():

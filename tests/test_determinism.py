@@ -1,12 +1,14 @@
-"""Determinism across processes: the shipped desk scenario, run by the CLI in
-two interpreters with different hash seeds, writes the same bytes, and those
-bytes are the reference run's."""
+"""Determinism across processes: shipped scenarios, run by the CLI in two
+interpreters with different hash seeds, write the same bytes, and those bytes
+are the reference run's."""
 
 import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,24 +20,45 @@ DESK_SHA256 = {
     "wait.csv": "37536253671a98c7",
 }
 
+# the same for singapore-like (87 stations, one circular line) cut to 12 h
+CITY_12H_SHA256 = {
+    "event.log": "a914dbf83c06e577",
+    "summary.csv": "ba1d55e4c2762670",
+    "usage.csv": "4437135a90797d49",
+    "wait.csv": "33b9c581ff35f104",
+}
 
-def test_desk_bytes_match_across_hash_seeds(tmp_path):
+
+def assert_bytes_match_across_hash_seeds(scenario: Path, want: dict, tmp_path: Path) -> None:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     runs = []
     for hash_seed in ("0", "4242"):
         out = tmp_path / f"seed{hash_seed}"
         env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "transitsim",
-             "--scenario", str(ROOT / "scenarios" / "desk.yaml"), "--out", str(out)],
+            [sys.executable, "-m", "transitsim", "--scenario", str(scenario), "--out", str(out)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         runs.append((proc, out / "run"))
     outputs = []
     for proc, run_dir in runs:
         _, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err.decode()
-        outputs.append({name: (run_dir / name).read_bytes() for name in DESK_SHA256})
+        outputs.append({name: (run_dir / name).read_bytes() for name in want})
     first, second = outputs
-    for name, prefix in DESK_SHA256.items():
+    for name, prefix in want.items():
         assert first[name] == second[name], f"{name} differs between hash seeds"
         assert hashlib.sha256(first[name]).hexdigest()[:16] == prefix, name
+
+
+def test_desk_bytes_match_across_hash_seeds(tmp_path):
+    assert_bytes_match_across_hash_seeds(ROOT / "scenarios" / "desk.yaml", DESK_SHA256, tmp_path)
+
+
+def test_city_bytes_match_across_hash_seeds(tmp_path):
+    with open(ROOT / "scenarios" / "singapore-like.yaml", encoding="utf-8") as f:
+        doc = yaml.safe_load(f)
+    doc["horizon_hours"] = 12
+    scenario = tmp_path / "singapore-like-12h.yaml"
+    with open(scenario, "w", encoding="utf-8") as f:
+        yaml.safe_dump(doc, f, sort_keys=False)
+    assert_bytes_match_across_hash_seeds(scenario, CITY_12H_SHA256, tmp_path)

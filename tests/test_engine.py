@@ -98,6 +98,55 @@ def test_event_log_records_and_file(tmp_path):
     assert log.records == lines
 
 
+def test_event_log_lines_equal_json_dumps(tmp_path):
+    # data-free records take a cached fast path; names that need escaping and
+    # records with data must still come out as json.dumps writes them
+    path = tmp_path / "run.log"
+    log = EventLog(str(path), keep_records=False)
+    calls = [(0, "human", "trip-start", {}), (7, 'a"b\\c', "k\u00e9\n", {}),
+             (7, "human", "trip-start", {}), (86_400, "strategy", "decision", {"moves": 3}),
+             (86_401, "train", "train-arrive", {})]
+    for t, actor, kind, data in calls:
+        log.append(t, actor, kind, **data)
+    log.close()
+    want = [json.dumps({"t": t, "actor": actor, "kind": kind, **data}, separators=(",", ":"))
+            for t, actor, kind, data in calls]
+    assert path.read_text().splitlines() == want
+
+
+def _splitmix64_inverse(y: int) -> int:
+    """x with splitmix64(x) == y: undo each xorshift and odd multiply."""
+    m = (1 << 64) - 1
+
+    def unshift(z, k):
+        x = z
+        for _ in range(64 // k + 1):
+            x = z ^ (x >> k)
+        return x
+
+    z = unshift(y, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & m
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & m
+    z = unshift(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & m
+
+
+def test_keyed_uniform_stays_below_one_at_the_top_hash():
+    from transitsim.engine import _name_key
+    from transitsim.social import keyed_uniform_batch
+
+    r = RngStreams(seed=9)
+    top = (1 << 64) - 1
+    # the key whose keyed hash is 2**64 - 1, which h / 2**64 rounds to 1.0
+    key = mix64(r.seed, _name_key("polls")) ^ _splitmix64_inverse(top)
+    assert mix64(r.seed, _name_key("polls"), key) == top
+    assert r.keyed_uniform("polls", key) == 1.0 - 2.0**-53
+    batch = keyed_uniform_batch(r, "polls", (), np.array([key, 0], dtype=np.uint64))
+    assert batch[0] == 1.0 - 2.0**-53
+    assert batch[1] == r.keyed_uniform("polls", 0)
+
+
 def test_splitmix64_reference_values():
     # Reference outputs for seed 1234567 (first three values of the sequence),
     # from the published splitmix64 recurrence.

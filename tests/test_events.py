@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from transitsim.city import (
@@ -82,13 +83,14 @@ def test_poll_visibility_and_dedup():
     feed = BroadcastFeed([e], poll_interval=3600, poll_probability=1.0)
     streams = RngStreams(4)
     h = student()
-    assert feed.poll(h, hms(7, 59), streams) == []      # before broadcast
-    assert feed.poll(h, hms(8), streams) == [e]         # visible
-    assert feed.poll(h, hms(9), streams) == []          # dedup
+    assert feed.polls_succeed(np.arange(3, dtype=np.uint64), hms(8), streams).all()
+    assert feed.poll(h, hms(7, 59)) == []      # before broadcast
+    assert feed.poll(h, hms(8)) == [e]         # visible
+    assert feed.poll(h, hms(9)) == []          # dedup
     h2 = student(1)
-    assert feed.poll(h2, hms(11, 29), streams) == [e]   # still on until end
+    assert feed.poll(h2, hms(11, 29)) == [e]   # still on until end
     h3 = student(2)
-    assert feed.poll(h3, hms(11, 30), streams) == []    # ended
+    assert feed.poll(h3, hms(11, 30)) == []    # ended
 
 
 def test_poll_probability_frequency():
@@ -100,13 +102,22 @@ def test_poll_probability_frequency():
         if streams.keyed_uniform("polls", h.id, tick) < feed.poll_probability
     )
     assert abs(hits / 10_000 - 0.3) < 0.02
-    # poll() consults the same coin: empty feed returns [] either way, so
-    # check against a broadcast event
-    e = SocialEvent(0, GeoPoint(1.3, 103.8), 10**9, 10**9 + 3600, frozenset([2]), 0)
-    feed2 = BroadcastFeed([e], poll_interval=1, poll_probability=0.3)
+    # polls_succeed flips the same coin: human t at tick t
+    feed2 = BroadcastFeed([], poll_interval=1, poll_probability=0.3)
     got = sum(1 for t in range(10_000)
-              if feed2.poll(student(t), t, streams))
+              if feed2.polls_succeed(np.array([t], dtype=np.uint64), t, streams)[0])
     assert abs(got / 10_000 - 0.3) < 0.02
+
+
+def test_batched_poll_matches_scalar_coin():
+    streams = RngStreams(8)
+    ids = np.array([0, 1, 2, 7, 99, 1234, 19_999], dtype=np.uint64)
+    for p in (0.0, 0.25, 0.5, 1.0):
+        feed = BroadcastFeed([], poll_interval=900, poll_probability=p)
+        for t in (0, 899, 900, hms(7, 30), hms(8, 0, 1), 86_400):
+            got = feed.polls_succeed(ids, t, streams)
+            want = [streams.keyed_uniform("polls", int(i), t // 900) < p for i in ids]
+            assert got.tolist() == want
 
 
 def test_feed_validation():

@@ -265,3 +265,37 @@ def test_alternative_falls_back_to_road_without_service():
     r = p.alternative(50, dest, ("P1", +1), inquiry, 1000, exclude_train=None)
     assert r.road_only
     assert r.total_seconds == ROAD.travel_seconds(net.station(50).point, dest)
+
+
+def test_warm_alternative_matches_fresh_planner():
+    # every query draws its own departures at the station from a few wait
+    # values, with some routes closed, so the same (station, alight) pair
+    # meets different first waits and masks, often with the same wait values
+    net = cross_network(svc(run=60, dwell=15, headway=180))
+    warm = RoutePlanner(net, ROAD)
+    rng = np.random.default_rng(404)
+    t = 20_000
+    dests = [GeoPoint(float(rng.uniform(1.22, 1.38)), float(rng.uniform(103.69, 103.85)))
+             for _ in range(8)]
+    rail = 0
+    for _ in range(800):
+        sid = int(rng.choice([0, 3, 5, 5, 5, 8, 12, 17]))
+        routes = net.routes_at(sid)
+        deps = {}
+        for k, (line, d) in enumerate(routes):
+            if rng.random() < 0.4:
+                continue
+            waits = sorted(rng.choice([0, 30, 60, 240], size=2, replace=False))
+            deps[(line, sid, d)] = [(t + int(w), 10 * k + j) for j, w in enumerate(waits)]
+        inquiry = FakeInquiry(deps)
+        first = routes[int(rng.integers(len(routes)))]
+        listed = deps.get((first[0], sid, first[1]), [])
+        exclude = listed[0][1] if listed and rng.random() < 0.7 else None
+        dest = dests[int(rng.integers(len(dests)))]
+        if rng.random() < 0.3:
+            warm.plan(net.station(sid).point, dest, inquiry=inquiry, t=t)
+        fresh = RoutePlanner(net, ROAD).alternative(sid, dest, first, inquiry, t,
+                                                    exclude_train=exclude)
+        assert warm.alternative(sid, dest, first, inquiry, t, exclude_train=exclude) == fresh
+        rail += not fresh.road_only
+    assert rail > 200

@@ -2,6 +2,8 @@
 run pairing, diffusion pacing, full-train rerouting, busy-human deferral, and
 the dead-route rescue fallback."""
 
+import json
+
 import pytest
 
 from transitsim.city import GeoPoint, bounding_box_around, network_from_dict
@@ -213,3 +215,41 @@ def test_attendee_arrives_within_tolerance_and_returns_after_end():
     assert w.state[0].at_event is None
     assert w.state[0].point == at0
     assert w.state[0].trip is None
+
+
+def test_event_log_lines_equal_json_dumps(tmp_path):
+    # a run that dispatches every action kind; each line must be the bytes
+    # json.dumps writes for its record
+    net = line4(first=3600, last=82800)
+    streams = RngStreams(5)
+    bbox = bounding_box_around([s.point for s in net.stations.values()], margin_km=1.0)
+    humans = generate_population(250, bbox, streams)
+    graph = generate_graph(humans, streams, degree_params=(1, 10, 3.0))
+    ev = SocialEvent(id=0, location=net.stations[2].point, start=hms(8, 30), end=hms(9, 30),
+                     age_range=frozenset(range(1, 7)), broadcast_from=hms(7, 30))
+    path = tmp_path / "event.log"
+    w = World(net, humans, graph, [ev], RngStreams(5), horizon_hours=12,
+              compartments_per_train=1, pool_compartments=2,
+              strategy=make_strategy("greedy", alt_routing=True), poll_probability=1.0,
+              road_speed_kmh=5.0, log_path=str(path))
+    w.run()
+    kinds = set()
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        assert json.dumps(rec, separators=(",", ":")) == line
+        kinds.add((rec["actor"], rec["kind"]))
+    assert kinds == {
+        ("world", "new-day"), ("world", "hour"), ("feed", "poll"), ("world", "event-return"),
+        ("manager", "slot"), ("human", "trip-start"), ("human", "walk-arrive"),
+        ("human", "trip-arrive"), ("human", "attend-depart"), ("social", "diffuse"),
+        ("train", "train-arrive"), ("train", "train-depart")}
+
+
+def test_hourly_demand_view_only_for_strategies_that_plan():
+    calls = []
+    for name in ("none", "greedy"):
+        w = make_world(line4(), [], empty_graph(0), [], strategy=make_strategy(name))
+        estimate = w.manager.estimate_ridership
+        w.manager.estimate_ridership = lambda *a, name=name: calls.append(name) or estimate(*a)
+        w.run()
+    assert calls == ["greedy"] * 7

@@ -281,12 +281,6 @@ def test_next_departure_matches_list_scan(circular, first, last, dwell):
     assert compared > 100
 
 
-def test_expected_wait_is_half_headway():
-    net = linear_net(headway=480)
-    m = TransportManager(net, 2)
-    assert m.expected_wait("A") == 240.0
-
-
 # compartment moves
 
 
