@@ -5,7 +5,7 @@ network layout (stations, lines, per-line service parameters).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -105,7 +105,6 @@ class Station:
     name: str
     point: GeoPoint
     platform_count: int = 2
-    lines: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.platform_count < 1:
@@ -217,8 +216,6 @@ class TransitNetwork:
             for sid in line.station_ids:
                 if sid not in self.stations:
                     raise DanglingReferenceError(f"line {line.name!r} references unknown station {sid}")
-                if line.name not in self.stations[sid].lines:
-                    self.stations[sid].lines.append(line.name)
             self.lines[line.name] = line
         # station -> [(line, index)] for routing
         self.memberships: dict[int, list[tuple[str, int]]] = {sid: [] for sid in self.stations}

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -53,10 +53,6 @@ def format_clock(t: SimTime) -> str:
 
 class PastTimeError(ValueError):
     """Raised when an action is scheduled before the current clock."""
-
-
-class BadParameterError(ValueError):
-    """Raised for invalid random-draw parameters."""
 
 
 @dataclass(frozen=True)
@@ -152,8 +148,8 @@ class Scheduler:
 
 
 # 64-bit mixing (splitmix64) used for order-independent keyed draws. The
-# numpy variant in social.py must produce bit-identical output, so any change
-# here has to be mirrored there.
+# numpy variants below must produce bit-identical output, so any change here
+# has to be mirrored there.
 _U64 = (1 << 64) - 1
 
 
@@ -171,6 +167,19 @@ def mix64(*values: int) -> int:
     for v in values:
         h = splitmix64(h ^ (v & _U64))
     return h
+
+
+def _np_splitmix64(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        x = x + np.uint64(0x9E3779B97F4A7C15)
+        z = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _np_mix_step(h: np.ndarray, value: np.ndarray | int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return _np_splitmix64(h ^ np.uint64(value) if np.isscalar(value) else h ^ value)
 
 
 @lru_cache(maxsize=None)
@@ -213,29 +222,14 @@ class RngStreams:
         h = mix64(self._base(name), _name_key(name), *key)
         return (h >> 11) * 2.0**-53
 
-    # Draw helpers. These are the only sampling primitives the model uses,
-    # so parameter validation lives here.
-    def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
-        if not (low <= high):
-            raise BadParameterError(f"uniform bounds out of order: [{low}, {high}]")
-        return float(self.generator(name).uniform(low, high))
 
-    def bernoulli(self, name: str, p: float) -> bool:
-        if not (0.0 <= p <= 1.0):
-            raise BadParameterError(f"bernoulli p out of range: {p}")
-        return bool(self.generator(name).random() < p)
-
-    def choice(self, name: str, weights: Iterable[float]) -> int:
-        w = [float(x) for x in weights]
-        if not w or any(x < 0 or not np.isfinite(x) for x in w):
-            raise BadParameterError(f"weights must be non-negative and finite: {w}")
-        total = sum(w)
-        if total <= 0:
-            raise BadParameterError("weights must sum to a positive value")
-        u = self.generator(name).random() * total
-        acc = 0.0
-        for i, x in enumerate(w):
-            acc += x
-            if u < acc:
-                return i
-        return len(w) - 1
+def keyed_uniform_batch(streams: RngStreams, name: str, fixed_prefix: tuple[int, ...],
+                        varying: np.ndarray, suffix: tuple[int, ...] = ()) -> np.ndarray:
+    """Vector of keyed uniforms equal to ``streams.keyed_uniform(name,
+    *fixed_prefix, v, *suffix)`` for each v in ``varying``."""
+    prefix = mix64(streams._base(name), _name_key(name), *fixed_prefix)
+    h = np.full(varying.shape, prefix, dtype=np.uint64)
+    h = _np_mix_step(h, varying.astype(np.uint64))
+    for v in suffix:
+        h = _np_mix_step(h, v)
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -14,9 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .city import BoundingBox, GeoPoint
-from .engine import RngStreams, SimTime
+from .engine import RngStreams, SimTime, keyed_uniform_batch
 from .population import Human
-from .social import keyed_uniform_batch
 
 DEFAULT_POLL_INTERVAL = 3600  # seconds
 DEFAULT_POLL_PROBABILITY = 0.25

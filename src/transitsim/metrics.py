@@ -163,15 +163,6 @@ def avg_wait(ledger: MetricsLedger, t0: SimTime, t1: SimTime, population: int) -
     return total / population
 
 
-def trains_crossing(ledger: MetricsLedger, line: str, stations: set[int],
-                    t0: SimTime, t1: SimTime) -> list[int]:
-    seen = set()
-    for t, train, ln, sid in ledger.visits:
-        if ln == line and sid in stations and t0 <= t < t1:
-            seen.add(train)
-    return sorted(seen)
-
-
 def section_usage(ledger: MetricsLedger, line: TransitLine,
                   t0: SimTime, t1: SimTime) -> list[float]:
     """Occupied seat-time fraction per section over [t0, t1).

@@ -31,7 +31,7 @@ from .events import BroadcastFeed, EventEndedError, SocialEvent, decide_attendan
 from .metrics import MetricsLedger, TripRecord
 from .population import Human, Trip, daily_trips
 from .routing import Route, RoutePlanner, TrainLeg
-from .social import ActivationState, SocialGraph
+from .social import ActivationState, SocialGraph, spread
 from .strategies import Strategy, apply_decision, snapshot
 from .transit import Train, TransportManager
 
@@ -107,7 +107,6 @@ class World:
         # built for a strategy that overrides on_hour
         self._hourly_view = type(strategy).on_hour is not Strategy.on_hour
         self.activation = {ev.id: ActivationState(event_key=ev.id) for ev in self.events}
-        self.attempted: dict[int, set[tuple[int, int]]] = {ev.id: set() for ev in self.events}
         self.attendees: dict[int, set[int]] = {ev.id: set() for ev in self.events}
         self.spread_frontier: dict[int, list[int]] = {ev.id: [] for ev in self.events}
         self.pending_slots: dict[tuple[str, int], deque[tuple[SimTime, int]]] = {
@@ -278,25 +277,15 @@ class World:
         """One cascade round per feed cycle: last round's affirmers post,
         their followers flip coins now, and anyone who affirms (plus today's
         new broadcast seeds) posts in the next round. A declined influence
-        attempt still spends its edge."""
+        attempt still spends its edge: a node posts only in the round after
+        it first activates."""
         for ev in self.events:
             st = self.activation[ev.id]
             if now >= ev.end:
                 self.spread_frontier[ev.id] = []
                 continue
-            attempted = self.attempted[ev.id]
-            nxt: list[int] = []
-            for poster in self.spread_frontier[ev.id]:
-                for follower in self.graph.followers[poster]:
-                    if follower in st.active or (poster, follower) in attempted:
-                        continue
-                    attempted.add((poster, follower))
-                    p = self.graph.edge_probability(follower, poster)
-                    coin = self.streams.keyed_uniform("cascade", st.event_key,
-                                                      poster, follower)
-                    if coin < p and self._affirm(follower, ev, now):
-                        st.active.add(follower)
-                        nxt.append(follower)
+            nxt = spread(self.graph, st.active, self.spread_frontier[ev.id], st.event_key,
+                         self.streams, accept=lambda h: self._affirm(h, ev, now))
             for h in sorted(fresh.get(ev.id, [])):
                 if h not in st.active and self._affirm(h, ev, now):
                     st.active.add(h)
@@ -498,8 +487,7 @@ class World:
 
     def _handle_full(self, human: int, station: int, train: Train,
                      now: SimTime) -> None:
-        directive = self.strategy.on_human_wait(human, station, train.id)
-        if directive is None:
+        if not self.strategy.on_human_wait(human, station, train.id):
             return
         self.metrics.alt_considered += 1
         trip = self.state[human].trip

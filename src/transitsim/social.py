@@ -9,42 +9,31 @@ same-category membership, and contact-point proximity normalized against
 
 Cascade coin flips are stateless, keyed by (event, poster, follower), which
 makes outcomes independent of traversal order and lets paired runs reuse the
-exact same coins.
+exact same coins. One spread round (``spread``) serves both the batch
+cascade and the simulator, which runs one round per feed cycle.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .city import haversine_km
-from .engine import RngStreams, mix64
+from .engine import RngStreams, keyed_uniform_batch
 from .population import Human
 
-# social-media follower-count shape: (min, max, mean) at the reference
-# population size; desk-scale runs shrink these proportionally.
+# social-media follower-count shape: (min, max, mean)
 DEFAULT_DEGREE_PARAMS = (1, 5000, 500)
-DEGREE_REFERENCE_POPULATION = 100_000
 
 MEAN_TOLERANCE = 0.05
 
 
 class InfeasibleDegreeError(ValueError):
     pass
-
-
-def scaled_degree_params(n: int, base: tuple[int, int, int] = DEFAULT_DEGREE_PARAMS,
-                         base_population: int = DEGREE_REFERENCE_POPULATION) -> tuple[int, int, int]:
-    """Shrink (min, max, mean) linearly with population size."""
-    ratio = n / base_population
-    dmin = max(1, round(base[0] * ratio)) if base[0] > 1 else base[0]
-    dmax = max(dmin + 1, round(base[1] * ratio))
-    dmean = max(dmin, round(base[2] * ratio))
-    return (dmin, min(dmax, n - 1), dmean)
 
 
 # influence components
@@ -70,56 +59,61 @@ def proximity(a: Human, b: Human) -> float:
     return best
 
 
-def proximity_influence(a: Human, b: Human, graph: "SocialGraph") -> float:
-    """How near ``a`` is to ``b`` relative to ``b``'s least proximate connection.
+def influence(a: Human, b: Human, prox: float, farthest: float) -> float:
+    """Probability that poster ``a`` activates follower ``b`` (``b`` follows
+    ``a``), given ``prox = proximity(a, b)`` and the proximity of ``b``'s
+    least proximate (farthest) connection.
 
-    The least proximate (farthest) connection scores 0. An infinite farthest
-    distance makes any finite-proximity connection score 1; if ``a`` is also
-    at infinite proximity the pair scores 0.
+    The proximity component scores how near ``a`` is relative to that
+    connection, which itself scores 0. An infinite farthest distance makes
+    any finite-proximity connection score 1; if ``a`` is also at infinite
+    proximity the pair scores 0.
     """
-    prox = proximity(a, b)
-    lpc = graph.least_proximate(b.id)
-    if prox == lpc:
-        return 0.0
-    if math.isinf(lpc):
-        return 1.0
-    return 1 - prox / lpc
+    if prox == farthest:
+        near = 0.0
+    elif math.isinf(farthest):
+        near = 1.0
+    else:
+        near = 1 - prox / farthest
+    return (similar_age_influence(a, b) + similar_class_influence(a, b) + near) / 3.0
 
 
 def influence_probability(a: Human, b: Human, graph: "SocialGraph") -> float:
-    """Probability that poster ``a`` activates follower ``b`` (``b`` follows ``a``)."""
-    return (similar_age_influence(a, b)
-            + similar_class_influence(a, b)
-            + proximity_influence(a, b, graph)) / 3.0
+    """Probability that poster ``a`` activates follower ``b`` in ``graph``."""
+    return influence(a, b, proximity(a, b), graph.least_proximate(b.id))
 
 
 class SocialGraph:
     """Immutable follower graph with per-edge activation probabilities.
 
-    ``following[x]`` lists the nodes x follows (sorted); ``probs[x][i]`` is
-    the probability that following[x][i] activates x. ``followers[y]`` is the
-    reverse adjacency used when y posts.
+    ``following[x]`` lists the nodes x follows (sorted), and the constructor's
+    ``probs[x][i]`` is the probability that following[x][i] activates x. The
+    graph keeps the reverse adjacency a post travels along as CSR arrays: the
+    followers of poster y are ``follower_ids[indptr[y]:indptr[y + 1]]`` in
+    ascending id, with their activation probabilities at the same positions
+    of ``edge_probs``.
     """
 
     def __init__(self, following: list[list[int]], probs: list[list[float]],
-                 humans: Optional[list[Human]] = None,
                  lpc: Optional[list[float]] = None):
         self.n = len(following)
         self.following = following
-        self.probs = probs
-        self.humans = humans
         self._lpc = lpc
-        self.followers: list[list[int]] = [[] for _ in range(self.n)]
-        for x, targets in enumerate(following):
-            for y in targets:
-                self.followers[y].append(x)
+        degree = np.fromiter(map(len, following), dtype=np.int64, count=self.n)
+        edges = int(degree.sum())
+        posters = np.fromiter(chain.from_iterable(following), dtype=np.int64, count=edges)
+        # a stable sort keeps each poster's followers in ascending id
+        order = np.argsort(posters, kind="stable")
+        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(posters, minlength=self.n), out=self.indptr[1:])
+        self.follower_ids = np.repeat(np.arange(self.n, dtype=np.int64), degree)[order]
+        self.edge_probs = np.fromiter(chain.from_iterable(probs), dtype=np.float64,
+                                      count=edges)[order]
 
-    def edge_probability(self, follower: int, followed: int) -> float:
-        targets = self.following[follower]
-        i = bisect_left(targets, followed)
-        if i == len(targets) or targets[i] != followed:
-            raise KeyError(f"no edge {follower} -> {followed}")
-        return self.probs[follower][i]
+    def followers_of(self, poster: int) -> tuple[np.ndarray, np.ndarray]:
+        """The followers of ``poster`` and their activation probabilities."""
+        lo, hi = self.indptr[poster], self.indptr[poster + 1]
+        return self.follower_ids[lo:hi], self.edge_probs[lo:hi]
 
     def least_proximate(self, node: int) -> float:
         if self._lpc is None:
@@ -127,34 +121,7 @@ class SocialGraph:
         return self._lpc[node]
 
     def edge_count(self) -> int:
-        return sum(len(t) for t in self.following)
-
-    def dump(self, path: str) -> None:
-        """Edge list: one `follower followed probability` line per edge."""
-        with open(path, "w") as fh:
-            for x, targets in enumerate(self.following):
-                for y, p in zip(targets, self.probs[x]):
-                    fh.write(f"{x} {y} {p!r}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "SocialGraph":
-        edges: dict[int, list[tuple[int, float]]] = {}
-        n = 0
-        with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                x, y, p = int(parts[0]), int(parts[1]), float(parts[2])
-                edges.setdefault(x, []).append((y, p))
-                n = max(n, x + 1, y + 1)
-        following = [[] for _ in range(n)]
-        probs = [[] for _ in range(n)]
-        for x, lst in edges.items():
-            lst.sort()
-            following[x] = [y for y, _ in lst]
-            probs[x] = [p for _, p in lst]
-        return cls(following, probs)
+        return int(self.indptr[-1])
 
 
 def _sample_degrees(n: int, dmin: int, dmax: int, dmean: float, gen,
@@ -194,29 +161,19 @@ def generate_graph(population: Sequence[Human], streams: RngStreams,
     for x in range(n):
         following.append(_draw_targets(gen, n, x, int(degrees[x])))
 
-    humans = list(population)
     if constant_probability is not None:
         probs = [[constant_probability] * len(t) for t in following]
-        return SocialGraph(following, probs, humans=humans)
+        return SocialGraph(following, probs)
     lpc: list[float] = []
     probs = []
-    for x in range(n):
-        prox = [proximity(humans[y], humans[x]) for y in following[x]]
+    for x, targets in enumerate(following):
+        follower = population[x]
+        prox = [proximity(population[y], follower) for y in targets]
         worst = max(prox)
         lpc.append(worst)
-        row = []
-        for y, d in zip(following[x], prox):
-            if d == worst:
-                pi = 0.0
-            elif math.isinf(worst):
-                pi = 1.0
-            else:
-                pi = 1 - d / worst
-            row.append((similar_age_influence(humans[y], humans[x])
-                        + similar_class_influence(humans[y], humans[x])
-                        + pi) / 3.0)
-        probs.append(row)
-    return SocialGraph(following, probs, humans=humans, lpc=lpc)
+        probs.append([influence(population[y], follower, d, worst)
+                      for y, d in zip(targets, prox)])
+    return SocialGraph(following, probs, lpc=lpc)
 
 
 def _draw_targets(gen, n: int, x: int, want: int) -> list[int]:
@@ -230,37 +187,45 @@ def _draw_targets(gen, n: int, x: int, want: int) -> list[int]:
     return sorted(int(v) for v in kept)
 
 
+def spread(graph: SocialGraph, active: set[int], posters: Iterable[int], event_key: int,
+           streams: RngStreams, accept: Optional[Callable[[int], bool]] = None) -> list[int]:
+    """One cascade round: every poster tries each of its followers once.
+
+    A follower activates when its keyed (event, poster, follower) coin is
+    below the edge probability, it is not active yet, and ``accept``, if
+    given, admits it; these are checked in that order. Posters are taken in
+    the given order and their followers in ascending id, so a follower that
+    ``accept`` declines can still be reached through a later poster's edge.
+    The newly active nodes are added to ``active`` and returned in the order
+    they activated: they post in the next round.
+    """
+    fresh: list[int] = []
+    for poster in posters:
+        followers, probs = graph.followers_of(poster)
+        coins = keyed_uniform_batch(streams, "cascade", (event_key, poster), followers)
+        for follower in followers[coins < probs].tolist():
+            if follower not in active and (accept is None or accept(follower)):
+                active.add(follower)
+                fresh.append(follower)
+    return fresh
+
+
 @dataclass
 class ActivationState:
     """Cascade bookkeeping for one event; survives across seed arrivals."""
 
     event_key: int
     active: set[int] = field(default_factory=set)
-    frontier: set[int] = field(default_factory=set)
-    steps: int = 0
 
     def absorb(self, graph: SocialGraph, seeds: Iterable[int], streams: RngStreams) -> set[int]:
-        """Add seeds and run synchronous spread steps until nothing new
-        activates. Returns every node activated by this call."""
-        fresh = {s for s in seeds if s not in self.active}
-        self.active |= fresh
-        newly = set(fresh)
-        frontier = fresh
+        """Add seeds and run spread rounds until nothing new activates.
+        Returns every node activated by this call."""
+        frontier = sorted(set(seeds) - self.active)
+        self.active.update(frontier)
+        newly = set(frontier)
         while frontier:
-            self.frontier = frontier
-            self.steps += 1
-            nxt: set[int] = set()
-            for poster in frontier:
-                for follower in graph.followers[poster]:
-                    if follower in self.active or follower in nxt:
-                        continue
-                    p = graph.edge_probability(follower, poster)
-                    if streams.keyed_uniform("cascade", self.event_key, poster, follower) < p:
-                        nxt.add(follower)
-            self.active |= nxt
-            newly |= nxt
-            frontier = nxt
-        self.frontier = set()
+            frontier = spread(graph, self.active, frontier, self.event_key, streams)
+            newly.update(frontier)
         return newly
 
 
@@ -270,35 +235,6 @@ def cascade(graph: SocialGraph, seeds: Iterable[int], event_key: int,
     state = ActivationState(event_key)
     state.absorb(graph, seeds, streams)
     return state.active
-
-
-# vectorized splitmix64, bit-identical to engine.splitmix64 / engine.mix64
-
-
-def _np_splitmix64(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        z = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
-def _np_mix_step(h: np.ndarray, value: np.ndarray | int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return _np_splitmix64(h ^ np.uint64(value) if np.isscalar(value) else h ^ value)
-
-
-def keyed_uniform_batch(streams: RngStreams, name: str, fixed_prefix: tuple[int, ...],
-                        varying: np.ndarray, suffix: tuple[int, ...] = ()) -> np.ndarray:
-    """Vector of keyed uniforms equal to ``streams.keyed_uniform(name,
-    *fixed_prefix, v, *suffix)`` for each v in ``varying``."""
-    from .engine import _name_key  # same derivation as the scalar path
-    prefix = mix64(streams._base(name), _name_key(name), *fixed_prefix)
-    h = np.full(varying.shape, prefix, dtype=np.uint64)
-    h = _np_mix_step(h, varying.astype(np.uint64))
-    for v in suffix:
-        h = _np_mix_step(h, v)
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def cascade_trial_batch(graph: SocialGraph, seeds: Iterable[int], trials: int,
@@ -320,8 +256,8 @@ def cascade_trial_batch(graph: SocialGraph, seeds: Iterable[int], trials: int,
         seed_mask |= np.uint64(1) << np.uint64(s)
     t_keys = np.arange(trials, dtype=np.uint64) + np.uint64(event_key_base)
     # open[e, t]: edge e's coin succeeds in trial t
-    edges = [(poster, follower, graph.edge_probability(follower, poster))
-             for follower in range(n) for poster in graph.following[follower]]
+    posters = np.repeat(np.arange(n), np.diff(graph.indptr))
+    edges = list(zip(posters.tolist(), graph.follower_ids.tolist(), graph.edge_probs.tolist()))
     opens = []
     for poster, follower, p in edges:
         u = keyed_uniform_batch(streams, "cascade", (), t_keys, suffix=(poster, follower))

@@ -7,36 +7,22 @@ per-departure demand estimate exceeds their capacity, drawing first on the
 pool and then on trains whose demand is falling and that have seats to spare.
 
 Alternative routing is a separate human-side behavior: when a full train
-leaves someone on the platform, an enabled strategy returns a directive
-telling the world to offer that human a fresh route from where they stand.
+leaves someone on the platform, an enabled strategy tells the world to offer
+that human a fresh route from where they stand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .engine import SimTime
 from .transit import SEATS_PER_COMPARTMENT, RidershipEstimate, TransportManager
 
 
 @dataclass(frozen=True)
-class CompartmentPool:
-    count: int
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("pool cannot go negative")
-
-
-@dataclass(frozen=True)
 class StrategyDecision:
     moves: tuple[tuple[object, object, int], ...]
-    effective_time: SimTime
-
-    @property
-    def empty(self) -> bool:
-        return not self.moves
 
 
 @dataclass(frozen=True)
@@ -59,15 +45,8 @@ class ManagerView:
     hour: int
     now: SimTime
     trains: tuple[TrainView, ...]
-    pool: CompartmentPool
+    pool: int  # unattached compartments
     estimate: RidershipEstimate
-
-
-@dataclass(frozen=True)
-class RerouteDirective:
-    human: int
-    station: int
-    exclude_train: Optional[int]
 
 
 def snapshot(manager: TransportManager, estimate: RidershipEstimate,
@@ -75,7 +54,7 @@ def snapshot(manager: TransportManager, estimate: RidershipEstimate,
     trains = tuple(
         TrainView(tr.id, tr.line, tr.direction, tr.compartments, len(tr.onboard))
         for tr in manager.trains.values())
-    return ManagerView(hour, now, trains, CompartmentPool(manager.unattached), estimate)
+    return ManagerView(hour, now, trains, manager.unattached, estimate)
 
 
 def greedy_reallocate(view: ManagerView) -> StrategyDecision:
@@ -96,7 +75,7 @@ def greedy_reallocate(view: ManagerView) -> StrategyDecision:
     requests.sort(key=lambda tv: (-per_train(tv, hour), tv.id))
     overloaded = {tv.id for tv in requests}
     moves: list[tuple[object, object, int]] = []
-    pool_left = view.pool.count
+    pool_left = view.pool
     donated: dict[int, int] = {}
     for tv in requests:
         if pool_left > 0:
@@ -124,7 +103,7 @@ def greedy_reallocate(view: ManagerView) -> StrategyDecision:
             continue
         donated[donor] = donated.get(donor, 0) + 1
         moves.append((donor, tv.id, 1))
-    return StrategyDecision(tuple(moves), view.now)
+    return StrategyDecision(tuple(moves))
 
 
 def apply_decision(decision: StrategyDecision, manager: TransportManager) -> None:
@@ -142,14 +121,13 @@ class Strategy:
         self.alt_routing = alt_routing
 
     def on_hour(self, view: ManagerView) -> StrategyDecision:
-        return StrategyDecision((), view.now)
+        return StrategyDecision(())
 
     def on_human_wait(self, human: int, station: int,
-                      full_train: Optional[int]) -> Optional[RerouteDirective]:
-        """Called when a train leaves a would-be rider behind."""
-        if self.alt_routing and full_train is not None:
-            return RerouteDirective(human, station, full_train)
-        return None
+                      full_train: Optional[int]) -> bool:
+        """Called when a train leaves a would-be rider behind: should the
+        world offer them an alternative route?"""
+        return self.alt_routing and full_train is not None
 
 
 class BaselineStrategy(Strategy):

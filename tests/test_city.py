@@ -158,8 +158,8 @@ def test_line_geometry_and_direction():
 
 def test_station_line_memberships():
     net = grid_network()
-    assert sorted(net.station(1).lines) == ["EW", "NS"]
-    assert net.station(0).lines == ["EW"]
+    assert sorted(name for name, _ in net.memberships[1]) == ["EW", "NS"]
+    assert net.memberships[0] == [("EW", 0)]
     with pytest.raises(UnknownStationError):
         net.station(99)
 

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transitsim.engine import (
-    BadParameterError,
     EventLog,
     PastTimeError,
     RngStreams,
     Scheduler,
+    _np_splitmix64,
     hms,
+    keyed_uniform_batch,
     mix64,
     parse_clock,
     splitmix64,
@@ -134,7 +135,6 @@ def _splitmix64_inverse(y: int) -> int:
 
 def test_keyed_uniform_stays_below_one_at_the_top_hash():
     from transitsim.engine import _name_key
-    from transitsim.social import keyed_uniform_batch
 
     r = RngStreams(seed=9)
     top = (1 << 64) - 1
@@ -167,21 +167,21 @@ def test_splitmix64_reference_values():
 def test_streams_reproducible_and_isolated():
     a = RngStreams(seed=42)
     b = RngStreams(seed=42)
-    xs = [a.uniform("population") for _ in range(5)]
+    xs = [a.generator("population").random() for _ in range(5)]
     # interleave another stream in b; population must not notice
     ys = []
     for _ in range(5):
-        b.uniform("graph")
-        ys.append(b.uniform("population"))
+        b.generator("graph").random()
+        ys.append(b.generator("population").random())
     assert xs == ys
     c = RngStreams(seed=43)
-    assert [c.uniform("population") for _ in range(5)] != xs
+    assert [c.generator("population").random() for _ in range(5)] != xs
 
 
 def test_keyed_uniform_is_stateless_and_order_free():
     r = RngStreams(seed=7)
     v1 = r.keyed_uniform("cascade", 10, 20, 30)
-    r.uniform("cascade")  # consume from the sequential stream
+    r.generator("cascade").random()  # consume from the sequential stream
     assert r.keyed_uniform("cascade", 10, 20, 30) == v1
     assert 0.0 <= v1 < 1.0
     assert r.keyed_uniform("cascade", 10, 20, 31) != v1
@@ -195,31 +195,6 @@ def test_keyed_uniform_roughly_uniform():
     assert hist.min() > 1800 and hist.max() < 2200
 
 
-def test_bernoulli_edge_cases_and_validation():
-    r = RngStreams(seed=0)
-    assert not any(r.bernoulli("s", 0.0) for _ in range(100))
-    assert all(r.bernoulli("s", 1.0) for _ in range(100))
-    with pytest.raises(BadParameterError):
-        r.bernoulli("s", 1.5)
-    with pytest.raises(BadParameterError):
-        r.uniform("s", 2.0, 1.0)
-
-
-def test_choice_matches_weights():
-    r = RngStreams(seed=11)
-    weights = [0.40, 0.30, 0.15, 0.15]
-    n = 100_000
-    counts = np.bincount([r.choice("population", weights) for _ in range(n)], minlength=4)
-    for got, want in zip(counts / n, weights):
-        assert abs(got - want) < 0.01
-    with pytest.raises(BadParameterError):
-        r.choice("population", [])
-    with pytest.raises(BadParameterError):
-        r.choice("population", [-1.0, 2.0])
-    with pytest.raises(BadParameterError):
-        r.choice("population", [0.0, 0.0])
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -229,3 +204,19 @@ def test_keyed_uniform_deterministic_property(seed, key):
     r1 = RngStreams(seed=seed)
     r2 = RngStreams(seed=seed)
     assert r1.keyed_uniform("cascade", *key) == r2.keyed_uniform("cascade", *key)
+
+
+def test_np_splitmix_matches_scalar():
+    rng = np.random.default_rng(2)
+    xs = rng.integers(0, 2**63, size=500, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    vec = _np_splitmix64(xs)
+    for x, v in zip(xs.tolist(), vec.tolist()):
+        assert splitmix64(x) == v
+
+
+def test_keyed_uniform_batch_matches_scalar():
+    streams = RngStreams(31)
+    t = np.arange(200, dtype=np.uint64)
+    u = keyed_uniform_batch(streams, "cascade", (), t, suffix=(3, 8))
+    for i in range(200):
+        assert u[i] == streams.keyed_uniform("cascade", i, 3, 8)

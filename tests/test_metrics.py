@@ -21,7 +21,6 @@ from transitsim.metrics import (
     section_wait,
     station_section_map,
     train_usage,
-    trains_crossing,
 )
 
 
@@ -179,8 +178,6 @@ def test_section_aggregates_match_manual_ledger_replay():
     # clipping at 1350 cuts the station-4 stretch short
     assert section_usage(led, line, 0, 1350) == pytest.approx(
         [0.5, 0.5, 0.5, 0.0, 0.0])
-    assert trains_crossing(led, "L", {0, 1}, 0, 3600) == [0, 1]
-    assert trains_crossing(led, "L", {8, 9}, 0, 3600) == [0]
     # waits at stations 0 (r0) and 5 (r2)
     led.record_wait(7, 0, 0, 600)
     led.record_wait(8, 0, 0, 300)

@@ -107,7 +107,7 @@ def test_diffusion_advances_one_round_per_poll_cycle():
     # 2 was offered too late to arrive within tolerance and declined
     assert w.attendees[0] == {0, 1}
     assert w.spread_frontier[0] == []
-    assert w.attempted[0] == {(0, 1), (1, 2)}
+    assert w.activation[0].active == {0, 1}
     assert w.state[1].at_event == 0
     assert w.state[1].point == ev.location
     w.run()

@@ -7,24 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transitsim.city import BoundingBox, GeoPoint, haversine_km
-from transitsim.engine import RngStreams, splitmix64
+from transitsim.engine import RngStreams
 from transitsim.population import Human, generate_population
+import transitsim.social as social
 from transitsim.social import (
     ActivationState,
     InfeasibleDegreeError,
     SocialGraph,
-    _np_splitmix64,
     _sample_degrees,
     cascade,
     cascade_trial_batch,
     generate_graph,
+    influence,
     influence_probability,
-    keyed_uniform_batch,
     proximity,
-    proximity_influence,
-    scaled_degree_params,
     similar_age_influence,
     similar_class_influence,
+    spread,
 )
 
 BBOX = BoundingBox(1.24, 103.6, 1.46, 103.99)
@@ -67,10 +66,15 @@ def test_proximity_picks_closest_defined_pair():
     assert proximity(s, w) == haversine_km(s.home, w.home) * 1000.0
 
 
-def hand_graph(humans, following, lpc=None, probs=None):
+def hand_graph(following, lpc=None, probs=None):
     if probs is None:
         probs = [[0.0] * len(t) for t in following]
-    return SocialGraph(following, probs, humans=humans, lpc=lpc)
+    return SocialGraph(following, probs, lpc=lpc)
+
+
+# influence between two humans of one age group and category: the age and
+# class components are 1, so only the proximity component varies
+SAME_AGE_AND_CLASS = 1.0 + 1.0
 
 
 def test_proximity_influence_normalization():
@@ -78,23 +82,25 @@ def test_proximity_influence_normalization():
     b = human(0, home=(1.30, 103.80))
     a = human(1, home=(1.30 + 0.01, 103.80))
     c = human(2, home=(1.30 + 0.04, 103.80))
-    g = hand_graph([b, a, c], [[1, 2], [0], [0]],
+    g = hand_graph([[1, 2], [0], [0]],
                    lpc=[proximity(c, b), proximity(b, a), proximity(b, c)])
-    v = proximity_influence(a, b, g)
-    assert v == 1 - proximity(a, b) / proximity(c, b)
-    assert v == pytest.approx(0.75, rel=1e-6)
+    near = 1 - proximity(a, b) / proximity(c, b)
+    assert near == pytest.approx(0.75, rel=1e-6)
+    assert influence_probability(a, b, g) == (SAME_AGE_AND_CLASS + near) / 3.0
+    assert influence(a, b, proximity(a, b), proximity(c, b)) == (SAME_AGE_AND_CLASS + near) / 3.0
     # the least proximate connection itself scores zero
-    assert proximity_influence(c, b, g) == 0.0
+    assert influence_probability(c, b, g) == (SAME_AGE_AND_CLASS + 0.0) / 3.0
 
 
 def test_proximity_influence_sole_connection_and_infinite_rules():
     b = human(0)
     a = human(1, home=(1.31, 103.81))
-    g = hand_graph([b, a], [[1], [0]], lpc=[proximity(a, b), proximity(b, a)])
-    assert proximity_influence(a, b, g) == 0.0  # only connection
+    g = hand_graph([[1], [0]], lpc=[proximity(a, b), proximity(b, a)])
+    # only connection
+    assert influence_probability(a, b, g) == (SAME_AGE_AND_CLASS + 0.0) / 3.0
     # infinite farthest connection, finite proximity -> 1
-    g_inf = hand_graph([b, a], [[1], [0]], lpc=[math.inf, math.inf])
-    assert proximity_influence(a, b, g_inf) == 1.0
+    g_inf = hand_graph([[1], [0]], lpc=[math.inf, math.inf])
+    assert influence_probability(a, b, g_inf) == (SAME_AGE_AND_CLASS + 1.0) / 3.0
     # proximity and farthest connection both infinite -> 0; force an infinite
     # pair proximity by stripping homes from hand-made records
     s1 = human(0, cat="student", school=(1.30, 103.80))
@@ -102,33 +108,28 @@ def test_proximity_influence_sole_connection_and_infinite_rules():
     s1.home = None
     s2.school = None
     s2.home = None
-    g_both = hand_graph([s1, s2], [[1], [0]], lpc=[math.inf, math.inf])
+    g_both = hand_graph([[1], [0]], lpc=[math.inf, math.inf])
     assert math.isinf(proximity(s2, s1))
-    assert proximity_influence(s2, s1, g_both) == 0.0
+    assert influence_probability(s2, s1, g_both) == (SAME_AGE_AND_CLASS + 0.0) / 3.0
+    assert influence(s2, s1, math.inf, math.inf) == (SAME_AGE_AND_CLASS + 0.0) / 3.0
 
 
 def test_influence_probability_examples():
     # all components 1: same age, same class, finite prox with infinite lpc
     b = human(0, age=3)
     a = human(1, age=3, home=(1.31, 103.81))
-    g = hand_graph([b, a], [[1], [0]], lpc=[math.inf, math.inf])
+    g = hand_graph([[1], [0]], lpc=[math.inf, math.inf])
     assert influence_probability(a, b, g) == 1.0
     # components (1, 0, 0.5) -> 0.5: same age, different class, mid proximity
     b2 = human(0, age=2, home=(1.30, 103.80))
     a2 = human(1, age=2, cat="home-maker", home=(1.30 + 0.02, 103.80))
     c2 = human(2, age=2, home=(1.30 + 0.04, 103.80))
-    g2 = hand_graph([b2, a2, c2], [[1, 2], [0], [0]],
+    g2 = hand_graph([[1, 2], [0], [0]],
                     lpc=[proximity(c2, b2), math.inf, math.inf])
     v = influence_probability(a2, b2, g2)
     expected = (1.0 + 0.0 + (1 - proximity(a2, b2) / proximity(c2, b2))) / 3.0
     assert v == expected
     assert v == pytest.approx(0.5, rel=1e-6)
-
-
-def test_scaled_degree_params():
-    assert scaled_degree_params(100_000) == (1, 5000, 500)
-    assert scaled_degree_params(5000) == (1, 250, 25)
-    assert scaled_degree_params(2000) == (1, 100, 10)
 
 
 def test_generate_graph_structure_and_probability_range():
@@ -141,15 +142,19 @@ def test_generate_graph_structure_and_probability_range():
         assert len(t) >= 1
         assert x not in t
         assert t == sorted(set(t))
-        for p in g.probs[x]:
-            assert 0.0 <= p <= 1.0
-        # generated edges agree with the influence model, recomputed
-        for y, p in zip(t, g.probs[x]):
-            assert p == influence_probability(pop[y], pop[x], g)
-    # reverse adjacency is consistent
+    # the follower index holds every edge once, followers in ascending id,
+    # each with the probability the influence model gives, recomputed
+    followers = {y: [] for y in range(g.n)}
+    for x, t in enumerate(g.following):
+        for y in t:
+            followers[y].append(x)
+    assert g.edge_count() == sum(len(t) for t in g.following)
     for y in range(g.n):
-        for x in g.followers[y]:
-            assert y in g.following[x]
+        ids, probs = g.followers_of(y)
+        assert ids.tolist() == followers[y]
+        for x, p in zip(ids.tolist(), probs.tolist()):
+            assert 0.0 <= p <= 1.0
+            assert p == influence_probability(pop[y], pop[x], g)
 
 
 def test_generate_graph_errors_and_forced_two_node():
@@ -185,7 +190,8 @@ def test_constant_probability_mode():
     streams = RngStreams(8)
     pop = generate_population(50, BBOX, streams)
     g = generate_graph(pop, streams, degree_params=(1, 10, 4), constant_probability=0.5)
-    assert all(p == 0.5 for row in g.probs for p in row)
+    assert g.edge_count() == len(g.edge_probs) > 0
+    assert all(p == 0.5 for p in g.edge_probs.tolist())
 
 
 def path_graph(ps):
@@ -224,22 +230,32 @@ def test_cascade_path_monte_carlo_vs_enumeration():
     assert np.all(np.abs(freq - exact) <= np.maximum(3 * sigma, 1e-12))
 
 
-def test_cascade_single_attempt_per_edge():
-    class CountingGraph(SocialGraph):
-        def __init__(self, *a, **k):
-            super().__init__(*a, **k)
-            self.queries = {}
+def test_cascade_single_attempt_per_edge(monkeypatch):
+    """Each (event, poster) draws its followers' coins at most once, so no
+    edge is tried twice, also when seeds arrive one absorb at a time."""
+    draws = []
+    real = social.keyed_uniform_batch
 
-        def edge_probability(self, follower, followed):
-            key = (follower, followed)
-            self.queries[key] = self.queries.get(key, 0) + 1
-            return super().edge_probability(follower, followed)
+    def counting(streams, name, prefix, varying, suffix=()):
+        draws.append((prefix, varying.tolist()))
+        return real(streams, name, prefix, varying, suffix)
 
+    monkeypatch.setattr(social, "keyed_uniform_batch", counting)
     following = [[1, 2], [0, 2], [0, 1]]
     probs = [[0.9, 0.9], [0.9, 0.9], [0.9, 0.9]]
-    g = CountingGraph(following, probs)
-    cascade(g, [0], 5, RngStreams(1))
-    assert all(v == 1 for v in g.queries.values())
+    g = SocialGraph(following, probs)
+    streams = RngStreams(1)
+    active = cascade(g, [0], 5, streams)
+    state = ActivationState(6)
+    state.absorb(g, [0], streams)
+    state.absorb(g, [1, 2], streams)
+    prefixes = [prefix for prefix, _ in draws]
+    assert len(prefixes) == len(set(prefixes))
+    # every active node posted once, to all of its followers
+    assert sorted(poster for ev, poster in prefixes if ev == 5) == sorted(active)
+    assert sorted(poster for ev, poster in prefixes if ev == 6) == [0, 1, 2]
+    for (_, poster), followers in draws:
+        assert followers == g.followers_of(poster)[0].tolist()
 
 
 def test_incremental_absorb_equals_batch():
@@ -283,13 +299,15 @@ def test_constant_model_matches_plain_oracle():
     pop = generate_population(60, BBOX, streams)
     g = generate_graph(pop, streams, degree_params=(1, 12, 5), constant_probability=0.37)
 
+    followers = {y: [x for x in range(g.n) if y in g.following[x]] for y in range(g.n)}
+
     def oracle(seeds, event_key):
         active = set(seeds)
         frontier = set(seeds)
         while frontier:
             nxt = set()
             for y in frontier:
-                for x in g.followers[y]:
+                for x in followers[y]:
                     if x not in active and x not in nxt:
                         if streams.keyed_uniform("cascade", event_key, y, x) < 0.37:
                             nxt.add(x)
@@ -299,22 +317,6 @@ def test_constant_model_matches_plain_oracle():
 
     for ev in range(20):
         assert cascade(g, [0, 5, 9], ev, streams) == oracle([0, 5, 9], ev)
-
-
-def test_np_splitmix_matches_scalar():
-    rng = np.random.default_rng(2)
-    xs = rng.integers(0, 2**63, size=500, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-    vec = _np_splitmix64(xs)
-    for x, v in zip(xs.tolist(), vec.tolist()):
-        assert splitmix64(x) == v
-
-
-def test_keyed_uniform_batch_matches_scalar():
-    streams = RngStreams(31)
-    t = np.arange(200, dtype=np.uint64)
-    u = keyed_uniform_batch(streams, "cascade", (), t, suffix=(3, 8))
-    for i in range(200):
-        assert u[i] == streams.keyed_uniform("cascade", i, 3, 8)
 
 
 def test_trial_batch_replays_production_cascade():
@@ -332,13 +334,67 @@ def test_trial_batch_replays_production_cascade():
         assert counts[i] == sum(1 for t in range(64) if (int(masks[t]) >> i) & 1)
 
 
-def test_graph_dump_load_roundtrip(tmp_path):
-    streams = RngStreams(5)
-    pop = generate_population(40, BBOX, streams)
-    g = generate_graph(pop, streams, degree_params=(1, 8, 3))
-    path = tmp_path / "edges.txt"
-    g.dump(str(path))
-    g2 = SocialGraph.load(str(path))
-    assert g2.following == g.following
-    assert g2.probs == g.probs
-    assert cascade(g2, [1, 2], 9, streams) == cascade(g, [1, 2], 9, streams)
+def _scalar_spread(following, probs, active, posters, event_key, streams, accept):
+    """Reference round: one scalar keyed coin per edge, probabilities looked
+    up in a dict, followers visited in ascending id."""
+    prob = {(y, x): p for x in range(len(following)) for y, p in zip(following[x], probs[x])}
+    fresh = []
+    for poster in posters:
+        for follower in range(len(following)):
+            if (poster, follower) not in prob:
+                continue
+            coin = streams.keyed_uniform("cascade", event_key, poster, follower)
+            if (coin < prob[(poster, follower)] and follower not in active
+                    and accept(follower)):
+                active.add(follower)
+                fresh.append(follower)
+    return fresh
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_spread_matches_scalar_reference(data):
+    n = data.draw(st.integers(1, 8))
+    following = []
+    probs = []
+    for x in range(n):
+        others = [y for y in range(n) if y != x]
+        t = sorted(data.draw(st.sets(st.sampled_from(others)))) if others else []
+        following.append(t)
+        probs.append([data.draw(st.floats(0, 1)) for _ in t])
+    g = SocialGraph(following, probs)
+    active = data.draw(st.sets(st.integers(0, n - 1)))
+    posters = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    admitted = data.draw(st.sets(st.integers(0, n - 1)))
+    event_key = data.draw(st.integers(0, 2**40))
+    streams = RngStreams(data.draw(st.integers(0, 2**32)))
+    asked = {"spread": [], "scalar": []}
+
+    def gate(label):
+        def accept(h):
+            asked[label].append(h)
+            return h in admitted
+        return accept
+
+    got_active, want_active = set(active), set(active)
+    got = spread(g, got_active, posters, event_key, streams, accept=gate("spread"))
+    want = _scalar_spread(following, probs, want_active, posters, event_key, streams,
+                          gate("scalar"))
+    assert got == want
+    assert asked["spread"] == asked["scalar"]
+    assert got_active == want_active == active | set(want)
+
+
+def test_declined_follower_stays_reachable_through_a_later_poster():
+    # 2 follows 0 and 1 on sure edges; the gate declines 2 the first time
+    g = SocialGraph([[], [], [0, 1]], [[], [], [1.0, 1.0]])
+    asked = []
+
+    def accept(h):
+        asked.append(h)
+        return len(asked) > 1
+
+    active = {0, 1}
+    assert spread(g, active, [0, 1], 3, RngStreams(0), accept) == [2]
+    assert asked == [2, 2]
+    assert active == {0, 1, 2}

@@ -5,10 +5,8 @@ import pytest
 from transitsim.city import network_from_dict
 from transitsim.strategies import (
     BaselineStrategy,
-    CompartmentPool,
     GreedyReallocation,
     ManagerView,
-    RerouteDirective,
     StrategyDecision,
     TrainView,
     apply_decision,
@@ -20,7 +18,7 @@ from transitsim.transit import RidershipEstimate, TransportManager
 
 
 def view(trains, pool, est, hour=10):
-    return ManagerView(hour, hour * 3600, tuple(trains), CompartmentPool(pool), est)
+    return ManagerView(hour, hour * 3600, tuple(trains), pool, est)
 
 
 def est_with(per_hour):
@@ -36,7 +34,7 @@ def test_no_overload_means_empty_decision():
     est = est_with({("A", 1, 10): (100, 1)})
     v = view([TrainView(0, "A", 1, 10, 0)], pool=5, est=est)
     d = greedy_reallocate(v)
-    assert d.empty and d.moves == ()
+    assert d.moves == ()
 
 
 def test_single_overloaded_train_draws_from_pool():
@@ -74,7 +72,7 @@ def test_no_donor_leaves_requests_unmet():
                     ("B", 1, 9): (100, 1)})  # B demand rose, cannot donate
     trains = [TrainView(0, "A", 1, 10, 0), TrainView(1, "B", 1, 10, 0)]
     d = greedy_reallocate(view(trains, pool=0, est=est))
-    assert d.empty
+    assert d.moves == ()
 
 
 def test_donor_needs_spare_capacity():
@@ -82,7 +80,7 @@ def test_donor_needs_spare_capacity():
     est = est_with({("A", 1, 10): (400, 1),
                     ("B", 1, 10): (290, 1), ("B", 1, 9): (309, 1)})
     trains = [TrainView(0, "A", 1, 10, 0), TrainView(1, "B", 1, 10, 0)]
-    assert greedy_reallocate(view(trains, pool=0, est=est)).empty
+    assert greedy_reallocate(view(trains, pool=0, est=est)).moves == ()
     # with real slack the donation happens
     est2 = est_with({("A", 1, 10): (400, 1),
                      ("B", 1, 10): (200, 1), ("B", 1, 9): (309, 1)})
@@ -105,7 +103,7 @@ def test_largest_drop_wins_donor_choice():
 def test_hour_zero_has_no_previous_hour_to_compare():
     est = est_with({("A", 1, 0): (400, 1), ("B", 1, 0): (0, 1)})
     trains = [TrainView(0, "A", 1, 10, 0), TrainView(1, "B", 1, 10, 0)]
-    assert greedy_reallocate(view(trains, pool=0, est=est, hour=0)).empty
+    assert greedy_reallocate(view(trains, pool=0, est=est, hour=0)).moves == ()
 
 
 def test_donor_never_drops_below_one_compartment():
@@ -131,13 +129,13 @@ def test_apply_decision_routes_through_manager():
     net = network_from_dict(doc)
     m = TransportManager(net, compartments_per_train=10, pool_compartments=1)
     total = m.total_compartments()
-    apply_decision(StrategyDecision((("pool", 0, 1),), 0), m)
+    apply_decision(StrategyDecision((("pool", 0, 1),)), m)
     m.terminal_service(m.trains[0])
     assert m.trains[0].compartments == 11
     assert m.trains[0].capacity == 341
     assert m.unattached == 0
     assert m.total_compartments() == total
-    apply_decision(StrategyDecision((), 0), m)  # empty decision changes nothing
+    apply_decision(StrategyDecision(()), m)  # empty decision changes nothing
     assert m.total_compartments() == total
 
 
@@ -153,7 +151,7 @@ def test_snapshot_reflects_manager_state():
     m = TransportManager(network_from_dict(doc), 2, pool_compartments=4)
     est = RidershipEstimate(0)
     v = snapshot(m, est, hour=9, now=9 * 3600)
-    assert v.pool.count == 4
+    assert v.pool == 4
     assert len(v.trains) == len(m.trains)
     assert all(tv.compartments == 2 and tv.onboard == 0 for tv in v.trains)
 
@@ -161,11 +159,10 @@ def test_snapshot_reflects_manager_state():
 def test_full_train_hook_gates_on_alt_routing():
     off = make_strategy("none", alt_routing=False)
     on = make_strategy("none", alt_routing=True)
-    assert off.on_human_wait(5, 2, full_train=7) is None
-    directive = on.on_human_wait(5, 2, full_train=7)
-    assert directive == RerouteDirective(5, 2, 7)
-    # a train with space never triggers the directive
-    assert on.on_human_wait(5, 2, full_train=None) is None
+    assert off.on_human_wait(5, 2, full_train=7) is False
+    assert on.on_human_wait(5, 2, full_train=7) is True
+    # a train with space never triggers a reroute
+    assert on.on_human_wait(5, 2, full_train=None) is False
 
 
 def test_strategy_factory():
@@ -173,7 +170,5 @@ def test_strategy_factory():
     assert isinstance(make_strategy("greedy"), GreedyReallocation)
     with pytest.raises(ValueError):
         make_strategy("optimal")
-    v = ManagerView(1, 3600, (), CompartmentPool(0), RidershipEstimate(0))
-    assert make_strategy("none").on_hour(v).empty
-    with pytest.raises(ValueError):
-        CompartmentPool(-1)
+    v = ManagerView(1, 3600, (), 0, RidershipEstimate(0))
+    assert make_strategy("none").on_hour(v).moves == ()
