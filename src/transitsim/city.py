@@ -37,9 +37,6 @@ class BoundingBox:
     max_lat: float
     max_lon: float
 
-    def contains(self, p: GeoPoint) -> bool:
-        return self.min_lat <= p.lat <= self.max_lat and self.min_lon <= p.lon <= self.max_lon
-
     def sample(self, rng) -> GeoPoint:
         return GeoPoint(
             float(rng.uniform(self.min_lat, self.max_lat)),
@@ -320,4 +317,27 @@ def network_from_dict(doc: dict) -> TransitNetwork:
         if isinstance(e, (InvariantViolationError, DanglingReferenceError)):
             raise
         raise ParseError(f"bad network config entry: {e}") from None
+    for line in lines:
+        _check_timetable(line)
     return TransitNetwork(stations, lines)
+
+
+def _check_timetable(line: TransitLine) -> None:
+    """Reject a timetable under which a route could run out of departures.
+
+    The train inquiry looks at today's and tomorrow's slots. A day with no
+    slot leaves every route without a departure, and a slot before midnight
+    (a negative first departure) can be dispatched and gone past a station
+    while today is still running, so both are refused. From a first
+    departure at or after midnight on, tomorrow's first slot is either
+    undispatched or its train has not yet passed any station before today
+    ends, so every listed route has a next departure.
+    """
+    svc = line.service
+    if svc.headway_seconds < 1:
+        raise ParseError(f"line {line.name!r}: headway_seconds must be positive")
+    if svc.first_departure < 0:
+        raise ParseError(f"line {line.name!r}: first_departure must not be negative")
+    if svc.last_departure < svc.first_departure:
+        raise ParseError(f"line {line.name!r}: no departure between first_departure "
+                         f"{svc.first_departure} and last_departure {svc.last_departure}")

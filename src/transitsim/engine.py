@@ -46,11 +46,6 @@ def time_of_day(t: SimTime) -> SimTime:
     return t % SECONDS_PER_DAY
 
 
-def format_clock(t: SimTime) -> str:
-    d = time_of_day(t)
-    return f"{d // 3600:02d}:{d % 3600 // 60:02d}:{d % 60:02d}"
-
-
 class PastTimeError(ValueError):
     """Raised when an action is scheduled before the current clock."""
 
@@ -213,10 +208,6 @@ class RngStreams:
             gen = np.random.default_rng(ss)
             self._cache[name] = gen
         return gen
-
-    def keyed_generator(self, name: str, *key: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=(self._base(name), _name_key(name), *key))
-        return np.random.default_rng(ss)
 
     def keyed_uniform(self, name: str, *key: int) -> float:
         h = mix64(self._base(name), _name_key(name), *key)

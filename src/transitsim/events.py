@@ -159,7 +159,7 @@ class BroadcastFeed:
         return out
 
 
-def wants_to_seed(h: Human, ev: SocialEvent, planner, inquiry, t: SimTime,
+def wants_to_seed(h: Human, ev: SocialEvent, planner, t: SimTime,
                   origin: Optional[GeoPoint] = None) -> bool:
     """Does a freshly informed human adopt the event and start posting?
 
@@ -169,11 +169,11 @@ def wants_to_seed(h: Human, ev: SocialEvent, planner, inquiry, t: SimTime,
     """
     if h.age_group not in ev.age_range:
         return False
-    route = planner.plan(origin or h.home, ev.location, inquiry=inquiry, t=t)
+    route = planner.plan(origin or h.home, ev.location)
     return t + route.total_seconds <= ev.start
 
 
-def decide_attendance(h: Human, ev: SocialEvent, planner, inquiry, t: SimTime,
+def decide_attendance(h: Human, ev: SocialEvent, planner, t: SimTime,
                       origin: Optional[GeoPoint] = None):
     """Attendance choice for an activated human.
 
@@ -183,7 +183,7 @@ def decide_attendance(h: Human, ev: SocialEvent, planner, inquiry, t: SimTime,
     """
     if t >= ev.end:
         raise EventEndedError(f"event {ev.id} already over at t={t}")
-    route = planner.plan(origin or h.home, ev.location, inquiry=inquiry, t=t)
+    route = planner.plan(origin or h.home, ev.location)
     if t + route.total_seconds <= ev.start + ev.tau:
         return route
     return None

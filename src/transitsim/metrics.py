@@ -101,14 +101,6 @@ class OccupancySeries:
         return seat_s, cap_s
 
 
-def train_usage(series: OccupancySeries, t0: SimTime, t1: SimTime) -> float:
-    seat_s, cap_s = series.integrate(t0, t1)
-    if cap_s <= 0:
-        return 0.0
-    u = seat_s / cap_s
-    return min(1.0, max(0.0, u))
-
-
 def line_sections(line: TransitLine) -> list[list[int]]:
     """Five consecutive station groups; earlier groups take any remainder."""
     n = line.n

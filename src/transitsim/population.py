@@ -4,11 +4,15 @@ the category-specific daily trip plans.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import Optional, Sequence
 
-from .city import BoundingBox, GeoPoint, random_point_within
-from .engine import SECONDS_PER_DAY, RngStreams, SimTime, hms, time_of_day
+import numpy as np
+
+from .city import EARTH_RADIUS_KM, BoundingBox, GeoPoint, haversine_km, random_point_within
+from .engine import SECONDS_PER_DAY, RngStreams, SimTime, hms, keyed_uniform_batch
 
 WORKING_PROFESSIONAL = "working-professional"
 STUDENT = "student"
@@ -50,7 +54,7 @@ class Human:
     shop: Optional[GeoPoint] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Trip:
     human_id: int
     origin_kind: str
@@ -139,48 +143,146 @@ TRIP_TABLE: dict[str, list[TripPair]] = {
 }
 
 
-def daily_trips(h: Human, day: int, streams: RngStreams) -> list[Trip]:
-    """Trips for one human on one day, resolved down to concrete points.
+# Keyed draw indices of one human's day: each pair slot of the trip table has
+# a block of its own, holding the optional coin, the outbound and return start
+# draws, and a fixed budget of (lat, lon) rejection draws for a place drawn
+# that day.
+PAIRS_PER_DAY = 2                      # every category has two pairs
+POINT_BUDGET = 4                       # rejection attempts drawn in the batch
+DRAWS_PER_PAIR = 3 + 2 * POINT_BUDGET
 
-    All randomness comes from a generator keyed by (human, day), so the plan
-    is independent of anything else that happened in the run.
+
+def daily_trips(humans: Sequence[Human], day: int, streams: RngStreams,
+                until: Optional[SimTime] = None) -> list[Trip]:
+    """Every human's trips for one day, resolved down to concrete points, by
+    human in the order given and by start time within a human; trips that
+    would start after ``until`` are left out.
+
+    Every draw is the keyed uniform ``streams.keyed_uniform("trips", h.id,
+    day, k)`` at a fixed draw index k, so a human's plan is independent of
+    anything else that happened in the run and of who else is in the batch.
+    Each draw index is one ``keyed_uniform_batch`` call over the humans
+    (over those still rejecting, for the place draws), and a start in the
+    window [lo, hi] is ``lo + floor(u * (hi - lo + 1))``.
     """
-    rng = streams.keyed_generator("trips", h.id, day)
+    ids = np.array([h.id for h in humans], dtype=np.uint64)
+    cats = np.array([CATEGORIES.index(h.category) for h in humans], dtype=np.intp)
     base = day * SECONDS_PER_DAY
+    last = np.iinfo(np.int64).max if until is None else until
+
+    def per_human(values):
+        return np.array(values)[cats]
+
+    def draw(k):
+        return keyed_uniform_batch(streams, "trips", (), ids, suffix=(day, k))
+
+    slots = []
+    for j in range(PAIRS_PER_DAY):
+        pairs = [TRIP_TABLE[c][j] for c in CATEGORIES]
+        k = j * DRAWS_PER_PAIR
+        keep = ~per_human([p.optional for p in pairs]) | (draw(k) < 0.5)
+        out_lo = per_human([p.out_window[0] for p in pairs])
+        out_hi = per_human([p.out_window[1] for p in pairs])
+        t_out = out_lo + (draw(k + 1) * (out_hi - out_lo + 1)).astype(np.int64)
+        lo = np.maximum(per_human([p.ret_window[0] for p in pairs]), t_out + 1)
+        hi = np.maximum(per_human([p.ret_window[1] for p in pairs]), lo)
+        t_ret = lo + (draw(k + 2) * (hi - lo + 1)).astype(np.int64)
+        kept = np.flatnonzero(keep & (base + t_out <= last))
+        places = _destinations(humans, kept, j, ids, day, k + 3, streams)
+        slots.append((pairs, places, base + t_out, base + t_ret))
     trips: list[Trip] = []
-    for pair in TRIP_TABLE[h.category]:
-        if pair.optional and rng.random() >= 0.5:
-            continue
-        points = _pair_points(h, pair, rng)
-        out_lo, out_hi = pair.out_window
-        t_out = int(rng.integers(out_lo, out_hi + 1))
-        ret_lo, ret_hi = pair.ret_window
-        lo = max(ret_lo, t_out + 1)
-        t_ret = int(rng.integers(lo, max(ret_hi, lo) + 1))
-        trips.append(Trip(h.id, pair.out_kinds[0], pair.out_kinds[1],
-                          out_lo, out_hi, base + t_out, points[0], points[1]))
-        trips.append(Trip(h.id, pair.ret_kinds[0], pair.ret_kinds[1],
-                          ret_lo, ret_hi, base + t_ret, points[1], points[0]))
-    trips.sort(key=lambda t: t.chosen_start)
+    for i, (h, c) in enumerate(zip(humans, cats.tolist())):
+        mine = []
+        for pairs, places, t_out, t_ret in slots:
+            b = places[i]
+            if b is None:
+                continue
+            pair = pairs[c]
+            # every outbound leg leaves a place the human keeps (home, office)
+            a = getattr(h, pair.out_kinds[0])
+            mine.append(Trip(h.id, *pair.out_kinds, *pair.out_window, int(t_out[i]), a, b))
+            if t_ret[i] <= last:
+                mine.append(Trip(h.id, *pair.ret_kinds, *pair.ret_window, int(t_ret[i]), b, a))
+        mine.sort(key=attrgetter("chosen_start"))
+        trips += mine
     return trips
 
 
-def _pair_points(h: Human, pair: TripPair, rng) -> tuple[GeoPoint, GeoPoint]:
-    """(origin, destination) of the outbound leg; the return swaps them."""
-    def resolve(kind: str) -> GeoPoint:
-        if kind == "home":
-            return h.home
-        if kind == "office":
-            return h.office
-        if kind == "school":
-            return h.school
-        if kind == "shop":
-            # home-makers keep one fixed shop; anyone else improvises nearby
-            return h.shop if h.shop is not None else random_point_within(rng, h.home, OTHER_RADIUS_KM)
-        if kind == "restaurant":
-            return random_point_within(rng, h.office, RESTAURANT_RADIUS_KM)
-        if kind == "other":
-            return random_point_within(rng, h.home, OTHER_RADIUS_KM)
-        raise ValueError(f"unknown place kind {kind!r}")
+def _fixed_place(h: Human, kind: str) -> Optional[GeoPoint]:
+    """A contact point the human keeps, or None for a place drawn each day."""
+    if kind in ("home", "office", "school"):
+        return getattr(h, kind)
+    if kind == "shop":
+        # home-makers keep one fixed shop; anyone else improvises nearby
+        return h.shop
+    if kind in ("restaurant", "other"):
+        return None
+    raise ValueError(f"unknown place kind {kind!r}")
 
-    return resolve(pair.out_kinds[0]), resolve(pair.out_kinds[1])
+
+def _destinations(humans: Sequence[Human], kept: np.ndarray, j: int, ids: np.ndarray,
+                  day: int, k0: int, streams: RngStreams) -> list[Optional[GeoPoint]]:
+    """Outbound destination of pair slot j for each kept human index (None
+    for the others): the kept contact point, or a uniform point in the
+    great-circle disc around one (a restaurant near the office, anything
+    else near home), drawn by rejection from the disc's lat/lon box at draw
+    indices k0 on, as ``random_point_within`` draws it."""
+    places: list[Optional[GeoPoint]] = [None] * len(humans)
+    drawn: list[int] = []
+    centres: list[GeoPoint] = []
+    radii: list[float] = []
+    for i in kept.tolist():
+        h = humans[i]
+        kind = TRIP_TABLE[h.category][j].out_kinds[1]
+        place = _fixed_place(h, kind)
+        if place is not None:
+            places[i] = place
+        elif kind == "restaurant":
+            drawn.append(i)
+            centres.append(h.office)
+            radii.append(RESTAURANT_RADIUS_KM)
+        else:
+            drawn.append(i)
+            centres.append(h.home)
+            radii.append(OTHER_RADIUS_KM)
+    count = len(drawn)
+    drawn_ids = ids[drawn]
+    c_lat = np.fromiter((c.lat for c in centres), float, count)
+    c_lon = np.fromiter((c.lon for c in centres), float, count)
+    r = np.array(radii)
+    # the box random_point_within rejects from, with math's cosine
+    d_lat = r / (EARTH_RADIUS_KM * math.pi / 180.0)
+    d_lon = d_lat / np.maximum(0.1, np.fromiter(
+        (math.cos(math.radians(c.lat)) for c in centres), float, count))
+    pending = np.arange(count)
+    n = 0
+    while len(pending):
+        # attempt n // 2 draws (lat, lon) at indices k0 + n and k0 + n + 1,
+        # vectorised within the budget, as scalar (k0, n) draws beyond it
+        if n < 2 * POINT_BUDGET:
+            u_lat, u_lon = (keyed_uniform_batch(streams, "trips", (), drawn_ids[pending],
+                                                suffix=(day, k0 + n + x)) for x in (0, 1))
+        else:
+            u_lat, u_lon = (np.array([streams.keyed_uniform("trips", int(hid), day, k0, n + x)
+                                      for hid in drawn_ids[pending]]) for x in (0, 1))
+        n += 2
+        lat = c_lat[pending] + (-d_lat[pending] + 2 * d_lat[pending] * u_lat)
+        lon = c_lon[pending] + (-d_lon[pending] + 2 * d_lon[pending] * u_lon)
+        # the haversine_km test, vectorised; numpy's trigonometry may differ
+        # from math's in the last bits, so candidates within a relative 1e-9
+        # of the radius are settled by haversine_km itself
+        d = _np_haversine_km(c_lat[pending], c_lon[pending], lat, lon)
+        inside = d <= r[pending]
+        for q in np.flatnonzero(np.abs(d - r[pending]) <= r[pending] * 1e-9):
+            m = pending[q]
+            inside[q] = haversine_km(centres[m], GeoPoint(float(lat[q]), float(lon[q]))) <= radii[m]
+        for m, la, lo in zip(pending[inside].tolist(), lat[inside].tolist(), lon[inside].tolist()):
+            places[drawn[m]] = GeoPoint(la, lo)
+        pending = pending[~inside]
+    return places
+
+
+def _np_haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
+    la1, lo1, la2, lo2 = (np.radians(x) for x in (lat1, lon1, lat2, lon2))
+    h = np.sin((la2 - la1) / 2) ** 2 + np.cos(la1) * np.cos(la2) * np.sin((lo2 - lo1) / 2) ** 2
+    return 2 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))

@@ -17,11 +17,6 @@ from typing import Optional
 from .city import GeoPoint, RoadRouter, TransitNetwork
 from .engine import SimTime
 
-
-class UnreachableError(Exception):
-    """No feasible route; cannot happen when road travel is allowed."""
-
-
 @dataclass(frozen=True)
 class TrainLeg:
     line: str
@@ -56,21 +51,21 @@ class RoutePlanner:
     def __init__(self, network: TransitNetwork, road: RoadRouter):
         self.network = network
         self.road = road
-        # _rail_path results, keyed (board, alight, closed routes at board)
-        # for plan and (board, alight, sorted first waits) for alternative
+        # _rail_path results, keyed (board, alight) for plan and (board,
+        # alight, sorted first waits) for alternative
         self._rail_paths: dict[tuple, Optional[tuple]] = {}
 
-    def plan(self, origin: GeoPoint, dest: GeoPoint, inquiry=None, t: SimTime = 0) -> Route:
+    def plan(self, origin: GeoPoint, dest: GeoPoint) -> Route:
         """Fastest route from origin to dest, rail if it beats the road.
 
         Boarding happens at the station nearest the origin and alighting at
         the station nearest the destination; the search is over train legs
-        between those two. A strictly faster pure-road trip wins. Routes at
-        the boarding station for which ``inquiry`` reports no further
-        departure at t are closed to the first boarding.
+        between those two. A strictly faster pure-road trip wins.
 
-        Apart from that mask the rail search is time-independent, so its
-        result is cached per (board station, alight station, closed routes).
+        Planning uses scheduled figures only and asks no schedule inquiry:
+        every route a station lists has a next departure on any timetable
+        ``network_from_dict`` accepts. The rail search is therefore
+        time-independent and cached per (board station, alight station).
         The network must not change after the planner is built.
         """
         road_total = self.road.travel_seconds(origin, dest)
@@ -78,10 +73,7 @@ class RoutePlanner:
         a = self.network.nearest_station(dest)
         if b.id == a.id:
             return _road_route(origin, dest, road_total)
-        closed = frozenset() if inquiry is None else frozenset(
-            (line, d) for line, d in self.network.routes_at(b.id)
-            if inquiry.next_departure(line, b.id, d, t) is None)
-        rail = self._cached_rail_path((b.id, a.id, closed), b.id, a.id, closed=closed)
+        rail = self._cached_rail_path((b.id, a.id), b.id, a.id)
         if rail is None:
             return _road_route(origin, dest, road_total)
         legs, wait_s, ride_s = rail
@@ -131,7 +123,7 @@ class RoutePlanner:
             self._rail_paths[key] = self._rail_path(src, dst, **search)
         return self._rail_paths[key]
 
-    def _rail_path(self, src: int, dst: int, closed: frozenset = frozenset(),
+    def _rail_path(self, src: int, dst: int,
                    first_waits: Optional[dict[tuple[str, int], int]] = None):
         """Dijkstra from station src to dst over (station, line, direction)
         states. Returns (legs, wait_seconds, ride_seconds) or None.
@@ -139,9 +131,8 @@ class RoutePlanner:
         States: ("hub", s) = standing at station s; ("on", s, line, d) =
         onboard, doors just opened at s. Boarding jumps straight to the next
         station (wait + run); continuing costs dwell + run; alighting is free.
-        The first boarding skips the (line, direction) routes in ``closed``;
-        with ``first_waits`` it may only take the routes listed there, at
-        the given waits.
+        With ``first_waits`` the first boarding may only take the routes
+        listed there, at the given waits.
         """
         net = self.network
         start = ("hub", src)
@@ -174,8 +165,6 @@ class RoutePlanner:
                             continue
                         w = first_waits[(line_name, d)]
                     else:
-                        if s == src and (line_name, d) in closed:
-                            continue
                         w = line.service.headway_seconds / 2.0
                     relax(("on", line.next_station(s, d), line_name, d),
                           cost + w + line.service.run_seconds,

@@ -35,7 +35,7 @@ from .social import ActivationState, SocialGraph, spread
 from .strategies import Strategy, apply_decision, snapshot
 from .transit import Train, TransportManager
 
-RETRY_SECONDS = 300  # busy humans put a pending trip off by this much
+RETRY_SECONDS = 300  # put-off plans start on this grid once their human is free
 
 
 class ConservationError(RuntimeError):
@@ -112,8 +112,13 @@ class World:
         self.pending_slots: dict[tuple[str, int], deque[tuple[SimTime, int]]] = {
             key: deque() for key in self.manager.pools}
         self._initial_compartments = self.manager.total_compartments()
+        # human -> trip-starts and attend-departs it put off, in that order,
+        # as (time last put off, kind, payload); a human is in ``released``
+        # while the first of them is scheduled
+        self.pending: dict[int, list[tuple[SimTime, str, object]]] = {}
+        self.released: set[int] = set()
         self.sweeps = 0
-        self.deferrals = 0
+        self.deferrals = 0  # trip-start dispatches that had to wait their turn
         self.trips_started = 0
         self.boardings = 0
         self.full_train_denials = 0
@@ -197,24 +202,61 @@ class World:
 
     def _on_new_day(self, day: int) -> None:
         base = day * SECONDS_PER_DAY
-        for h in self.humans:
-            for trip in daily_trips(h, day, self.streams):
-                if trip.chosen_start <= self.horizon:
-                    self.scheduler.schedule(max(trip.chosen_start, base), "human",
-                                            "trip-start", trip)
+        for trip in daily_trips(self.humans, day, self.streams, until=self.horizon):
+            self.scheduler.schedule(max(trip.chosen_start, base), "human", "trip-start", trip)
 
     def _on_trip_start(self, trip: Trip, now: SimTime) -> None:
-        state = self.state[trip.human_id]
-        if state.busy:
+        human = trip.human_id
+        if self._wait_turn(human, "trip-start", trip, now):
             self.deferrals += 1
-            if now + RETRY_SECONDS <= self.horizon:
-                self.scheduler.schedule(now + RETRY_SECONDS, "human", "trip-start", trip)
             return
-        origin = state.point
-        if origin == trip.dest:
+        origin = self.state[human].point
+        if origin != trip.dest:
+            route = self.planner.plan(origin, trip.dest)
+            self._begin_trip(human, trip.dest, "regular", None, route, now)
+        self._release_pending(human, now)
+
+    def _wait_turn(self, human: int, kind: str, payload, now: SimTime) -> bool:
+        """Whether a trip-start or attend-depart has to wait: while its human
+        is busy, or behind actions the human put off before it. A waiting
+        action joins the end of the human's queue, or keeps its place at the
+        head when it is the one released."""
+        queue = self.pending.get(human)
+        if queue and human in self.released and queue[0][1] == kind and queue[0][2] == payload:
+            self.released.discard(human)
+            if self.state[human].busy:
+                queue[0] = (now, kind, payload)
+                return True
+            del queue[0]
+            if not queue:
+                del self.pending[human]
+            return False
+        if not queue and not self.state[human].busy:
+            return False
+        self.pending.setdefault(human, []).append((now, kind, payload))
+        return True
+
+    def _release_pending(self, human: int, now: SimTime) -> None:
+        """Once the human is free, schedule the first action it put off at
+        the first instant from now on of that action's own RETRY_SECONDS grid
+        (counted from when it was last put off). An action whose instant
+        falls past the horizon, or for an attend-depart not before the
+        event's end, is dropped and the next one tried. The rest wait their
+        turn, so a human works through put-off plans in order: an outbound
+        leg before its return."""
+        if human in self.released or self.state[human].busy:
             return
-        route = self.planner.plan(origin, trip.dest, inquiry=self.manager, t=now)
-        self._begin_trip(trip.human_id, trip.dest, "regular", None, route, now)
+        queue = self.pending.get(human)
+        while queue:
+            since, kind, payload = queue[0]
+            at = since + RETRY_SECONDS * max(1, -((since - now) // RETRY_SECONDS))
+            if at <= self.horizon and (kind != "attend-depart"
+                                       or at < self.events[payload[1]].end):
+                self.scheduler.schedule(at, "human", kind, payload)
+                self.released.add(human)
+                return
+            del queue[0]
+        self.pending.pop(human, None)
 
     def _begin_trip(self, human: int, dest: GeoPoint, purpose: str,
                     event_id: Optional[int], route: Route, now: SimTime) -> None:
@@ -252,8 +294,9 @@ class World:
             # arrived after it wrapped up; turn straight back
             home = self.humans[human].home
             if state.point != home:
-                route = self.planner.plan(state.point, home, inquiry=self.manager, t=now)
+                route = self.planner.plan(state.point, home)
                 self._begin_trip(human, home, "event-return", ev.id, route, now)
+        self._release_pending(human, now)
 
     # events and diffusion
 
@@ -266,7 +309,7 @@ class World:
             for i in np.flatnonzero(hits):
                 h = self.humans[i]
                 for ev in self.feed.poll(h, now):
-                    if wants_to_seed(h, ev, self.planner, self.manager, now,
+                    if wants_to_seed(h, ev, self.planner, now,
                                      origin=self.state[h.id].point):
                         fresh.setdefault(ev.id, []).append(h.id)
         live = fresh or any(self.spread_frontier.values())
@@ -297,8 +340,8 @@ class World:
         if state.at_event is not None:
             return False
         try:
-            route = decide_attendance(self.humans[human], ev, self.planner,
-                                      self.manager, now, origin=state.point)
+            route = decide_attendance(self.humans[human], ev, self.planner, now,
+                                      origin=state.point)
         except EventEndedError:
             return False
         if route is None:
@@ -310,19 +353,14 @@ class World:
         return True
 
     def _on_attend_depart(self, human: int, ev_id: int, now: SimTime) -> None:
+        if self._wait_turn(human, "attend-depart", (human, ev_id), now):
+            return
         state = self.state[human]
         ev = self.events[ev_id]
-        if state.at_event is not None:
-            return
-        if state.trip is not None:
-            if now + RETRY_SECONDS <= self.horizon and now + RETRY_SECONDS < ev.end:
-                self.scheduler.schedule(now + RETRY_SECONDS, "human",
-                                        "attend-depart", (human, ev_id))
-            return
-        if now >= ev.end or state.point == ev.location:
-            return
-        route = self.planner.plan(state.point, ev.location, inquiry=self.manager, t=now)
-        self._begin_trip(human, ev.location, "event", ev_id, route, now)
+        if now < ev.end and state.point != ev.location:
+            route = self.planner.plan(state.point, ev.location)
+            self._begin_trip(human, ev.location, "event", ev_id, route, now)
+        self._release_pending(human, now)
 
     def _on_event_return(self, ev_id: int, now: SimTime) -> None:
         ev = self.events[ev_id]
@@ -333,8 +371,9 @@ class World:
             state.at_event = None
             home = self.humans[human].home
             if state.point == home:
+                self._release_pending(human, now)
                 continue
-            route = self.planner.plan(state.point, home, inquiry=self.manager, t=now)
+            route = self.planner.plan(state.point, home)
             self._begin_trip(human, home, "event-return", ev_id, route, now)
 
     # trains
@@ -552,7 +591,7 @@ class World:
             hour_of_day = (now % SECONDS_PER_DAY) // SECONDS_PER_HOUR
             sets = [(ev, self.attendees[ev.id]) for ev in self.events]
             estimate = self.manager.estimate_ridership(day, sets, self.humans)
-            view = snapshot(self.manager, estimate, hour_of_day, now)
+            view = snapshot(self.manager, estimate, hour_of_day)
             decision = self.strategy.on_hour(view)
             apply_decision(decision, self.manager)
             if self.log is not None and decision.moves:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import SimTime
 from .transit import SEATS_PER_COMPARTMENT, RidershipEstimate, TransportManager
 
 
@@ -43,18 +42,17 @@ class ManagerView:
     """Read-only hourly snapshot handed to strategies."""
 
     hour: int
-    now: SimTime
     trains: tuple[TrainView, ...]
     pool: int  # unattached compartments
     estimate: RidershipEstimate
 
 
 def snapshot(manager: TransportManager, estimate: RidershipEstimate,
-             hour: int, now: SimTime) -> ManagerView:
+             hour: int) -> ManagerView:
     trains = tuple(
         TrainView(tr.id, tr.line, tr.direction, tr.compartments, len(tr.onboard))
         for tr in manager.trains.values())
-    return ManagerView(hour, now, trains, manager.unattached, estimate)
+    return ManagerView(hour, trains, manager.unattached, estimate)
 
 
 def greedy_reallocate(view: ManagerView) -> StrategyDecision:

@@ -11,7 +11,7 @@ waits for the next returning train (logged as a delayed slot).
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -161,13 +161,18 @@ class RidershipEstimate:
         return self.total(line, direction, hour) / deps
 
 
+def _source_place(h: Human, hour_of_day: int) -> str:
+    """Which of its places an attendee sets out from at a clock hour."""
+    if h.category == WORKING_PROFESSIONAL and 9 <= hour_of_day < 18 and h.office is not None:
+        return "office"
+    if h.category == STUDENT and 8 <= hour_of_day < 14 and h.school is not None:
+        return "school"
+    return "home"
+
+
 def attendee_source_point(h: Human, hour_of_day: int) -> GeoPoint:
     """Where an attendee sets out from, judged by category and clock hour."""
-    if h.category == WORKING_PROFESSIONAL and 9 <= hour_of_day < 18 and h.office is not None:
-        return h.office
-    if h.category == STUDENT and 8 <= hour_of_day < 14 and h.school is not None:
-        return h.school
-    return h.home
+    return getattr(h, _source_place(h, hour_of_day))
 
 
 class TransportManager:
@@ -188,6 +193,12 @@ class TransportManager:
         self.attach_claims: dict[int, int] = {}
         self._token_seq = 0
         self.issue_history: dict[tuple[int, int], int] = {}  # (station, abs hour) -> count
+        # estimate_ridership's caches: departures per (line, direction, hour)
+        # per day, and per place the source station of each attendee of the
+        # population last passed in
+        self._departures: dict[int, dict[tuple[str, int, int], int]] = {}
+        self._source_humans: Optional[list[Human]] = None
+        self._source_station: dict[str, dict[int, int]] = {}
         for line in network.lines.values():
             fleet = self.fleet_size(line)
             ends = [line.terminal(+1)] if line.circular else [line.terminal(+1), line.terminal(-1)]
@@ -360,13 +371,22 @@ class TransportManager:
         strictly before the destination. The baseline is the same hour of the
         previous day's token issues, split evenly over the routes serving
         each issuing station.
+
+        The day's departure counts and each attendee's source station (per
+        human and place) are computed once; the latter is kept for as long
+        as the same ``humans`` list comes back.
         """
         est = RidershipEstimate(day)
         base_day = day * SECONDS_PER_DAY
-        for line_name, line in self.network.lines.items():
-            for d in (+1, -1):
-                for hour in range(24):
-                    est.departures[(line_name, d, hour)] = self.slots_in_hour(line_name, day, hour)
+        departures = self._departures.get(day)
+        if departures is None:
+            departures = self._departures[day] = {
+                (line_name, d, hour): self.slots_in_hour(line_name, day, hour)
+                for line_name in self.network.lines for d in (+1, -1) for hour in range(24)}
+        est.departures = dict(departures)
+        if humans is not self._source_humans:
+            self._source_humans, self._source_station = humans, {}
+        source_station = self._source_station
         # baseline from yesterday's issues
         if day > 0:
             for (sid, abs_hour), count in self.issue_history.items():
@@ -388,15 +408,21 @@ class TransportManager:
                 if not (event.start < hi and event.end > lo):
                     continue
                 dest = self.network.nearest_station(event.location).id
-                sources = [
-                    self.network.nearest_station(attendee_source_point(humans[hid], hour)).id
-                    for hid in sorted(attendees)]
+                sources: Counter = Counter()
+                for hid in attendees:
+                    h = humans[hid]
+                    place = _source_place(h, hour)
+                    known = source_station.setdefault(place, {})
+                    sid = known.get(hid)
+                    if sid is None:
+                        sid = known[hid] = self.network.nearest_station(getattr(h, place)).id
+                    sources[sid] += 1
                 for line_name, line in self.network.lines.items():
                     if not line.serves(dest):
                         continue
                     for d in (+1, -1):
                         dest_idx = line.position(dest, d)
-                        count = sum(1 for s in sources
+                        count = sum(c for s, c in sources.items()
                                     if line.serves(s) and line.position(s, d) < dest_idx)
                         if count:
                             key = (line_name, d, hour)

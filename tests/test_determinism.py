@@ -14,18 +14,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # first 16 hex digits of sha256 of the desk outputs at the scenario's seed
 DESK_SHA256 = {
-    "event.log": "fefe55c41f2bfff6",
-    "summary.csv": "9f16520f434ccd62",
-    "usage.csv": "87c2a361f105a6b4",
-    "wait.csv": "37536253671a98c7",
+    "event.log": "9d24fec92f7d9469",
+    "summary.csv": "324f8155a79b99f1",
+    "usage.csv": "9361ef68013d52bb",
+    "wait.csv": "ff01911e404b94f3",
 }
 
 # the same for singapore-like (87 stations, one circular line) cut to 12 h
 CITY_12H_SHA256 = {
-    "event.log": "a914dbf83c06e577",
-    "summary.csv": "ba1d55e4c2762670",
-    "usage.csv": "4437135a90797d49",
-    "wait.csv": "33b9c581ff35f104",
+    "event.log": "e78be8d524b66102",
+    "summary.csv": "1119513776778df9",
+    "usage.csv": "b9bdf664d1b7c804",
+    "wait.csv": "e32d37436fbb7dcf",
 }
 
 

@@ -20,7 +20,6 @@ from transitsim.metrics import (
     section_usage,
     section_wait,
     station_section_map,
-    train_usage,
 )
 
 
@@ -42,6 +41,12 @@ def test_overlap_basics():
     assert overlap(5, 6, 0, 100) == 1
 
 
+def usage(s, t0, t1):
+    """Occupied over available seat-time, the ratio the report takes."""
+    seat_s, cap_s = s.integrate(t0, t1)
+    return seat_s / cap_s
+
+
 def test_train_usage_hand_values():
     s = OccupancySeries()
     s.record(0, 0, 62)
@@ -50,9 +55,9 @@ def test_train_usage_hand_values():
     s.record(300, 0, 62)
     s.record(400, 0, 62)
     # over [0,400): (0*100 + 31*100 + 62*100 + 0*100) / (62*400)
-    assert train_usage(s, 0, 400) == pytest.approx((31 * 100 + 62 * 100) / (62 * 400))
-    assert train_usage(s, 200, 300) == 1.0
-    assert train_usage(s, 0, 100) == 0.0
+    assert usage(s, 0, 400) == pytest.approx((31 * 100 + 62 * 100) / (62 * 400))
+    assert usage(s, 200, 300) == 1.0
+    assert usage(s, 0, 100) == 0.0
 
 
 def test_usage_with_capacity_change_weights_time():
@@ -61,7 +66,7 @@ def test_usage_with_capacity_change_weights_time():
     s.record(600, 31, 62)     # second compartment attached at a terminal
     s.record(1200, 31, 62)
     # [0,1200): seats 31*1200; capacity 31*600 + 62*600
-    assert train_usage(s, 0, 1200) == pytest.approx(31 * 1200 / (31 * 600 + 62 * 600))
+    assert usage(s, 0, 1200) == pytest.approx(31 * 1200 / (31 * 600 + 62 * 600))
 
 
 def per_second_integral(s, t0, t1):
@@ -103,8 +108,8 @@ def test_usage_requires_ordered_and_bounded_records():
         s.record(5, 5, 62)
     with pytest.raises(ValueError):
         s.record(20, 63, 62)
-    assert train_usage(s, 0, 10) == 0.0  # before first record: no train
-    assert train_usage(OccupancySeries(), 0, 100) == 0.0
+    assert s.integrate(0, 10) == (0.0, 0.0)  # before first record: no train
+    assert OccupancySeries().integrate(0, 100) == (0.0, 0.0)
 
 
 def test_avg_wait_divides_by_population():
@@ -201,7 +206,7 @@ def test_ledger_close_pins_open_series():
     led = MetricsLedger()
     led.record_occupancy(0, 0, 62, 62)
     led.close(3600)
-    assert train_usage(led.occupancy[0], 0, 3600) == 1.0
+    assert usage(led.occupancy[0], 0, 3600) == 1.0
 
 
 def write_report(tmpdir, name):

@@ -1,15 +1,21 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from transitsim.city import BoundingBox, haversine_km
+from transitsim.city import BoundingBox, GeoPoint, haversine_km
 from transitsim.engine import RngStreams, hms, time_of_day
 from transitsim.population import (
     AGE_GROUP_SHARES,
     CATEGORIES,
     CATEGORY_AGE_GROUPS,
     CATEGORY_WEIGHTS,
+    DRAWS_PER_PAIR,
+    POINT_BUDGET,
     TRIP_TABLE,
+    Trip,
     daily_trips,
     generate_population,
 )
@@ -17,8 +23,16 @@ from transitsim.population import (
 BBOX = BoundingBox(1.24, 103.6, 1.46, 103.99)
 
 
+def in_bbox(p):
+    return BBOX.min_lat <= p.lat <= BBOX.max_lat and BBOX.min_lon <= p.lon <= BBOX.max_lon
+
+
 def make_pop(n, seed=42):
     return generate_population(n, BBOX, RngStreams(seed))
+
+
+def one_day(h, day, streams):
+    return daily_trips([h], day, streams)
 
 
 def test_empty_population():
@@ -32,14 +46,14 @@ def test_contact_point_invariants():
     assert [h.id for h in pop] == list(range(2000))
     for h in pop:
         assert h.category in CATEGORIES
-        assert BBOX.contains(h.home)
+        assert in_bbox(h.home)
         assert h.age_group in CATEGORY_AGE_GROUPS[h.category]
         if h.category == "working-professional":
             assert h.office is not None and h.school is None and h.shop is None
-            assert BBOX.contains(h.office)
+            assert in_bbox(h.office)
         elif h.category == "student":
             assert h.school is not None and h.office is None and h.shop is None
-            assert BBOX.contains(h.school)
+            assert in_bbox(h.school)
         elif h.category == "home-maker":
             assert h.office is None and h.school is None
             assert haversine_km(h.home, h.shop) <= 5.0
@@ -82,7 +96,7 @@ def test_working_professional_day():
     streams = RngStreams(5)
     pop = make_pop(400)
     wp = next(h for h in pop if h.category == "working-professional")
-    trips = daily_trips(wp, 0, streams)
+    trips = one_day(wp, 0, streams)
     kinds = [(t.origin_kind, t.dest_kind) for t in trips]
     assert kinds == [
         ("home", "office"), ("office", "restaurant"),
@@ -104,7 +118,7 @@ def test_optional_pairs_all_or_nothing():
     senior = next(h for h in pop if h.category == "senior-citizen")
     sizes = set()
     for day in range(60):
-        trips = daily_trips(senior, day, streams)
+        trips = one_day(senior, day, streams)
         sizes.add(len(trips))
         assert len(trips) % 2 == 0
         for i in range(0, len(trips), 2):
@@ -123,7 +137,7 @@ def test_home_maker_morning_always_evening_sometimes():
     hm = next(h for h in pop if h.category == "home-maker")
     evening_days = 0
     for day in range(60):
-        trips = daily_trips(hm, day, streams)
+        trips = one_day(hm, day, streams)
         assert len(trips) in (2, 4)
         assert (trips[0].origin_kind, trips[0].dest_kind) == ("home", "shop")
         assert trips[0].dest == hm.shop
@@ -136,11 +150,11 @@ def test_trips_deterministic_per_human_day():
     streams = RngStreams(5)
     pop = make_pop(50)
     for h in pop[:10]:
-        a = daily_trips(h, 3, streams)
-        b = daily_trips(h, 3, RngStreams(5))
+        a = one_day(h, 3, streams)
+        b = one_day(h, 3, RngStreams(5))
         assert a == b
         if a:
-            assert a != daily_trips(h, 4, streams) or len(a) == 0
+            assert a != one_day(h, 4, streams) or len(a) == 0
 
 
 def test_student_start_uniformity_ks():
@@ -149,7 +163,7 @@ def test_student_start_uniformity_ks():
     students = [h for h in pop if h.category == "student"][:1000]
     starts = []
     for h in students:
-        trips = daily_trips(h, 0, streams)
+        trips = one_day(h, 0, streams)
         first = trips[0]
         assert (first.origin_kind, first.dest_kind) == ("home", "school")
         starts.append(time_of_day(first.chosen_start))
@@ -158,3 +172,76 @@ def test_student_start_uniformity_ks():
     # integer starts cover [lo, hi]; compare against the matching uniform
     _, p = stats.kstest(np.array(starts), "uniform", args=(lo, hi + 1 - lo))
     assert p > 0.01
+
+
+def scalar_day(h, day, streams, over_budget):
+    """The day plan drawn one scalar keyed uniform at a time, transcribed
+    from the draw layout: per pair slot j a block of DRAWS_PER_PAIR indices
+    from j * DRAWS_PER_PAIR (coin, outbound start, return start, then
+    POINT_BUDGET (lat, lon) rejection draws), continued past the budget by
+    draws keyed (block + 3, n)."""
+    def u(*k):
+        return streams.keyed_uniform("trips", h.id, day, *k)
+
+    trips = []
+    for j, pair in enumerate(TRIP_TABLE[h.category]):
+        k = j * DRAWS_PER_PAIR
+        if pair.optional and u(k) >= 0.5:
+            continue
+        kind = pair.out_kinds[1]
+        if kind in ("home", "office", "school") or (kind == "shop" and h.shop is not None):
+            dest = getattr(h, kind)
+        else:
+            centre, radius = (h.office, 1.0) if kind == "restaurant" else (h.home, 5.0)
+            dlat = radius / (6371.0 * math.pi / 180.0)
+            dlon = dlat / max(0.1, math.cos(math.radians(centre.lat)))
+            n = 0
+            while True:
+                if n < 2 * POINT_BUDGET:
+                    ua, uo = u(k + 3 + n), u(k + 4 + n)
+                else:
+                    ua, uo = u(k + 3, n), u(k + 3, n + 1)
+                    over_budget.append(h.id)
+                n += 2
+                dest = GeoPoint(centre.lat + (-dlat + 2 * dlat * ua),
+                                centre.lon + (-dlon + 2 * dlon * uo))
+                if haversine_km(centre, dest) <= radius:
+                    break
+        origin = getattr(h, pair.out_kinds[0])
+        lo, hi = pair.out_window
+        t_out = lo + int(u(k + 1) * (hi - lo + 1))
+        lo = max(pair.ret_window[0], t_out + 1)
+        t_ret = lo + int(u(k + 2) * (max(pair.ret_window[1], lo) - lo + 1))
+        base = day * 86400
+        trips.append(Trip(h.id, *pair.out_kinds, *pair.out_window, base + t_out, origin, dest))
+        trips.append(Trip(h.id, *pair.ret_kinds, *pair.ret_window, base + t_ret, dest, origin))
+    trips.sort(key=lambda t: t.chosen_start)
+    return trips
+
+
+def test_batched_trips_equal_scalar_draws():
+    pop = make_pop(3000, seed=8)
+    streams = RngStreams(13)
+    over_budget = []
+    for day in (0, 1, 5):
+        want = [t for h in pop for t in scalar_day(h, day, streams, over_budget)]
+        assert daily_trips(pop, day, streams) == want
+        # a cut-off leaves out exactly the later starts
+        cut = day * 86400 + hms(12, 15)
+        assert daily_trips(pop, day, streams, until=cut) == [
+            t for t in want if t.chosen_start <= cut]
+    # some places needed more rejection draws than the batch holds
+    assert over_budget
+
+
+def test_batched_trips_for_a_subset_equal_the_full_batch():
+    pop = make_pop(1500, seed=9)
+    streams = RngStreams(21)
+    rng = random.Random(4)
+    for day in (0, 2):
+        full = {}
+        for t in daily_trips(pop, day, streams):
+            full.setdefault(t.human_id, []).append(t)
+        subset = rng.sample(pop, 400)  # any humans, in any order
+        assert daily_trips(subset, day, streams) == [
+            t for h in subset for t in full.get(h.id, [])]

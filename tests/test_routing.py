@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from transitsim.city import (
     TransitNetwork,
     haversine_km,
 )
+from transitsim.cli import build_world
+from transitsim.config import load_scenario
 from transitsim.routing import RoutePlanner
+from transitsim.transit import TransportManager
 
 ROAD = RoadRouter(35.0)
 
@@ -131,44 +136,54 @@ def test_road_wins_when_rail_is_slow():
     assert r.road_only
 
 
-def test_plan_with_inquiry_requires_service():
-    class NoService:
-        def next_departure(self, line, station, direction, t, exclude_train=None):
-            return None
+def test_plan_makes_no_schedule_inquiry(monkeypatch):
+    # a desk-sized day with an event: every plan the world makes, for trips,
+    # seeding and attendance, must come back without asking the schedule
+    inside = []
+    real_plan = RoutePlanner.plan
+    real_departure = TransportManager.next_departure
 
-    stations = [Station(0, "A", GeoPoint(1.30, 103.70)), Station(1, "B", GeoPoint(1.30, 103.80))]
-    net = TransitNetwork(stations, [TransitLine("L", [0, 1], svc())])
-    p = RoutePlanner(net, ROAD)
-    r = p.plan(stations[0].point, stations[1].point, inquiry=NoService(), t=0)
-    assert r.road_only
+    def plan(self, *args, **kwargs):
+        inside.append(True)
+        try:
+            return real_plan(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def next_departure(self, *args, **kwargs):
+        if inside:
+            raise AssertionError("plan asked the schedule")
+        return real_departure(self, *args, **kwargs)
+
+    monkeypatch.setattr(RoutePlanner, "plan", plan)
+    monkeypatch.setattr(TransportManager, "next_departure", next_departure)
+    cfg = load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml"))
+    cfg.population["size"] = 600
+    cfg.horizon_hours = 12
+    cfg.strategy["alt_routing"] = True
+    w = build_world(cfg)
+    calls = []
+    monkeypatch.setattr(w.planner, "_rail_path",
+                        lambda *a, real=w.planner._rail_path, **k: calls.append((a, k)) or real(*a, **k))
+    w.run()
+    assert w.trips_started > 500 and w.attendees[0]
+    # one search per station pair: the memo key is (board, alight) alone
+    plan_keys = [a for a, k in calls if not k]
+    assert plan_keys and len(plan_keys) == len(set(plan_keys))
 
 
-class NoService:
-    def next_departure(self, line, station, direction, t, exclude_train=None):
-        return None
-
-
-def test_cached_rail_path_respects_closed_routes():
+def test_rail_path_memo_keyed_on_station_pair():
     stations = [Station(0, "A", GeoPoint(1.30, 103.70)), Station(1, "B", GeoPoint(1.30, 103.80))]
     net = TransitNetwork(stations, [TransitLine("L", [0, 1], svc())])
     a, b = stations[0].point, stations[1].point
-    warm = RoutePlanner(net, ROAD)
-    assert not warm.plan(a, b).road_only
-    # same station pair, but the inquiry closes the only route
-    assert warm.plan(a, b, inquiry=NoService(), t=0).road_only
-    cold = RoutePlanner(net, ROAD)
-    assert cold.plan(a, b, inquiry=NoService(), t=0).road_only
-    assert not cold.plan(a, b).road_only
-    assert cold.plan(a, b) == warm.plan(a, b)
-
-
-class ShiftingInquiry:
-    """Closes a route at a station in some hours and not in others."""
-
-    def next_departure(self, line, station, direction, t, exclude_train=None):
-        if (station + direction + len(line) + t // 3600) % 3 == 0:
-            return None
-        return t + 60
+    p = RoutePlanner(net, ROAD)
+    first = p.plan(a, b)
+    assert not first.road_only
+    # nearby points board and alight at the same stations and reuse the search
+    assert p.plan(GeoPoint(1.3001, 103.7001), b).legs == first.legs
+    assert list(p._rail_paths) == [(0, 1)]
+    assert p.plan(b, a).legs[0].direction == -1
+    assert list(p._rail_paths) == [(0, 1), (1, 0)]
 
 
 def test_warm_planner_matches_fresh_planner():
@@ -179,12 +194,11 @@ def test_warm_planner_matches_fresh_planner():
               GeoPoint(float(rng.uniform(1.22, 1.38)), float(rng.uniform(103.69, 103.85))))
              for _ in range(40)]
     rail = 0
-    for rnd in range(3):
-        for origin, dest in pairs:
-            t = int(rng.integers(0, 6)) * 3600
-            inquiry = ShiftingInquiry() if rnd else None
-            fresh = RoutePlanner(cross_network(fast), ROAD).plan(origin, dest, inquiry=inquiry, t=t)
-            assert warm.plan(origin, dest, inquiry=inquiry, t=t) == fresh
+    for _ in range(3):
+        for i in rng.permutation(len(pairs)):
+            origin, dest = pairs[i]
+            fresh = RoutePlanner(cross_network(fast), ROAD).plan(origin, dest)
+            assert warm.plan(origin, dest) == fresh
             rail += not fresh.road_only
     assert rail > 20
 
@@ -269,8 +283,8 @@ def test_alternative_falls_back_to_road_without_service():
 
 def test_warm_alternative_matches_fresh_planner():
     # every query draws its own departures at the station from a few wait
-    # values, with some routes closed, so the same (station, alight) pair
-    # meets different first waits and masks, often with the same wait values
+    # values, with some routes without a departure, so the same (station,
+    # alight) pair meets different first waits, often with the same values
     net = cross_network(svc(run=60, dwell=15, headway=180))
     warm = RoutePlanner(net, ROAD)
     rng = np.random.default_rng(404)
@@ -293,7 +307,7 @@ def test_warm_alternative_matches_fresh_planner():
         exclude = listed[0][1] if listed and rng.random() < 0.7 else None
         dest = dests[int(rng.integers(len(dests)))]
         if rng.random() < 0.3:
-            warm.plan(net.station(sid).point, dest, inquiry=inquiry, t=t)
+            warm.plan(net.station(sid).point, dest)
         fresh = RoutePlanner(net, ROAD).alternative(sid, dest, first, inquiry, t,
                                                     exclude_train=exclude)
         assert warm.alternative(sid, dest, first, inquiry, t, exclude_train=exclude) == fresh

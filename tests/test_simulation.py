@@ -11,7 +11,7 @@ from transitsim.engine import RngStreams, hms
 from transitsim.events import SocialEvent
 from transitsim.population import Human, Trip, generate_population
 from transitsim.routing import TrainLeg
-from transitsim.simulation import ActiveTrip, World
+from transitsim.simulation import RETRY_SECONDS, ActiveTrip, World
 from transitsim.social import SocialGraph, generate_graph
 from transitsim.strategies import make_strategy
 
@@ -175,6 +175,68 @@ def test_busy_human_defers_pending_trip():
     assert w.state[0].trip is None
 
 
+def queue_kinds(path):
+    """(t, kind) of every trip-start and attend-depart dispatch in a log."""
+    out = []
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        if rec["kind"] in ("trip-start", "attend-depart"):
+            out.append((rec["t"], rec["kind"]))
+    return out
+
+
+def test_pending_actions_start_on_their_grid_once_freed(tmp_path):
+    net = line4()
+    home = net.stations[0].point
+    north = GeoPoint(1.009, 103.0)   # 1 km: 720 s by road at 5 km/h
+    west = GeoPoint(1.0, 102.995)
+    humans = [Human(0, "senior-citizen", 6, home)]
+    # nobody seeds this event (age group 1 only); the attend-depart is ours
+    ev = SocialEvent(id=0, location=net.stations[3].point, start=9000, end=12000,
+                     age_range=frozenset({1}), broadcast_from=7200)
+    w = make_world(net, humans, empty_graph(1), [ev], log_path=str(tmp_path / "event.log"))
+    w.attendees[0].add(0)
+    w.scheduler.schedule(1000, "human", "trip-start", Trip(0, "home", "other", 0, 0, 1000, home, north))
+    # two trips and an attend-depart find the human busy, each on its own grid
+    w.scheduler.schedule(1100, "human", "trip-start", Trip(0, "other", "other", 0, 0, 1100, north, west))
+    w.scheduler.schedule(1250, "human", "trip-start", Trip(0, "other", "home", 0, 0, 1250, west, home))
+    w.scheduler.schedule(1390, "human", "attend-depart", (0, 0))
+    w.run()
+    trips = sorted(w.metrics.trips, key=lambda r: r.start)
+    # the busy trip, the three put off in the order they were put off, and
+    # the way home from the event
+    assert len(trips) == 5 and trips[0].start == 1000 and trips[4].start == ev.end
+    for prev, rec, grid in zip(trips, trips[1:4], (1100, 1250, 1390)):
+        # the first instant on its grid after the trip before it ended
+        assert (rec.start - grid) % RETRY_SECONDS == 0 and rec.start > grid
+        assert prev.end <= rec.start < prev.end + RETRY_SECONDS
+    assert w.state[0].point == home and w.deferrals == 2 and not w.pending
+    # each put-off action fires once more, when its turn comes, where a
+    # 300 s retry loop would make dozens of dispatches
+    assert len(queue_kinds(tmp_path / "event.log")) == 4 + 3
+
+
+def test_pending_trip_past_the_horizon_never_starts(tmp_path):
+    net = line4()
+    home = net.stations[0].point
+    north = GeoPoint(1.009, 103.0)
+    humans = [Human(0, "senior-citizen", 6, home)]
+    ev = SocialEvent(id=0, location=net.stations[3].point, start=3300, end=3450,
+                     age_range=frozenset({1}), broadcast_from=3000)
+    w = make_world(net, humans, empty_graph(1), [ev], horizon=1,
+                   log_path=str(tmp_path / "event.log"))
+    # busy from 2700 to 3421; the pending trip's grid is 3100, 3400, 3700
+    # (past the 3600 horizon), the attend-depart's 3150, 3450 (the event's end)
+    w.scheduler.schedule(2700, "human", "trip-start", Trip(0, "home", "other", 0, 0, 2700, home, north))
+    w.scheduler.schedule(3100, "human", "trip-start", Trip(0, "other", "home", 0, 0, 3100, north, home))
+    w.scheduler.schedule(3150, "human", "attend-depart", (0, 0))
+    w.run()
+    assert [(r.start, r.end) for r in w.metrics.trips] == [(2700, 3421)]
+    assert w.state[0].point == north and w.state[0].trip is None and not w.pending
+    assert queue_kinds(tmp_path / "event.log") == [
+        (2700, "trip-start"), (3100, "trip-start"), (3150, "attend-depart")]
+
+
 def test_dead_route_rescue_returns_token_and_drives():
     net = line4()
     humans = [Human(0, "senior-citizen", 6, GeoPoint(1.0, 103.0))]
@@ -211,10 +273,14 @@ def test_attendee_arrives_within_tolerance_and_returns_after_end():
     w.run()
     arrive = [t for t in w.metrics.trips if t.end <= ev.start + ev.tau]
     assert arrive and arrive[0].end <= ev.start + ev.tau
-    # went home afterwards
+    # went home afterwards: one trip leaves at the end and lands at home
+    back = [t for t in w.metrics.trips if t.start == ev.end]
+    assert len(back) == 1
     assert w.state[0].at_event is None
     assert w.state[0].point == at0
-    assert w.state[0].trip is None
+    # only the day's own plans may have set out again since
+    trip = w.state[0].trip
+    assert trip is None or (trip.purpose == "regular" and trip.started > back[0].end)
 
 
 def test_event_log_lines_equal_json_dumps(tmp_path):

@@ -18,7 +18,7 @@ from transitsim.transit import RidershipEstimate, TransportManager
 
 
 def view(trains, pool, est, hour=10):
-    return ManagerView(hour, hour * 3600, tuple(trains), pool, est)
+    return ManagerView(hour, tuple(trains), pool, est)
 
 
 def est_with(per_hour):
@@ -150,7 +150,7 @@ def test_snapshot_reflects_manager_state():
     }
     m = TransportManager(network_from_dict(doc), 2, pool_compartments=4)
     est = RidershipEstimate(0)
-    v = snapshot(m, est, hour=9, now=9 * 3600)
+    v = snapshot(m, est, hour=9)
     assert v.pool == 4
     assert len(v.trains) == len(m.trains)
     assert all(tv.compartments == 2 and tv.onboard == 0 for tv in v.trains)
@@ -170,5 +170,5 @@ def test_strategy_factory():
     assert isinstance(make_strategy("greedy"), GreedyReallocation)
     with pytest.raises(ValueError):
         make_strategy("optimal")
-    v = ManagerView(1, 3600, (), 0, RidershipEstimate(0))
+    v = ManagerView(1, (), 0, RidershipEstimate(0))
     assert make_strategy("none").on_hour(v).moves == ()

@@ -6,8 +6,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from transitsim.city import GeoPoint, network_from_dict
+from transitsim.city import (
+    GeoPoint,
+    LineService,
+    ParseError,
+    Station,
+    TransitLine,
+    TransitNetwork,
+    network_from_dict,
+)
+from transitsim.engine import RngStreams
 from transitsim.population import (
     HOME_MAKER,
     SENIOR_CITIZEN,
@@ -16,6 +27,9 @@ from transitsim.population import (
     Human,
 )
 from transitsim.events import SocialEvent
+from transitsim.simulation import World
+from transitsim.social import SocialGraph
+from transitsim.strategies import make_strategy
 from transitsim.transit import (
     DuplicatePresenceError,
     InvalidMoveError,
@@ -281,6 +295,91 @@ def test_next_departure_matches_list_scan(circular, first, last, dwell):
     assert compared > 100
 
 
+def departures_seen_by_a_run(net, hours):
+    """Run the trains alone and, after every dispatched action, ask the
+    inquiry about every route each station lists. Returns the number of
+    questions and the answers that were None."""
+    w = World(net, [], SocialGraph([], []), [], RngStreams(1), horizon_hours=hours,
+              compartments_per_train=1, pool_compartments=0, strategy=make_strategy("none"))
+    asked, missing = 0, []
+
+    def handle(action):
+        nonlocal asked
+        w._handle(action)
+        now = w.scheduler.now
+        for sid in net.stations:
+            for line, d in net.routes_at(sid):
+                asked += 1
+                if w.manager.next_departure(line, sid, d, now) is None:
+                    missing.append((now, line, sid, d))
+
+    w.scheduler.run_until(w.horizon, handle)
+    return asked, missing
+
+
+@st.composite
+def timetables(draw):
+    """A valid line: linear or circular, 1- or 2-platform stations, and a
+    service day of one slot (sometimes inside the first dwell) or many."""
+    n = draw(st.integers(2, 5))
+    circular = draw(st.booleans()) and n >= 3
+    dwell = draw(st.integers(0, 60))
+    headway = draw(st.sampled_from([900, 1800, 3600, 7200]))
+    if draw(st.booleans()):
+        first = draw(st.integers(0, dwell + 5) | st.integers(0, 86399))
+        last = first
+    else:
+        first = draw(st.integers(0, 80000))
+        last = draw(st.integers(first, 86399))
+    doc = {
+        "stations": [{"id": i, "name": f"s{i}", "lat": 1.0, "lon": 103.0 + 0.01 * i,
+                      "platforms": draw(st.sampled_from([1, 2]))} for i in range(n)],
+        "lines": [{"name": "A", "stations": list(range(n)), "circular": circular,
+                   "service": {"run_seconds": draw(st.integers(30, 300)),
+                               "dwell_seconds": dwell, "headway_seconds": headway,
+                               "first_departure": first, "last_departure": last}}],
+    }
+    return doc, draw(st.sampled_from([12, 30, 50]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(timetables())
+def test_listed_routes_always_have_a_next_departure(case):
+    # plan asks no schedule inquiry on the strength of this: under any
+    # timetable network_from_dict accepts, a running world never leaves a
+    # route that routes_at lists without a predicted departure
+    doc, hours = case
+    asked, missing = departures_seen_by_a_run(network_from_dict(doc), hours)
+    assert asked > 0
+    assert missing == []
+
+
+def test_timetables_without_departures_are_config_errors():
+    def doc(**service):
+        svc = {"run_seconds": 120, "dwell_seconds": 30, "headway_seconds": 600,
+               "first_departure": 3600, "last_departure": 7200}
+        svc.update(service)
+        return {"stations": [{"id": 0, "lat": 1.0, "lon": 103.0},
+                             {"id": 1, "lat": 1.0, "lon": 103.01}],
+                "lines": [{"name": "A", "stations": [0, 1], "service": svc}]}
+
+    network_from_dict(doc(first_departure=0, last_departure=0))
+    network_from_dict(doc(first_departure=10, last_departure=10))  # inside the dwell
+    for bad in ({"first_departure": 7300}, {"first_departure": -1000},
+                {"headway_seconds": 0}):
+        with pytest.raises(ParseError, match="line 'A'"):
+            network_from_dict(doc(**bad))
+
+
+def test_slot_before_midnight_can_leave_a_route_without_departures():
+    # why a negative first departure is refused: tomorrow's only slot is
+    # dispatched and gone past the stations before today ends
+    stations = [Station(i, f"s{i}", GeoPoint(1.0, 103.0 + 0.01 * i)) for i in range(4)]
+    line = TransitLine("A", [0, 1, 2, 3], LineService(120, 30, 600, -1000, -1000))
+    asked, missing = departures_seen_by_a_run(TransitNetwork(stations, [line]), 30)
+    assert missing and all(now % 86400 > 86400 - 1000 for now, *_ in missing)
+
+
 # compartment moves
 
 
@@ -492,3 +591,44 @@ def test_per_departure_spreads_total():
     est = m.estimate_ridership(0, [(ev, {0})], humans)
     assert est.total("A", 1, 10) == 1
     assert est.per_departure("A", 1, 10) == pytest.approx(1 / 12)
+
+
+def test_cached_estimate_equals_fresh_rebuild():
+    # one manager answers every hour of two days while attendee sets grow
+    # and tokens are issued; each answer must equal a fresh manager's
+    net = cross_net()
+    rng = random.Random(77)
+    cats = (WORKING_PROFESSIONAL, STUDENT, HOME_MAKER, SENIOR_CITIZEN)
+
+    def place():
+        return GeoPoint(1.0 + rng.uniform(0, 0.05), 103.0 + rng.uniform(0, 0.05))
+
+    def population():
+        return [Human(i, cats[i % 4], 3, place(), office=place() if i % 4 == 0 else None,
+                      school=place() if i % 4 == 1 else None) for i in range(60)]
+
+    humans = population()
+    events = [SocialEvent(0, GeoPoint(1.02, 103.0), start=8 * 3600, end=11 * 3600 + 900,
+                          age_range=frozenset(range(1, 7)), broadcast_from=0),
+              SocialEvent(1, GeoPoint(1.02, 103.04), start=86400 + 13 * 3600,
+                          end=86400 + 19 * 3600, age_range=frozenset(range(1, 7)),
+                          broadcast_from=0)]
+    attendees = {0: set(), 1: set()}
+    warm = TransportManager(net, 2)
+    compared = 0
+    for now in range(0, 2 * 86400, 3600):
+        day = now // 86400
+        for ev in events:
+            attendees[ev.id] |= set(rng.sample(range(60), rng.randrange(0, 6)))
+        for _ in range(rng.randrange(0, 4)):
+            warm.issue_token(rng.randrange(9), 1000 + warm._token_seq, 0, now)
+        if now == 12 * 3600:
+            humans = population()  # same ids, new places: nothing stale may survive
+        sets = [(ev, set(attendees[ev.id])) for ev in events]
+        fresh = TransportManager(net, 2)
+        fresh.issue_history = dict(warm.issue_history)
+        got = warm.estimate_ridership(day, sets, humans)
+        want = fresh.estimate_ridership(day, sets, humans)
+        assert got == want
+        compared += bool(want.delta)
+    assert compared > 10
