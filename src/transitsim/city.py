@@ -175,7 +175,7 @@ class TransitLine:
         return None
 
     def hops(self, a: int, b: int, direction: int) -> Optional[int]:
-        """Stop count riding from a to b in the given direction, None if unreachable."""
+        """Stops travelled from a to b in the given direction, None if unreachable."""
         ia, ib = self.index_of(a), self.index_of(b)
         if a == b:
             return 0

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from .city import ParseError, bounding_box_around, network_from_dict
+from .city import InvariantViolationError, ParseError, bounding_box_around, network_from_dict
 from .config import ConfigError, RunManifest, ScenarioConfig, config_hash, load_scenario
 from .engine import RngStreams, parse_clock
 from .events import BadConfigError, generate_events
@@ -163,7 +163,7 @@ def _parse_event_flag(text: str) -> dict:
     return {"lat": lat, "lon": lon, "start": start, "end": end}
 
 
-def apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
+def apply_flags(cfg: ScenarioConfig, args) -> ScenarioConfig:
     cfg = copy.deepcopy(cfg)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -209,7 +209,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_scenario(args.scenario)
-        cfg = apply_overrides(cfg, args)
+        cfg = apply_flags(cfg, args)
         if args.compare:
             first, second = compare(cfg, args.compare, args.out)
             for res in (first, second):
@@ -217,7 +217,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"delta: {os.path.join(first['dir'], 'delta.csv')}")
         else:
             print(_result_line(run_one(cfg, args.out, "run")))
-    except (ConfigError, BadConfigError, ParseError, InfeasibleDegreeError) as e:
+    except (ConfigError, BadConfigError, ParseError, InvariantViolationError,
+            InfeasibleDegreeError) as e:
         print(f"error: config: {e}", file=sys.stderr)
         return 2
     except OSError as e:

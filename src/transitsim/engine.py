@@ -42,10 +42,6 @@ def parse_clock(text: str) -> SimTime:
     return hms(h, m, s)
 
 
-def time_of_day(t: SimTime) -> SimTime:
-    return t % SECONDS_PER_DAY
-
-
 class PastTimeError(ValueError):
     """Raised when an action is scheduled before the current clock."""
 
@@ -73,21 +69,14 @@ class EventLog:
     is what the replay oracle and the determinism checks compare.
     """
 
-    def __init__(self, path: Optional[str] = None, keep_records: bool = True):
-        self.path = path
-        self.keep_records = keep_records
-        self.records: list[dict] = []
-        self._fh = open(path, "w") if path else None
+    def __init__(self, path: str):
+        self._fh = open(path, "w")
         # (actor, kind) -> the encoded rest of a data-free record after "t"
         self._tails: dict[tuple[str, str], str] = {}
 
     def append(self, t: SimTime, actor: str, kind: str, **data: Any) -> None:
-        rec = {"t": t, "actor": actor, "kind": kind, **data}
-        if self.keep_records:
-            self.records.append(rec)
-        if self._fh is None:
-            return
         if data:
+            rec = {"t": t, "actor": actor, "kind": kind, **data}
             self._fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
             return
         # the scheduler's own records: the bytes json.dumps would write, with
@@ -191,26 +180,20 @@ class RngStreams:
     the value independent of dispatch order as well.
     """
 
-    def __init__(self, seed: int, overrides: Optional[dict[str, int]] = None):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self._overrides = dict(overrides or {})
         self._cache: dict[str, np.random.Generator] = {}
-
-    def _base(self, name: str) -> int:
-        if name in self._overrides:
-            return int(self._overrides[name])
-        return self.seed
 
     def generator(self, name: str) -> np.random.Generator:
         gen = self._cache.get(name)
         if gen is None:
-            ss = np.random.SeedSequence(entropy=(self._base(name), _name_key(name)))
+            ss = np.random.SeedSequence(entropy=(self.seed, _name_key(name)))
             gen = np.random.default_rng(ss)
             self._cache[name] = gen
         return gen
 
     def keyed_uniform(self, name: str, *key: int) -> float:
-        h = mix64(self._base(name), _name_key(name), *key)
+        h = mix64(self.seed, _name_key(name), *key)
         return (h >> 11) * 2.0**-53
 
 
@@ -218,7 +201,7 @@ def keyed_uniform_batch(streams: RngStreams, name: str, fixed_prefix: tuple[int,
                         varying: np.ndarray, suffix: tuple[int, ...] = ()) -> np.ndarray:
     """Vector of keyed uniforms equal to ``streams.keyed_uniform(name,
     *fixed_prefix, v, *suffix)`` for each v in ``varying``."""
-    prefix = mix64(streams._base(name), _name_key(name), *fixed_prefix)
+    prefix = mix64(streams.seed, _name_key(name), *fixed_prefix)
     h = np.full(varying.shape, prefix, dtype=np.uint64)
     h = _np_mix_step(h, varying.astype(np.uint64))
     for v in suffix:

@@ -32,7 +32,7 @@ from .metrics import MetricsLedger, TripRecord
 from .population import Human, Trip, daily_trips
 from .routing import Route, RoutePlanner, TrainLeg
 from .social import ActivationState, SocialGraph, spread
-from .strategies import Strategy, apply_decision, snapshot
+from .strategies import Strategy, snapshot
 from .transit import Train, TransportManager
 
 RETRY_SECONDS = 300  # put-off plans start on this grid once their human is free
@@ -52,9 +52,6 @@ class ActiveTrip:
     egress_seconds: int
     started: SimTime
     leg_index: int = 0
-    token_id: Optional[int] = None
-    token_station: Optional[int] = None
-    riding: Optional[int] = None
     board_time: SimTime = 0
     wait_s: int = 0
     ride_s: int = 0
@@ -95,7 +92,7 @@ class World:
         self.horizon = horizon_hours * SECONDS_PER_HOUR
         self.strategy = strategy
         self.alt_margin = alt_margin_seconds
-        self.log = EventLog(log_path, keep_records=False) if log_path else None
+        self.log = EventLog(log_path) if log_path else None
         self.scheduler = Scheduler(log=self.log)
         self.manager = TransportManager(network, compartments_per_train, pool_compartments)
         self.planner = RoutePlanner(network, RoadRouter(road_speed_kmh))
@@ -275,8 +272,7 @@ class World:
     def _on_walk_arrive(self, human: int, now: SimTime) -> None:
         trip = self.state[human].trip
         leg = trip.current_leg()
-        tok = self.manager.issue_token(leg.board, human, leg.alight, now)
-        trip.token_id, trip.token_station = tok.id, leg.board
+        self.manager.issue_token(leg.board, human, leg.alight, now)
 
     def _on_trip_arrive(self, human: int, now: SimTime) -> None:
         state = self.state[human]
@@ -398,12 +394,10 @@ class World:
         train.path_pos = 0
         train.loops = 0
         train.at_station = line.terminal(direction)
-        train.in_service = True
         self.manager.active[(line_name, direction)].add(tid)
         key = (line_name, direction)
         self.manager.dispatched_upto[key] = max(self.manager.dispatched_upto[key], slot)
         master = self.manager.masters[train.at_station]
-        train.halt_start = now
         if master.request_arrival(tid, now):
             self._train_docked(tid, now)
 
@@ -414,7 +408,6 @@ class World:
             train.loops += 1
         train.at_station = station
         train.path_pos = line.position(station, train.direction)
-        train.halt_start = now
         master = self.manager.masters[station]
         if master.request_arrival(tid, now):
             self._train_docked(tid, now)
@@ -456,7 +449,7 @@ class World:
         self.scheduler.schedule(now + svc.run_seconds, "train", "train-arrive", (tid, ns))
         admitted = self.manager.masters[s].release_platform(tid)
         if admitted is not None:
-            self._train_docked(admitted[0], now)
+            self._train_docked(admitted, now)
 
     def _turnaround(self, tid: int, now: SimTime) -> None:
         train = self.manager.trains[tid]
@@ -467,14 +460,13 @@ class World:
                 self._resume_from_platform(human, s, now)
             train.onboard.clear()
         self.manager.active[(train.line, train.direction)].discard(tid)
-        train.in_service = False
         before = train.capacity
         self.manager.terminal_service(train)
         if train.capacity != before:
             self.metrics.record_occupancy(now, tid, len(train.onboard), train.capacity)
         follow = self.manager.masters[s].release_platform(tid)
         if follow is not None:
-            self._train_docked(follow[0], now)
+            self._train_docked(follow, now)
         key = (train.line, s)
         pending = self.pending_slots.get(key)
         if pending:
@@ -489,7 +481,6 @@ class World:
             del train.onboard[human]
             trip = self.state[human].trip
             trip.ride_s += now - trip.board_time
-            trip.riding = None
             trip.leg_index += 1
             leg = trip.current_leg()
             if leg is None:
@@ -497,8 +488,7 @@ class World:
                 self.scheduler.schedule(now + trip.egress_seconds, "human",
                                         "trip-arrive", human)
             else:
-                tok = self.manager.issue_token(leg.board, human, leg.alight, now)
-                trip.token_id, trip.token_station = tok.id, leg.board
+                self.manager.issue_token(leg.board, human, leg.alight, now)
 
     def _board(self, train: Train, station: int, now: SimTime) -> None:
         master = self.manager.masters[station]
@@ -510,11 +500,7 @@ class World:
                     or leg.direction != train.direction or leg.board != station):
                 continue
             if train.free_seats() > 0:
-                wait = self.manager.return_token(station, tok.id, now)
-                self.metrics.record_wait(tok.human, station, tok.issued_at, now)
-                trip.wait_s += wait
-                trip.token_id = trip.token_station = None
-                trip.riding = train.id
+                self._retire_token(tok.human, station, now)
                 trip.board_time = now
                 train.onboard[tok.human] = leg.alight
                 self.boardings += 1
@@ -540,17 +526,26 @@ class World:
         self.metrics.alt_adopted += 1
         trip.used_alt = True
         if alt.road_only:
-            waited = self.manager.return_token(station, trip.token_id, now)
-            self.metrics.record_wait(human, station, now - waited, now)
-            trip.wait_s += waited
-            trip.token_id = trip.token_station = None
-            trip.legs = trip.legs[:trip.leg_index]
-            trip.road_s += alt.total_seconds
-            self.scheduler.schedule(now + alt.total_seconds, "human",
-                                    "trip-arrive", human)
+            self._retire_token(human, station, now)
+            self._finish_by_road(human, alt.total_seconds, now)
         else:
             trip.legs = trip.legs[:trip.leg_index] + list(alt.legs)
             trip.egress_seconds = alt.egress_seconds
+
+    def _retire_token(self, human: int, station: int, now: SimTime) -> None:
+        """Take the human's token back at the station and book the wait it
+        covered in the ledger and on the trip."""
+        master = self.manager.masters[station]
+        waited = self.manager.return_token(station, master.by_human[human], now)
+        self.metrics.record_wait(human, station, now - waited, now)
+        self.state[human].trip.wait_s += waited
+
+    def _finish_by_road(self, human: int, seconds: int, now: SimTime) -> None:
+        """Drop the trip's remaining legs and drive the rest of the way."""
+        trip = self.state[human].trip
+        trip.legs = trip.legs[:trip.leg_index]
+        trip.road_s += seconds
+        self.scheduler.schedule(now + seconds, "human", "trip-arrive", human)
 
     def _stay_cost(self, trip: ActiveTrip, station: int, now: SimTime,
                    exclude_train: Optional[int]) -> float:
@@ -576,11 +571,9 @@ class World:
         the queue here with the leg rebased so the next train can take it."""
         trip = self.state[human].trip
         trip.ride_s += now - trip.board_time
-        trip.riding = None
         leg = trip.current_leg()
         trip.legs[trip.leg_index] = TrainLeg(leg.line, leg.direction, station, leg.alight)
-        tok = self.manager.issue_token(station, human, leg.alight, now)
-        trip.token_id, trip.token_station = tok.id, station
+        self.manager.issue_token(station, human, leg.alight, now)
 
     # hourly work
 
@@ -593,14 +586,15 @@ class World:
             estimate = self.manager.estimate_ridership(day, sets, self.humans)
             view = snapshot(self.manager, estimate, hour_of_day)
             decision = self.strategy.on_hour(view)
-            apply_decision(decision, self.manager)
-            if self.log is not None and decision.moves:
-                self.log.append(now, "strategy", "decision", moves=len(decision.moves))
+            if decision.moves:
+                self.manager.queue_moves(decision.moves)
+                if self.log is not None:
+                    self.log.append(now, "strategy", "decision", moves=len(decision.moves))
         self._rescue_stranded(now)
 
     def _rescue_stranded(self, now: SimTime) -> None:
         for sid, master in self.manager.masters.items():
-            for tok in list(master.waiting_tokens()):
+            for tok in master.waiting_tokens():
                 trip = self.state[tok.human].trip
                 leg = trip.current_leg() if trip else None
                 if leg is None:
@@ -608,15 +602,10 @@ class World:
                 nd = self.manager.next_departure(leg.line, sid, leg.direction, now)
                 if nd is not None:
                     continue
-                self.manager.return_token(sid, tok.id, now)
-                self.metrics.record_wait(tok.human, sid, tok.issued_at, now)
-                trip.wait_s += now - tok.issued_at
-                trip.token_id = trip.token_station = None
-                trip.legs = trip.legs[:trip.leg_index]
+                self._retire_token(tok.human, sid, now)
                 here = self.network.station(sid).point
                 road = self.planner.road.travel_seconds(here, trip.dest)
-                trip.road_s += road
-                self.scheduler.schedule(now + road, "human", "trip-arrive", tok.human)
+                self._finish_by_road(tok.human, road, now)
 
     def _sweep(self, now: SimTime) -> None:
         place: dict[int, str] = {}

@@ -104,14 +104,9 @@ def greedy_reallocate(view: ManagerView) -> StrategyDecision:
     return StrategyDecision(tuple(moves))
 
 
-def apply_decision(decision: StrategyDecision, manager: TransportManager) -> None:
-    """Hand the moves to the manager; physical changes land at terminals."""
-    if decision.moves:
-        manager.queue_moves(decision.moves)
-
-
 class Strategy:
-    """Hourly hook plus the full-train hook; base class does nothing."""
+    """Hourly hook plus the full-train hook; the base class is the baseline
+    and never moves anything."""
 
     name = "none"
 
@@ -128,10 +123,6 @@ class Strategy:
         return self.alt_routing and full_train is not None
 
 
-class BaselineStrategy(Strategy):
-    name = "none"
-
-
 class GreedyReallocation(Strategy):
     name = "greedy"
 
@@ -141,7 +132,7 @@ class GreedyReallocation(Strategy):
 
 def make_strategy(name: str, alt_routing: bool = False) -> Strategy:
     if name == "none":
-        return BaselineStrategy(alt_routing)
+        return Strategy(alt_routing)
     if name == "greedy":
         return GreedyReallocation(alt_routing)
     raise ValueError(f"unknown strategy {name!r}")

@@ -5,7 +5,8 @@ train inquiry, and hourly ridership estimation.
 A route here means one direction of one line. Scheduled terminal departures
 ("slots") repeat daily per the line's service block; the fleet per line is
 sized so the schedule is coverable, and a slot whose terminal pool is empty
-waits for the next returning train (logged as a delayed slot).
+waits for the next returning train, which starts it late. No log record
+marks such a wait; the late start shows only in that train's delay.
 """
 
 from __future__ import annotations
@@ -68,12 +69,9 @@ class StationMaster:
         self.outstanding: dict[int, Token] = {}  # insertion order = issue order
         self.by_human: dict[int, int] = {}
         self.platforms: set[int] = set()
-        self.hold_queue: list[tuple[SimTime, int]] = []  # (halt_start, train)
+        self.hold_queue: list[tuple[SimTime, int]] = []  # (time it began holding, train)
         self.issue_count = 0
         self.return_count = 0
-
-    def occupancy(self) -> int:
-        return len(self.outstanding)
 
     def issue(self, token: Token) -> None:
         if token.human in self.by_human:
@@ -103,17 +101,16 @@ class StationMaster:
         self.hold_queue.append((now, train_id))
         return False
 
-    def release_platform(self, train_id: int) -> Optional[tuple[int, SimTime]]:
+    def release_platform(self, train_id: int) -> Optional[int]:
         """Free the departing train's platform; admit the longest-halted
-        holder (ties to the lower train id). Returns (train, halt_start)."""
+        holder (ties to the lower train id) and return its id."""
         self.platforms.discard(train_id)
         if not self.hold_queue:
             return None
-        winner = min(range(len(self.hold_queue)),
-                     key=lambda i: (self.hold_queue[i][0], self.hold_queue[i][1]))
-        halt_start, tid = self.hold_queue.pop(winner)
-        self.platforms.add(tid)
-        return tid, halt_start
+        winner = min(self.hold_queue)
+        self.hold_queue.remove(winner)
+        self.platforms.add(winner[1])
+        return winner[1]
 
 
 @dataclass
@@ -127,8 +124,6 @@ class Train:
     path_pos: int = 0           # index along path(direction) of current/next station
     at_station: Optional[int] = None
     onboard: dict[int, int] = field(default_factory=dict)  # human -> alight station
-    in_service: bool = False
-    halt_start: Optional[SimTime] = None
     pending_detach: int = 0
     loops: int = 0              # completed circuits of a circular line this run
 
@@ -161,18 +156,13 @@ class RidershipEstimate:
         return self.total(line, direction, hour) / deps
 
 
-def _source_place(h: Human, hour_of_day: int) -> str:
-    """Which of its places an attendee sets out from at a clock hour."""
-    if h.category == WORKING_PROFESSIONAL and 9 <= hour_of_day < 18 and h.office is not None:
-        return "office"
-    if h.category == STUDENT and 8 <= hour_of_day < 14 and h.school is not None:
-        return "school"
-    return "home"
-
-
 def attendee_source_point(h: Human, hour_of_day: int) -> GeoPoint:
     """Where an attendee sets out from, judged by category and clock hour."""
-    return getattr(h, _source_place(h, hour_of_day))
+    if h.category == WORKING_PROFESSIONAL and 9 <= hour_of_day < 18 and h.office is not None:
+        return h.office
+    if h.category == STUDENT and 8 <= hour_of_day < 14 and h.school is not None:
+        return h.school
+    return h.home
 
 
 class TransportManager:
@@ -193,12 +183,6 @@ class TransportManager:
         self.attach_claims: dict[int, int] = {}
         self._token_seq = 0
         self.issue_history: dict[tuple[int, int], int] = {}  # (station, abs hour) -> count
-        # estimate_ridership's caches: departures per (line, direction, hour)
-        # per day, and per place the source station of each attendee of the
-        # population last passed in
-        self._departures: dict[int, dict[tuple[str, int, int], int]] = {}
-        self._source_humans: Optional[list[Human]] = None
-        self._source_station: dict[str, dict[int, int]] = {}
         for line in network.lines.values():
             fleet = self.fleet_size(line)
             ends = [line.terminal(+1)] if line.circular else [line.terminal(+1), line.terminal(-1)]
@@ -236,9 +220,15 @@ class TransportManager:
         return out
 
     def slots_in_hour(self, line_name: str, day: int, hour: int) -> int:
-        lo = day * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR
-        hi = lo + SECONDS_PER_HOUR
-        return sum(1 for s in self.scheduled_slots(line_name, day) if lo <= s < hi)
+        """How many of the day's slots ``first + k * headway <= last`` leave
+        in the clock hour; the count is the same every day."""
+        svc = self.network.lines[line_name].service
+        h = svc.headway_seconds
+        lo = hour * SECONDS_PER_HOUR - svc.first_departure  # the hour, from the first slot
+        first_k = max(0, -(-lo // h))
+        last_k = min((svc.last_departure - svc.first_departure) // h,
+                     -(-(lo + SECONDS_PER_HOUR) // h) - 1)
+        return max(0, last_k - first_k + 1)
 
     def next_departure(self, line_name: str, station_id: int, direction: int,
                        t: SimTime, exclude_train: Optional[int] = None) -> Optional[SimTime]:
@@ -371,22 +361,12 @@ class TransportManager:
         strictly before the destination. The baseline is the same hour of the
         previous day's token issues, split evenly over the routes serving
         each issuing station.
-
-        The day's departure counts and each attendee's source station (per
-        human and place) are computed once; the latter is kept for as long
-        as the same ``humans`` list comes back.
         """
         est = RidershipEstimate(day)
         base_day = day * SECONDS_PER_DAY
-        departures = self._departures.get(day)
-        if departures is None:
-            departures = self._departures[day] = {
-                (line_name, d, hour): self.slots_in_hour(line_name, day, hour)
-                for line_name in self.network.lines for d in (+1, -1) for hour in range(24)}
-        est.departures = dict(departures)
-        if humans is not self._source_humans:
-            self._source_humans, self._source_station = humans, {}
-        source_station = self._source_station
+        est.departures = {
+            (line_name, d, hour): self.slots_in_hour(line_name, day, hour)
+            for line_name in self.network.lines for d in (+1, -1) for hour in range(24)}
         # baseline from yesterday's issues
         if day > 0:
             for (sid, abs_hour), count in self.issue_history.items():
@@ -408,15 +388,9 @@ class TransportManager:
                 if not (event.start < hi and event.end > lo):
                     continue
                 dest = self.network.nearest_station(event.location).id
-                sources: Counter = Counter()
-                for hid in attendees:
-                    h = humans[hid]
-                    place = _source_place(h, hour)
-                    known = source_station.setdefault(place, {})
-                    sid = known.get(hid)
-                    if sid is None:
-                        sid = known[hid] = self.network.nearest_station(getattr(h, place)).id
-                    sources[sid] += 1
+                sources = Counter(
+                    self.network.nearest_station(attendee_source_point(humans[hid], hour)).id
+                    for hid in attendees)
                 for line_name, line in self.network.lines.items():
                     if not line.serves(dest):
                         continue

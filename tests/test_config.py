@@ -145,6 +145,29 @@ def test_cli_rejects_bad_override(tmp_path, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+def one_station_line(doc):
+    doc["network"]["lines"][0]["stations"] = [0]
+
+
+def no_platforms(doc):
+    doc["network"]["stations"][2]["platforms"] = 0
+
+
+def duplicate_station(doc):
+    doc["network"]["stations"][3]["id"] = 2
+
+
+@pytest.mark.parametrize("breaks", [one_station_line, no_platforms, duplicate_station])
+def test_cli_reports_broken_network_as_config_error(tmp_path, capsys, breaks):
+    doc = doc4()
+    breaks(doc)
+    scn = tmp_path / "scn.yaml"
+    scn.write_text(yaml.safe_dump(doc))
+    rc = main(["--scenario", str(scn), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
 def test_bundled_scenarios_load_and_build():
     from transitsim.city import network_from_dict
     root = os.path.join(os.path.dirname(__file__), "..", "scenarios")

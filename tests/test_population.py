@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from transitsim.city import BoundingBox, GeoPoint, haversine_km
-from transitsim.engine import RngStreams, hms, time_of_day
+from transitsim.engine import SECONDS_PER_DAY, RngStreams, hms
 from transitsim.population import (
     AGE_GROUP_SHARES,
     CATEGORIES,
@@ -103,7 +103,7 @@ def test_working_professional_day():
         ("restaurant", "office"), ("office", "home"),
     ]
     for t in trips:
-        assert t.window_start <= time_of_day(t.chosen_start) <= t.window_end
+        assert t.window_start <= t.chosen_start % SECONDS_PER_DAY <= t.window_end
     starts = [t.chosen_start for t in trips]
     assert starts == sorted(starts) and len(set(starts)) == 4
     lunch_out, lunch_back = trips[1], trips[2]
@@ -166,7 +166,7 @@ def test_student_start_uniformity_ks():
         trips = one_day(h, 0, streams)
         first = trips[0]
         assert (first.origin_kind, first.dest_kind) == ("home", "school")
-        starts.append(time_of_day(first.chosen_start))
+        starts.append(first.chosen_start % SECONDS_PER_DAY)
     lo, hi = hms(7, 0), hms(8, 0)
     assert all(lo <= s <= hi for s in starts)
     # integer starts cover [lo, hi]; compare against the matching uniform

@@ -114,18 +114,24 @@ def test_diffusion_advances_one_round_per_poll_cycle():
     assert w.attendees[0] == {0, 1}
 
 
-def test_full_train_spills_to_road_when_margin_met():
+def seniors_at_a_full_train():
+    """40 seniors bound for one event: one 31-seat train serves the rush.
+    The road is slower than the planned rail trip but beats waiting out a
+    missed train, so it only wins after a full-train denial."""
     net = line4()
     at0 = net.stations[0].point
     humans = [Human(i, "senior-citizen", 6, at0) for i in range(40)]
     ev = SocialEvent(id=0, location=net.stations[3].point,
                      start=14400, end=18000,
                      age_range=frozenset({6}), broadcast_from=7200)
-    # road is slower than the planned rail trip but beats waiting out a
-    # missed train, so it only wins after a full-train denial
-    w = make_world(net, humans, empty_graph(40), [ev],
-                   strategy=make_strategy("none", alt_routing=True),
-                   road_speed_kmh=13.0, alt_margin_seconds=0)
+    return make_world(net, humans, empty_graph(40), [ev],
+                      strategy=make_strategy("none", alt_routing=True),
+                      road_speed_kmh=13.0, alt_margin_seconds=0)
+
+
+def test_full_train_spills_to_road_when_margin_met():
+    w = seniors_at_a_full_train()
+    ev = w.events[0]
     w.run()
     assert w.attendees[0] == set(range(40))
     # one 31-seat train serves the synchronized rush; the rest drive
@@ -140,6 +146,44 @@ def test_full_train_spills_to_road_when_margin_met():
     # everyone made it to the venue within the lateness tolerance
     arrived = {t.human for t in w.metrics.trips if t.end <= late}
     assert arrived == set(range(40))
+
+
+def greedy_town():
+    """250 humans on a 4-station line, greedy with alternative routing that
+    switches at no margin."""
+    net = line4(first=3600, last=82800)
+    streams = RngStreams(5)
+    bbox = bounding_box_around([s.point for s in net.stations.values()], margin_km=1.0)
+    humans = generate_population(250, bbox, streams)
+    graph = generate_graph(humans, streams, degree_params=(1, 10, 3.0))
+    ev = SocialEvent(id=0, location=net.stations[2].point, start=hms(8, 30), end=hms(9, 30),
+                     age_range=frozenset(range(1, 7)), broadcast_from=hms(7, 30))
+    return World(net, humans, graph, [ev], RngStreams(5), horizon_hours=12,
+                 compartments_per_train=1, pool_compartments=2,
+                 strategy=make_strategy("greedy", alt_routing=True), poll_probability=1.0,
+                 road_speed_kmh=5.0, alt_margin_seconds=0)
+
+
+@pytest.mark.parametrize("build", [seniors_at_a_full_train, greedy_town])
+def test_trip_waits_equal_the_wait_ledger(build):
+    w = build()
+    w.run()
+    assert w.metrics.trips and w.metrics.alt_adopted > 0
+    for rec in w.metrics.trips:
+        booked = sum(wr.end - wr.start for wr in w.metrics.waits
+                     if wr.human == rec.human and rec.start <= wr.start and wr.end <= rec.end)
+        assert rec.wait_seconds == booked, rec
+    # every token left belongs to a rider still queueing for the leg it
+    # boards here: none to a trip that detoured by road
+    for sid, master in w.manager.masters.items():
+        for tok in master.waiting_tokens():
+            leg = w.state[tok.human].trip.current_leg()
+            assert leg is not None and leg.board == sid
+    for rec in w.metrics.trips:
+        if rec.used_alternative:
+            for master in w.manager.masters.values():
+                tid = master.by_human.get(rec.human)
+                assert tid is None or master.outstanding[tid].issued_at >= rec.end
 
 
 def test_full_train_keeps_queue_without_alt_routing():
@@ -246,11 +290,10 @@ def test_dead_route_rescue_returns_token_and_drives():
     dest = net.stations[0].point
     trip = ActiveTrip(0, dest, "regular", None,
                       [TrainLeg("L", +1, 3, 0)], 0, started=9000)
-    tok = w.manager.issue_token(3, 0, 0, 9000)
-    trip.token_id, trip.token_station = tok.id, 3
+    w.manager.issue_token(3, 0, 0, 9000)
     w.state[0].trip = trip
     w.run()
-    assert w.manager.masters[3].occupancy() == 0
+    assert len(w.manager.masters[3].outstanding) == 0
     # rescued at the 10800 sweep: wait closed, road drive finishes the trip
     assert any(r.human == 0 and r.start == 9000 and r.end == 10800
                for r in w.metrics.waits)

@@ -1,15 +1,14 @@
-"""Greedy reallocation rules, decision application, and the full-train hook."""
+"""Greedy reallocation rules, queued compartment moves, and the full-train hook."""
 
 import pytest
 
 from transitsim.city import network_from_dict
 from transitsim.strategies import (
-    BaselineStrategy,
     GreedyReallocation,
     ManagerView,
+    Strategy,
     StrategyDecision,
     TrainView,
-    apply_decision,
     greedy_reallocate,
     make_strategy,
     snapshot,
@@ -117,7 +116,7 @@ def test_donor_never_drops_below_one_compartment():
     assert d.moves == ((2, 0, 1),)
 
 
-def test_apply_decision_routes_through_manager():
+def test_queue_moves_land_at_terminal_service():
     doc = {
         "stations": [{"id": i, "name": f"s{i}", "lat": 1.0 + 0.01 * i, "lon": 103.0}
                      for i in range(3)],
@@ -129,14 +128,16 @@ def test_apply_decision_routes_through_manager():
     net = network_from_dict(doc)
     m = TransportManager(net, compartments_per_train=10, pool_compartments=1)
     total = m.total_compartments()
-    apply_decision(StrategyDecision((("pool", 0, 1),)), m)
+    m.queue_moves(StrategyDecision((("pool", 0, 1),)).moves)
     m.terminal_service(m.trains[0])
     assert m.trains[0].compartments == 11
     assert m.trains[0].capacity == 341
     assert m.unattached == 0
     assert m.total_compartments() == total
-    apply_decision(StrategyDecision(()), m)  # empty decision changes nothing
+    m.queue_moves(StrategyDecision(()).moves)  # empty decision changes nothing
     assert m.total_compartments() == total
+    assert m.attach_claims == {} and all(tr.pending_detach == 0 for tr in m.trains.values())
+    assert m.terminal_service(m.trains[0]) == (0, 0)
 
 
 def test_snapshot_reflects_manager_state():
@@ -166,7 +167,7 @@ def test_full_train_hook_gates_on_alt_routing():
 
 
 def test_strategy_factory():
-    assert isinstance(make_strategy("none"), BaselineStrategy)
+    assert type(make_strategy("none")) is Strategy
     assert isinstance(make_strategy("greedy"), GreedyReallocation)
     with pytest.raises(ValueError):
         make_strategy("optimal")

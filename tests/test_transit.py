@@ -4,6 +4,7 @@ independent re-implementation of the counting procedure)."""
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -108,7 +109,7 @@ def test_token_ledger_counts_presence():
     for tok in toks[:20]:
         m.return_token(1, tok.id, now=500)
     master = m.masters[1]
-    assert master.occupancy() == 30
+    assert len(master.outstanding) == 30
     assert master.issue_count == 50 and master.return_count == 20
     # queue preserves issue order across the gaps
     assert [t.human for t in master.waiting_tokens()] == list(range(20, 50))
@@ -141,8 +142,7 @@ def test_platform_arbitration_longest_halt_wins():
     assert master.request_arrival(7, now=50) is True
     assert master.request_arrival(3, now=100) is False
     assert master.request_arrival(9, now=200) is False
-    admitted = master.release_platform(7)
-    assert admitted == (3, 100)
+    assert master.release_platform(7) == 3
     assert master.platforms == {3}
 
 
@@ -152,8 +152,8 @@ def test_platform_tie_breaks_to_lower_train_id():
     master.request_arrival(4, now=0)
     master.request_arrival(8, now=60)
     master.request_arrival(2, now=60)
-    assert master.release_platform(4) == (2, 60)
-    assert master.release_platform(2) == (8, 60)
+    assert master.release_platform(4) == 2
+    assert master.release_platform(2) == 8
     assert master.release_platform(8) is None
 
 
@@ -184,7 +184,6 @@ def test_next_departure_prefers_live_delayed_train():
     net = linear_net()
     m = TransportManager(net, 2)
     tr = m.trains[0]
-    tr.in_service = True
     tr.direction = +1
     tr.slot_time = 18000
     tr.delay = 180
@@ -378,6 +377,19 @@ def test_slot_before_midnight_can_leave_a_route_without_departures():
     line = TransitLine("A", [0, 1, 2, 3], LineService(120, 30, 600, -1000, -1000))
     asked, missing = departures_seen_by_a_run(TransitNetwork(stations, [line]), 30)
     assert missing and all(now % 86400 > 86400 - 1000 for now, *_ in missing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=st.integers(0, 86399), span=st.integers(0, 86400),
+       headway=st.one_of(st.integers(1, 120), st.integers(121, 100000)),
+       day=st.integers(0, 2))
+def test_slots_in_hour_counts_the_listed_slots(first, span, headway, day):
+    m = TransportManager(linear_net(n=2, run=60, dwell=30, headway=headway,
+                                    first=first, last=first + span), 1)
+    base = day * 86400
+    listed = Counter((s - base) // 3600 for s in m.scheduled_slots("A", day))
+    for hour in range(24):
+        assert m.slots_in_hour("A", day, hour) == listed[hour], hour
 
 
 # compartment moves
