@@ -158,8 +158,8 @@ class World:
     def _finalize(self) -> None:
         now = self.horizon
         for sid, master in self.manager.masters.items():
-            for tok in master.waiting_tokens():
-                self.metrics.record_wait(tok.human, sid, tok.issued_at, now)
+            for human, issued in master.waiting.items():
+                self.metrics.record_wait(human, sid, issued, now)
         self.metrics.close(now)
         self._sweep(now)
         if self.log is not None:
@@ -272,7 +272,7 @@ class World:
     def _on_walk_arrive(self, human: int, now: SimTime) -> None:
         trip = self.state[human].trip
         leg = trip.current_leg()
-        self.manager.issue_token(leg.board, human, leg.alight, now)
+        self.manager.issue_token(leg.board, human, now)
 
     def _on_trip_arrive(self, human: int, now: SimTime) -> None:
         state = self.state[human]
@@ -488,24 +488,24 @@ class World:
                 self.scheduler.schedule(now + trip.egress_seconds, "human",
                                         "trip-arrive", human)
             else:
-                self.manager.issue_token(leg.board, human, leg.alight, now)
+                self.manager.issue_token(leg.board, human, now)
 
     def _board(self, train: Train, station: int, now: SimTime) -> None:
         master = self.manager.masters[station]
         denied = []
-        for tok in master.waiting_tokens():
-            trip = self.state[tok.human].trip
+        for human in list(master.waiting):
+            trip = self.state[human].trip
             leg = trip.current_leg() if trip else None
             if (leg is None or leg.line != train.line
                     or leg.direction != train.direction or leg.board != station):
                 continue
             if train.free_seats() > 0:
-                self._retire_token(tok.human, station, now)
+                self._retire_token(human, station, now)
                 trip.board_time = now
-                train.onboard[tok.human] = leg.alight
+                train.onboard[human] = leg.alight
                 self.boardings += 1
             else:
-                denied.append(tok.human)
+                denied.append(human)
         for human in denied:
             self.full_train_denials += 1
             self._handle_full(human, station, train, now)
@@ -535,8 +535,7 @@ class World:
     def _retire_token(self, human: int, station: int, now: SimTime) -> None:
         """Take the human's token back at the station and book the wait it
         covered in the ledger and on the trip."""
-        master = self.manager.masters[station]
-        waited = self.manager.return_token(station, master.by_human[human], now)
+        waited = self.manager.return_token(station, human, now)
         self.metrics.record_wait(human, station, now - waited, now)
         self.state[human].trip.wait_s += waited
 
@@ -573,7 +572,7 @@ class World:
         trip.ride_s += now - trip.board_time
         leg = trip.current_leg()
         trip.legs[trip.leg_index] = TrainLeg(leg.line, leg.direction, station, leg.alight)
-        self.manager.issue_token(station, human, leg.alight, now)
+        self.manager.issue_token(station, human, now)
 
     # hourly work
 
@@ -594,37 +593,51 @@ class World:
 
     def _rescue_stranded(self, now: SimTime) -> None:
         for sid, master in self.manager.masters.items():
-            for tok in master.waiting_tokens():
-                trip = self.state[tok.human].trip
+            for human in list(master.waiting):
+                trip = self.state[human].trip
                 leg = trip.current_leg() if trip else None
                 if leg is None:
                     continue
                 nd = self.manager.next_departure(leg.line, sid, leg.direction, now)
                 if nd is not None:
                     continue
-                self._retire_token(tok.human, sid, now)
+                self._retire_token(human, sid, now)
                 here = self.network.station(sid).point
                 road = self.planner.road.travel_seconds(here, trip.dest)
-                self._finish_by_road(tok.human, road, now)
+                self._finish_by_road(human, road, now)
 
     def _sweep(self, now: SimTime) -> None:
-        place: dict[int, str] = {}
+        """Besides the platform, ledger, seat and compartment bounds, every
+        token and seat belongs to one human's current leg: a token at the
+        leg's board station, a seat on a train of its line and direction,
+        bound for its alight station."""
+        seen: set[int] = set()
+
+        def place(human: int) -> Optional[TrainLeg]:
+            """Place the human once; returns the leg it is on."""
+            if human in seen:
+                raise ConservationError(f"human {human} present twice")
+            seen.add(human)
+            trip = self.state[human].trip
+            return trip.current_leg() if trip else None
+
         for sid, master in self.manager.masters.items():
             if len(master.platforms) > master.station.platform_count:
                 raise ConservationError(f"platform bound broken at station {sid}")
-            if master.issue_count - master.return_count != len(master.outstanding):
+            if master.issue_count - master.return_count != len(master.waiting):
                 raise ConservationError(f"token ledger unbalanced at station {sid}")
-            for human in master.by_human:
-                if human in place:
-                    raise ConservationError(f"human {human} present twice")
-                place[human] = f"station:{sid}"
+            for human in master.waiting:
+                leg = place(human)
+                if leg is None or leg.board != sid:
+                    raise ConservationError(f"human {human} waits at station {sid} off its leg")
         for tid, train in self.manager.trains.items():
             if len(train.onboard) > train.capacity:
                 raise ConservationError(f"train {tid} over capacity")
-            for human in train.onboard:
-                if human in place:
-                    raise ConservationError(f"human {human} present twice")
-                place[human] = f"train:{tid}"
+            for human, alight in train.onboard.items():
+                leg = place(human)
+                if (leg is None or (leg.line, leg.direction, leg.alight)
+                        != (train.line, train.direction, alight)):
+                    raise ConservationError(f"human {human} rides train {tid} off its leg")
         if self.manager.total_compartments() != self._initial_compartments:
             raise ConservationError("compartments not conserved")
         self.sweeps += 1

@@ -12,6 +12,7 @@ marks such a wait; the late start shows only in that train's delay.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -52,46 +53,34 @@ def initial_capacity(sim_daily_ridership: float, real_daily_ridership: float,
     return compartments * SEATS_PER_COMPARTMENT
 
 
-@dataclass
-class Token:
-    id: int
-    human: int
-    station: int
-    destination: int
-    issued_at: SimTime
-
-
 class StationMaster:
-    """Tracks who is at the station via tokens and who may use a platform."""
+    """Tracks who is at the station via tokens and who may use a platform.
+
+    ``waiting`` maps each human holding a token here to its issue time, in
+    issue order: it is the boarding queue and the open waits at once."""
 
     def __init__(self, station: Station):
         self.station = station
-        self.outstanding: dict[int, Token] = {}  # insertion order = issue order
-        self.by_human: dict[int, int] = {}
+        self.waiting: dict[int, SimTime] = {}
         self.platforms: set[int] = set()
         self.hold_queue: list[tuple[SimTime, int]] = []  # (time it began holding, train)
         self.issue_count = 0
         self.return_count = 0
 
-    def issue(self, token: Token) -> None:
-        if token.human in self.by_human:
+    def issue(self, human: int, now: SimTime) -> None:
+        if human in self.waiting:
             raise DuplicatePresenceError(
-                f"human {token.human} already holds a token at station {self.station.id}")
-        self.outstanding[token.id] = token
-        self.by_human[token.human] = token.id
+                f"human {human} already holds a token at station {self.station.id}")
+        self.waiting[human] = now
         self.issue_count += 1
 
-    def retire(self, token_id: int) -> Token:
-        tok = self.outstanding.pop(token_id, None)
-        if tok is None:
-            raise UnknownTokenError(f"token {token_id} not outstanding at station {self.station.id}")
-        del self.by_human[tok.human]
+    def retire(self, human: int) -> SimTime:
+        """Take the human's token back; returns its issue time."""
+        issued = self.waiting.pop(human, None)
+        if issued is None:
+            raise UnknownTokenError(f"human {human} holds no token at station {self.station.id}")
         self.return_count += 1
-        return tok
-
-    def waiting_tokens(self) -> list[Token]:
-        """Outstanding tokens in issue order (the boarding queue)."""
-        return list(self.outstanding.values())
+        return issued
 
     def request_arrival(self, train_id: int, now: SimTime) -> bool:
         """True = admitted to a platform; False = holds on the approach."""
@@ -125,6 +114,7 @@ class Train:
     at_station: Optional[int] = None
     onboard: dict[int, int] = field(default_factory=dict)  # human -> alight station
     pending_detach: int = 0
+    pending_attach: int = 0
     loops: int = 0              # completed circuits of a circular line this run
 
     @property
@@ -180,8 +170,6 @@ class TransportManager:
         self.active: dict[tuple[str, int], set[int]] = {}    # (line, direction) -> running trains
         self.dispatched_upto: dict[tuple[str, int], SimTime] = {}
         self.unattached = pool_compartments
-        self.attach_claims: dict[int, int] = {}
-        self._token_seq = 0
         self.issue_history: dict[tuple[int, int], int] = {}  # (station, abs hour) -> count
         for line in network.lines.values():
             fleet = self.fleet_size(line)
@@ -209,34 +197,25 @@ class TransportManager:
         round_trip = 2 * (line.one_way_seconds() + svc.dwell_seconds)
         return math.ceil(round_trip / svc.headway_seconds)
 
-    def scheduled_slots(self, line_name: str, day: int) -> list[SimTime]:
+    def scheduled_slots(self, line_name: str, day: int) -> range:
+        """The day's slots ``first + k * headway <= last``, in order."""
         svc = self.network.lines[line_name].service
         base = day * SECONDS_PER_DAY
-        out = []
-        t = svc.first_departure
-        while t <= svc.last_departure:
-            out.append(base + t)
-            t += svc.headway_seconds
-        return out
+        return range(base + svc.first_departure, base + svc.last_departure + 1,
+                     svc.headway_seconds)
 
     def slots_in_hour(self, line_name: str, day: int, hour: int) -> int:
-        """How many of the day's slots ``first + k * headway <= last`` leave
-        in the clock hour; the count is the same every day."""
-        svc = self.network.lines[line_name].service
-        h = svc.headway_seconds
-        lo = hour * SECONDS_PER_HOUR - svc.first_departure  # the hour, from the first slot
-        first_k = max(0, -(-lo // h))
-        last_k = min((svc.last_departure - svc.first_departure) // h,
-                     -(-(lo + SECONDS_PER_HOUR) // h) - 1)
-        return max(0, last_k - first_k + 1)
+        """How many of the day's slots leave in the clock hour; the count is
+        the same every day."""
+        slots = self.scheduled_slots(line_name, day)
+        lo = day * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR
+        return bisect_left(slots, lo + SECONDS_PER_HOUR) - bisect_left(slots, lo)
 
     def next_departure(self, line_name: str, station_id: int, direction: int,
                        t: SimTime, exclude_train: Optional[int] = None) -> Optional[SimTime]:
         """Earliest predicted departure of the route from a station at or
         after t: live trains shifted by their known delays, then still
-        undispatched schedule slots. The first undispatched slot of a day
-        comes from ceiling arithmetic over its first departure, headway and
-        last departure."""
+        undispatched schedule slots, today's or else tomorrow's."""
         if station_id not in self.network.stations:
             raise UnknownStationError(f"unknown station {station_id}")
         line = self.network.lines[line_name]
@@ -247,7 +226,7 @@ class TransportManager:
         offset = p * (svc.run_seconds + svc.dwell_seconds)
         period = line.n * (svc.run_seconds + svc.dwell_seconds)
         best: Optional[SimTime] = None
-        for tid in sorted(self.active[(line_name, direction)]):
+        for tid in self.active[(line_name, direction)]:
             if tid == exclude_train:
                 continue
             train = self.trains[tid]
@@ -265,32 +244,24 @@ class TransportManager:
         earliest = max(self.dispatched_upto[(line_name, direction)] + 1, t - offset)
         day = t // SECONDS_PER_DAY
         for d in (day, day + 1):
-            first = d * SECONDS_PER_DAY + svc.first_departure
-            k = max(0, -((first - earliest) // svc.headway_seconds))
-            slot = first + k * svc.headway_seconds
-            if slot <= d * SECONDS_PER_DAY + svc.last_departure:
-                pred = slot + offset
-                if best is None or pred < best:
-                    best = pred
+            slots = self.scheduled_slots(line_name, d)
+            i = bisect_left(slots, earliest)
+            if i < len(slots) and (best is None or slots[i] + offset < best):
+                best = slots[i] + offset
             if best is not None:
                 break
         return best
 
     # tokens
 
-    def issue_token(self, station_id: int, human: int, destination: int,
-                    now: SimTime) -> Token:
-        tok = Token(self._token_seq, human, station_id, destination, now)
-        self._token_seq += 1
-        self.masters[station_id].issue(tok)
+    def issue_token(self, station_id: int, human: int, now: SimTime) -> None:
+        self.masters[station_id].issue(human, now)
         hour = now // SECONDS_PER_HOUR
         self.issue_history[(station_id, hour)] = self.issue_history.get((station_id, hour), 0) + 1
-        return tok
 
-    def return_token(self, station_id: int, token_id: int, now: SimTime) -> int:
-        """Retire a token; returns the wait duration."""
-        tok = self.masters[station_id].retire(token_id)
-        return now - tok.issued_at
+    def return_token(self, station_id: int, human: int, now: SimTime) -> int:
+        """Retire the human's token; returns the wait duration."""
+        return now - self.masters[station_id].retire(human)
 
     # compartments
 
@@ -321,7 +292,7 @@ class TransportManager:
             if src != "pool":
                 self.trains[src].pending_detach += count
             if dst != "pool":
-                self.attach_claims[dst] = self.attach_claims.get(dst, 0) + count
+                self.trains[dst].pending_attach += count
         # pool -> pool is rejected above via src == dst
 
     def terminal_service(self, train: Train) -> tuple[int, int]:
@@ -337,16 +308,11 @@ class TransportManager:
             train.pending_detach -= 1
             self.unattached += 1
             detached += 1
-        claim = self.attach_claims.get(train.id, 0)
-        while claim > 0 and self.unattached > 0:
+        while train.pending_attach > 0 and self.unattached > 0:
             train.compartments += 1
             self.unattached -= 1
-            claim -= 1
+            train.pending_attach -= 1
             attached += 1
-        if claim:
-            self.attach_claims[train.id] = claim
-        else:
-            self.attach_claims.pop(train.id, None)
         return detached, attached
 
     # ridership

@@ -11,7 +11,7 @@ from transitsim.engine import RngStreams, hms
 from transitsim.events import SocialEvent
 from transitsim.population import Human, Trip, generate_population
 from transitsim.routing import TrainLeg
-from transitsim.simulation import RETRY_SECONDS, ActiveTrip, World
+from transitsim.simulation import RETRY_SECONDS, ActiveTrip, ConservationError, World
 from transitsim.social import SocialGraph, generate_graph
 from transitsim.strategies import make_strategy
 
@@ -176,14 +176,13 @@ def test_trip_waits_equal_the_wait_ledger(build):
     # every token left belongs to a rider still queueing for the leg it
     # boards here: none to a trip that detoured by road
     for sid, master in w.manager.masters.items():
-        for tok in master.waiting_tokens():
-            leg = w.state[tok.human].trip.current_leg()
+        for human in master.waiting:
+            leg = w.state[human].trip.current_leg()
             assert leg is not None and leg.board == sid
     for rec in w.metrics.trips:
         if rec.used_alternative:
             for master in w.manager.masters.values():
-                tid = master.by_human.get(rec.human)
-                assert tid is None or master.outstanding[tid].issued_at >= rec.end
+                assert master.waiting.get(rec.human, rec.end) >= rec.end
 
 
 def test_full_train_keeps_queue_without_alt_routing():
@@ -290,10 +289,10 @@ def test_dead_route_rescue_returns_token_and_drives():
     dest = net.stations[0].point
     trip = ActiveTrip(0, dest, "regular", None,
                       [TrainLeg("L", +1, 3, 0)], 0, started=9000)
-    w.manager.issue_token(3, 0, 0, 9000)
+    w.manager.issue_token(3, 0, 9000)
     w.state[0].trip = trip
     w.run()
-    assert len(w.manager.masters[3].outstanding) == 0
+    assert not w.manager.masters[3].waiting
     # rescued at the 10800 sweep: wait closed, road drive finishes the trip
     assert any(r.human == 0 and r.start == 9000 and r.end == 10800
                for r in w.metrics.waits)
@@ -303,6 +302,43 @@ def test_dead_route_rescue_returns_token_and_drives():
     assert rec[0].road_seconds > 0
     assert w.state[0].trip is None
     assert w.state[0].point == dest
+
+
+def rider_from_1_to_3():
+    net = line4()
+    w = make_world(net, [Human(0, "senior-citizen", 6, net.stations[0].point)],
+                   empty_graph(1), [])
+    w.state[0].trip = ActiveTrip(0, net.stations[3].point, "regular", None,
+                                 [TrainLeg("L", +1, 1, 3)], 0, started=0)
+    return w
+
+
+def test_sweep_refuses_a_token_off_the_holders_leg():
+    w = rider_from_1_to_3()
+    w.manager.issue_token(1, 0, 0)
+    w._sweep(0)
+    w.manager.return_token(1, 0, 0)
+    w.manager.issue_token(2, 0, 0)
+    with pytest.raises(ConservationError, match="human 0 waits at station 2 off its leg"):
+        w._sweep(0)
+    # a token without a trip is off any leg
+    w.state[0].trip = None
+    with pytest.raises(ConservationError, match="off its leg"):
+        w._sweep(0)
+
+
+@pytest.mark.parametrize("direction, alight, clean", [
+    (+1, 3, True), (-1, 3, False), (+1, 2, False)])
+def test_sweep_refuses_a_seat_off_the_riders_leg(direction, alight, clean):
+    w = rider_from_1_to_3()
+    train = w.manager.trains[0]
+    train.direction = direction
+    train.onboard[0] = alight
+    if clean:
+        w._sweep(0)
+    else:
+        with pytest.raises(ConservationError, match="human 0 rides train 0 off its leg"):
+            w._sweep(0)
 
 
 def test_attendee_arrives_within_tolerance_and_returns_after_end():

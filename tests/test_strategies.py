@@ -136,7 +136,7 @@ def test_queue_moves_land_at_terminal_service():
     assert m.total_compartments() == total
     m.queue_moves(StrategyDecision(()).moves)  # empty decision changes nothing
     assert m.total_compartments() == total
-    assert m.attach_claims == {} and all(tr.pending_detach == 0 for tr in m.trains.values())
+    assert all(tr.pending_detach == tr.pending_attach == 0 for tr in m.trains.values())
     assert m.terminal_service(m.trains[0]) == (0, 0)
 
 

@@ -2,6 +2,7 @@
 compartment moves, and the hourly ridership estimate (checked against an
 independent re-implementation of the counting procedure)."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -36,7 +37,6 @@ from transitsim.transit import (
     InvalidMoveError,
     SEATS_PER_COMPARTMENT,
     StationMaster,
-    Token,
     TransportManager,
     UnknownTokenError,
     attendee_source_point,
@@ -105,32 +105,42 @@ def test_circular_fleet_pools_at_anchor():
 def test_token_ledger_counts_presence():
     net = linear_net()
     m = TransportManager(net, 2)
-    toks = [m.issue_token(1, human=h, destination=3, now=100 + h) for h in range(50)]
-    for tok in toks[:20]:
-        m.return_token(1, tok.id, now=500)
+    for h in range(50):
+        m.issue_token(1, human=h, now=100 + h)
+    for h in range(20):
+        m.return_token(1, h, now=500)
     master = m.masters[1]
-    assert len(master.outstanding) == 30
+    assert len(master.waiting) == 30
     assert master.issue_count == 50 and master.return_count == 20
     # queue preserves issue order across the gaps
-    assert [t.human for t in master.waiting_tokens()] == list(range(20, 50))
+    assert list(master.waiting) == list(range(20, 50))
+    # a human who hands a token back and takes a new one rejoins at the back
+    m.return_token(1, 25, now=600)
+    m.issue_token(1, human=25, now=610)
+    assert list(master.waiting) == [h for h in range(20, 50) if h != 25] + [25]
+    assert master.waiting[25] == 610
+    assert master.issue_count == 51 and master.return_count == 21
 
 
 def test_token_errors():
     net = linear_net()
     m = TransportManager(net, 2)
-    m.issue_token(0, human=7, destination=2, now=10)
+    m.issue_token(0, human=7, now=10)
     with pytest.raises(DuplicatePresenceError):
-        m.issue_token(0, human=7, destination=3, now=12)
+        m.issue_token(0, human=7, now=12)
     with pytest.raises(UnknownTokenError):
         m.return_token(0, 999, now=20)
+    # the token is held at station 0, not at station 1
+    with pytest.raises(UnknownTokenError):
+        m.return_token(1, 7, now=20)
 
 
 def test_wait_is_recorded_on_return():
     net = linear_net()
     m = TransportManager(net, 2)
-    tok = m.issue_token(2, human=1, destination=0, now=1000)
-    assert m.return_token(2, tok.id, now=1180) == 180
-    assert not m.masters[2].outstanding
+    m.issue_token(2, human=1, now=1000)
+    assert m.return_token(2, 1, now=1180) == 180
+    assert not m.masters[2].waiting
 
 
 # platforms
@@ -386,8 +396,12 @@ def test_slot_before_midnight_can_leave_a_route_without_departures():
 def test_slots_in_hour_counts_the_listed_slots(first, span, headway, day):
     m = TransportManager(linear_net(n=2, run=60, dwell=30, headway=headway,
                                     first=first, last=first + span), 1)
-    base = day * 86400
-    listed = Counter((s - base) // 3600 for s in m.scheduled_slots("A", day))
+    # the slots listed one by one; they leave at the same clock times each day
+    listed = Counter()
+    t = first
+    while t <= first + span:
+        listed[t // 3600] += 1
+        t += headway
     for hour in range(24):
         assert m.slots_in_hour("A", day, hour) == listed[hour], hour
 
@@ -416,7 +430,7 @@ def test_train_to_train_move_waits_for_the_donated_compartment():
     m.queue_moves([(0, 1, 1)])
     # receiver reaches a terminal first but the pool is still empty
     assert m.terminal_service(m.trains[1]) == (0, 0)
-    assert m.attach_claims[1] == 1
+    assert m.trains[1].pending_attach == 1
     assert m.terminal_service(m.trains[0]) == (1, 0)
     assert m.terminal_service(m.trains[1]) == (0, 1)
     assert m.trains[0].compartments == 1 and m.trains[1].compartments == 3
@@ -557,11 +571,11 @@ def test_estimate_matches_independent_oracle():
                      age_range=frozenset(range(1, 7)), broadcast_from=8 * 3600)
     sets = [(ev, {0, 1, 2, 3})]
     # seed yesterday-equivalent history: estimate for day 1 uses day-0 issues
+    ids = itertools.count(1000)
     for h, c in ((9, 4), (10, 6)):
         for _ in range(c):
-            hid = m._token_seq
-            m.issue_token(2, human=1000 + hid, destination=0, now=h * 3600)
-    m.issue_token(4, human=1, destination=0, now=9 * 3600 + 30)
+            m.issue_token(2, human=next(ids), now=h * 3600)
+    m.issue_token(4, human=1, now=9 * 3600 + 30)
     for day in (0, 1):
         est = m.estimate_ridership(day, sets, humans)
         base, delta = oracle_estimate(net, day, sets, humans, m.issue_history, None)
@@ -627,13 +641,14 @@ def test_cached_estimate_equals_fresh_rebuild():
                           broadcast_from=0)]
     attendees = {0: set(), 1: set()}
     warm = TransportManager(net, 2)
+    ids = itertools.count(1000)
     compared = 0
     for now in range(0, 2 * 86400, 3600):
         day = now // 86400
         for ev in events:
             attendees[ev.id] |= set(rng.sample(range(60), rng.randrange(0, 6)))
         for _ in range(rng.randrange(0, 4)):
-            warm.issue_token(rng.randrange(9), 1000 + warm._token_seq, 0, now)
+            warm.issue_token(rng.randrange(9), next(ids), now)
         if now == 12 * 3600:
             humans = population()  # same ids, new places: nothing stale may survive
         sets = [(ev, set(attendees[ev.id])) for ev in events]
