@@ -187,12 +187,17 @@ class TransitLine:
     def path(self, direction: int) -> list[int]:
         return list(self.station_ids) if direction == +1 else list(reversed(self.station_ids))
 
+    def ride_seconds(self, a: int, b: int, direction: int) -> int:
+        """Scheduled seconds aboard from a to b in the given direction: one
+        run per hop and a dwell at every stop in between."""
+        k = self.hops(a, b, direction)
+        return k * self.service.run_seconds + max(0, k - 1) * self.service.dwell_seconds
+
     def one_way_seconds(self) -> int:
         """Terminal-to-terminal time (full loop time for circular lines)."""
         if self.circular:
             return self.n * (self.service.run_seconds + self.service.dwell_seconds)
-        hops = self.n - 1
-        return hops * self.service.run_seconds + (self.n - 2) * self.service.dwell_seconds
+        return self.ride_seconds(self.station_ids[0], self.station_ids[-1], +1)
 
 
 class UnknownStationError(KeyError):

@@ -46,10 +46,6 @@ class TripRecord:
     human: int
     start: SimTime
     end: SimTime
-    road_seconds: int
-    wait_seconds: int
-    ride_seconds: int
-    used_alternative: bool = False
 
     @property
     def total_seconds(self) -> int:

@@ -257,14 +257,12 @@ def _destinations(humans: Sequence[Human], kept: np.ndarray, j: int, ids: np.nda
     pending = np.arange(count)
     n = 0
     while len(pending):
-        # attempt n // 2 draws (lat, lon) at indices k0 + n and k0 + n + 1,
-        # vectorised within the budget, as scalar (k0, n) draws beyond it
-        if n < 2 * POINT_BUDGET:
-            u_lat, u_lon = (keyed_uniform_batch(streams, "trips", (), drawn_ids[pending],
-                                                suffix=(day, k0 + n + x)) for x in (0, 1))
-        else:
-            u_lat, u_lon = (np.array([streams.keyed_uniform("trips", int(hid), day, k0, n + x)
-                                      for hid in drawn_ids[pending]]) for x in (0, 1))
+        # attempt n // 2 draws (lat, lon) at indices k0 + n and k0 + n + 1
+        # within the budget, at keys (k0, n) and (k0, n + 1) beyond it
+        keys = ([(day, k0 + n), (day, k0 + n + 1)] if n < 2 * POINT_BUDGET
+                else [(day, k0, n), (day, k0, n + 1)])
+        u_lat, u_lon = (keyed_uniform_batch(streams, "trips", (), drawn_ids[pending], suffix=key)
+                        for key in keys)
         n += 2
         lat = c_lat[pending] + (-d_lat[pending] + 2 * d_lat[pending] * u_lat)
         lon = c_lon[pending] + (-d_lon[pending] + 2 * d_lon[pending] * u_lon)

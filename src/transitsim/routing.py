@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
 
-from .city import GeoPoint, RoadRouter, TransitNetwork
+from .city import GeoPoint, RoadRouter, Station, TransitNetwork
 from .engine import SimTime
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class TrainLeg:
 
 @dataclass(frozen=True)
 class Route:
-    origin: GeoPoint
-    dest: GeoPoint
-    board_station: Optional[int]
-    alight_station: Optional[int]
     legs: tuple[TrainLeg, ...]
     access_seconds: int   # road: origin -> boarding station (or full trip if road-only)
     wait_seconds: int     # estimated platform waits, first boarding + transfers
@@ -43,8 +39,8 @@ class Route:
         return not self.legs
 
 
-def _road_route(origin: GeoPoint, dest: GeoPoint, seconds: int) -> Route:
-    return Route(origin, dest, None, None, (), seconds, 0, 0, 0, seconds)
+def _road_route(seconds: int) -> Route:
+    return Route((), seconds, 0, 0, 0, seconds)
 
 
 class RoutePlanner:
@@ -68,21 +64,7 @@ class RoutePlanner:
         time-independent and cached per (board station, alight station).
         The network must not change after the planner is built.
         """
-        road_total = self.road.travel_seconds(origin, dest)
-        b = self.network.nearest_station(origin)
-        a = self.network.nearest_station(dest)
-        if b.id == a.id:
-            return _road_route(origin, dest, road_total)
-        rail = self._cached_rail_path((b.id, a.id), b.id, a.id)
-        if rail is None:
-            return _road_route(origin, dest, road_total)
-        legs, wait_s, ride_s = rail
-        access = self.road.travel_seconds(origin, b.point)
-        egress = self.road.travel_seconds(a.point, dest)
-        total = access + wait_s + ride_s + egress
-        if road_total < total:
-            return _road_route(origin, dest, road_total)
-        return Route(origin, dest, b.id, a.id, legs, access, wait_s, ride_s, egress, total)
+        return self._fastest(origin, dest, self.network.nearest_station(origin))
 
     def alternative(self, station_id: int, dest: GeoPoint, current_first: tuple[str, int],
                     inquiry, t: SimTime, exclude_train: Optional[int] = None) -> Route:
@@ -96,32 +78,41 @@ class RoutePlanner:
         station, first waits): riders left behind by the same train see the
         same live waits.
         """
-        here = self.network.station(station_id).point
-        road_total = self.road.travel_seconds(here, dest)
-        alight = self.network.nearest_station(dest)
         first_waits: dict[tuple[str, int], int] = {}
         for route in self.network.routes_at(station_id):
             skip = exclude_train if route == current_first else None
             dep = inquiry.next_departure(route[0], station_id, route[1], t, exclude_train=skip)
             if dep is not None:
                 first_waits[route] = dep - t
-        rail = None
-        if alight.id != station_id and first_waits:
-            key = (station_id, alight.id, tuple(sorted(first_waits.items())))
-            rail = self._cached_rail_path(key, station_id, alight.id, first_waits=first_waits)
-        if rail is None:
-            return _road_route(here, dest, road_total)
-        legs, wait_s, ride_s = rail
-        egress = self.road.travel_seconds(alight.point, dest)
-        total = wait_s + ride_s + egress
-        if road_total < total:
-            return _road_route(here, dest, road_total)
-        return Route(here, dest, station_id, alight.id, legs, 0, wait_s, ride_s, egress, total)
+        board = self.network.station(station_id)
+        return self._fastest(board.point, dest, board, first_waits)
 
-    def _cached_rail_path(self, key: tuple, src: int, dst: int, **search):
-        if key not in self._rail_paths:
-            self._rail_paths[key] = self._rail_path(src, dst, **search)
-        return self._rail_paths[key]
+    def _fastest(self, here: GeoPoint, dest: GeoPoint, board: Station,
+                 first_waits: Optional[dict[tuple[str, int], int]] = None) -> Route:
+        """Rail from ``board`` to the station nearest ``dest``, reached from
+        ``here`` by road, or the road all the way if that is strictly
+        faster or no rail path exists. ``first_waits`` prices the first
+        boarding as in ``_rail_path`` and joins the memo key; left empty,
+        it leaves only the road."""
+        road_total = self.road.travel_seconds(here, dest)
+        alight = self.network.nearest_station(dest)
+        rail = None
+        if alight.id != board.id and first_waits != {}:
+            key = (board.id, alight.id)
+            if first_waits is not None:
+                key += (tuple(sorted(first_waits.items())),)
+            if key not in self._rail_paths:
+                self._rail_paths[key] = self._rail_path(board.id, alight.id, first_waits)
+            rail = self._rail_paths[key]
+        if rail is None:
+            return _road_route(road_total)
+        legs, wait_s, ride_s = rail
+        access = self.road.travel_seconds(here, board.point)
+        egress = self.road.travel_seconds(alight.point, dest)
+        total = access + wait_s + ride_s + egress
+        if road_total < total:
+            return _road_route(road_total)
+        return Route(legs, access, wait_s, ride_s, egress, total)
 
     def _rail_path(self, src: int, dst: int,
                    first_waits: Optional[dict[tuple[str, int], int]] = None):
@@ -194,9 +185,6 @@ class RoutePlanner:
                 wait_s += w
             state = prev
         legs.reverse()
-        ride_s = 0
-        for leg in legs:
-            line = self.network.lines[leg.line]
-            k = line.hops(leg.board, leg.alight, leg.direction)
-            ride_s += k * line.service.run_seconds + (k - 1) * line.service.dwell_seconds
-        return tuple(legs), int(round(wait_s)), int(ride_s)
+        ride_s = sum(net.lines[leg.line].ride_seconds(leg.board, leg.alight, leg.direction)
+                     for leg in legs)
+        return tuple(legs), int(round(wait_s)), ride_s

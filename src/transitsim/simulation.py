@@ -31,7 +31,7 @@ from .events import BroadcastFeed, EventEndedError, SocialEvent, decide_attendan
 from .metrics import MetricsLedger, TripRecord
 from .population import Human, Trip, daily_trips
 from .routing import Route, RoutePlanner, TrainLeg
-from .social import ActivationState, SocialGraph, spread
+from .social import SocialGraph, spread
 from .strategies import Strategy, snapshot
 from .transit import Train, TransportManager
 
@@ -44,19 +44,12 @@ class ConservationError(RuntimeError):
 
 @dataclass
 class ActiveTrip:
-    human: int
     dest: GeoPoint
-    purpose: str                       # regular | event | event-return
-    event_id: Optional[int]
     legs: list[TrainLeg]
     egress_seconds: int
     started: SimTime
+    event_id: Optional[int] = None     # set on the way to an event only
     leg_index: int = 0
-    board_time: SimTime = 0
-    wait_s: int = 0
-    ride_s: int = 0
-    road_s: int = 0
-    used_alt: bool = False
 
     def current_leg(self) -> Optional[TrainLeg]:
         if self.leg_index < len(self.legs):
@@ -103,7 +96,6 @@ class World:
         # the base strategy ignores the hourly demand view, so it is only
         # built for a strategy that overrides on_hour
         self._hourly_view = type(strategy).on_hour is not Strategy.on_hour
-        self.activation = {ev.id: ActivationState(event_key=ev.id) for ev in self.events}
         self.attendees: dict[int, set[int]] = {ev.id: set() for ev in self.events}
         self.spread_frontier: dict[int, list[int]] = {ev.id: [] for ev in self.events}
         self.pending_slots: dict[tuple[str, int], deque[tuple[SimTime, int]]] = {
@@ -210,7 +202,7 @@ class World:
         origin = self.state[human].point
         if origin != trip.dest:
             route = self.planner.plan(origin, trip.dest)
-            self._begin_trip(human, trip.dest, "regular", None, route, now)
+            self._begin_trip(human, trip.dest, route, now)
         self._release_pending(human, now)
 
     def _wait_turn(self, human: int, kind: str, payload, now: SimTime) -> bool:
@@ -255,18 +247,14 @@ class World:
             del queue[0]
         self.pending.pop(human, None)
 
-    def _begin_trip(self, human: int, dest: GeoPoint, purpose: str,
-                    event_id: Optional[int], route: Route, now: SimTime) -> None:
-        state = self.state[human]
-        trip = ActiveTrip(human, dest, purpose, event_id, list(route.legs),
-                          route.egress_seconds, now)
-        state.trip = trip
+    def _begin_trip(self, human: int, dest: GeoPoint, route: Route, now: SimTime,
+                    event_id: Optional[int] = None) -> None:
+        self.state[human].trip = ActiveTrip(dest, list(route.legs), route.egress_seconds,
+                                            now, event_id)
         self.trips_started += 1
         if route.road_only:
-            trip.road_s = route.total_seconds
             self.scheduler.schedule(now + route.total_seconds, "human", "trip-arrive", human)
         else:
-            trip.road_s += route.access_seconds
             self.scheduler.schedule(now + route.access_seconds, "human", "walk-arrive", human)
 
     def _on_walk_arrive(self, human: int, now: SimTime) -> None:
@@ -279,10 +267,8 @@ class World:
         trip = state.trip
         state.trip = None
         state.point = trip.dest
-        self.metrics.record_trip(TripRecord(
-            human, trip.started, now, trip.road_s, trip.wait_s, trip.ride_s,
-            trip.used_alt))
-        if trip.purpose == "event":
+        self.metrics.record_trip(TripRecord(human, trip.started, now))
+        if trip.event_id is not None:
             ev = self.events[trip.event_id]
             if now < ev.end:
                 state.at_event = ev.id
@@ -291,7 +277,7 @@ class World:
             home = self.humans[human].home
             if state.point != home:
                 route = self.planner.plan(state.point, home)
-                self._begin_trip(human, home, "event-return", ev.id, route, now)
+                self._begin_trip(human, home, route, now)
         self._release_pending(human, now)
 
     # events and diffusion
@@ -319,19 +305,21 @@ class World:
         attempt still spends its edge: a node posts only in the round after
         it first activates."""
         for ev in self.events:
-            st = self.activation[ev.id]
             if now >= ev.end:
                 self.spread_frontier[ev.id] = []
                 continue
-            nxt = spread(self.graph, st.active, self.spread_frontier[ev.id], st.event_key,
+            active = self.attendees[ev.id]
+            nxt = spread(self.graph, active, self.spread_frontier[ev.id], ev.id,
                          self.streams, accept=lambda h: self._affirm(h, ev, now))
             for h in sorted(fresh.get(ev.id, [])):
-                if h not in st.active and self._affirm(h, ev, now):
-                    st.active.add(h)
+                if h not in active and self._affirm(h, ev, now):
+                    active.add(h)
                     nxt.append(h)
             self.spread_frontier[ev.id] = nxt
 
     def _affirm(self, human: int, ev: SocialEvent, now: SimTime) -> bool:
+        """Whether the human commits to the event, scheduling its departure
+        if so; the caller then adds it to the event's attendees."""
         state = self.state[human]
         if state.at_event is not None:
             return False
@@ -342,7 +330,6 @@ class World:
             return False
         if route is None:
             return False
-        self.attendees[ev.id].add(human)
         depart = max(now, ev.start - route.total_seconds)
         if depart <= self.horizon:
             self.scheduler.schedule(depart, "human", "attend-depart", (human, ev.id))
@@ -355,7 +342,7 @@ class World:
         ev = self.events[ev_id]
         if now < ev.end and state.point != ev.location:
             route = self.planner.plan(state.point, ev.location)
-            self._begin_trip(human, ev.location, "event", ev_id, route, now)
+            self._begin_trip(human, ev.location, route, now, event_id=ev_id)
         self._release_pending(human, now)
 
     def _on_event_return(self, ev_id: int, now: SimTime) -> None:
@@ -370,7 +357,7 @@ class World:
                 self._release_pending(human, now)
                 continue
             route = self.planner.plan(state.point, home)
-            self._begin_trip(human, home, "event-return", ev_id, route, now)
+            self._begin_trip(human, home, route, now)
 
     # trains
 
@@ -480,11 +467,9 @@ class World:
         for human in leaving:
             del train.onboard[human]
             trip = self.state[human].trip
-            trip.ride_s += now - trip.board_time
             trip.leg_index += 1
             leg = trip.current_leg()
             if leg is None:
-                trip.road_s += trip.egress_seconds
                 self.scheduler.schedule(now + trip.egress_seconds, "human",
                                         "trip-arrive", human)
             else:
@@ -501,7 +486,6 @@ class World:
                 continue
             if train.free_seats() > 0:
                 self._retire_token(human, station, now)
-                trip.board_time = now
                 train.onboard[human] = leg.alight
                 self.boardings += 1
             else:
@@ -524,7 +508,6 @@ class World:
         if alt.total_seconds + self.alt_margin >= stay:
             return
         self.metrics.alt_adopted += 1
-        trip.used_alt = True
         if alt.road_only:
             self._retire_token(human, station, now)
             self._finish_by_road(human, alt.total_seconds, now)
@@ -534,16 +517,14 @@ class World:
 
     def _retire_token(self, human: int, station: int, now: SimTime) -> None:
         """Take the human's token back at the station and book the wait it
-        covered in the ledger and on the trip."""
+        covered in the ledger."""
         waited = self.manager.return_token(station, human, now)
         self.metrics.record_wait(human, station, now - waited, now)
-        self.state[human].trip.wait_s += waited
 
     def _finish_by_road(self, human: int, seconds: int, now: SimTime) -> None:
         """Drop the trip's remaining legs and drive the rest of the way."""
         trip = self.state[human].trip
         trip.legs = trip.legs[:trip.leg_index]
-        trip.road_s += seconds
         self.scheduler.schedule(now + seconds, "human", "trip-arrive", human)
 
     def _stay_cost(self, trip: ActiveTrip, station: int, now: SimTime,
@@ -558,9 +539,7 @@ class World:
         for i in range(trip.leg_index, len(trip.legs)):
             lg = trip.legs[i]
             line = self.network.lines[lg.line]
-            hops = line.hops(lg.board, lg.alight, lg.direction)
-            total += hops * line.service.run_seconds
-            total += max(0, hops - 1) * line.service.dwell_seconds
+            total += line.ride_seconds(lg.board, lg.alight, lg.direction)
             if i > trip.leg_index:
                 total += line.service.headway_seconds / 2.0
         return total + trip.egress_seconds
@@ -569,7 +548,6 @@ class World:
         """A ride ended early because the train retired; the rider rejoins
         the queue here with the leg rebased so the next train can take it."""
         trip = self.state[human].trip
-        trip.ride_s += now - trip.board_time
         leg = trip.current_leg()
         trip.legs[trip.leg_index] = TrainLeg(leg.line, leg.direction, station, leg.alight)
         self.manager.issue_token(station, human, now)

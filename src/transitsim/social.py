@@ -16,7 +16,6 @@ cascade and the simulator, which runs one round per feed cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -210,31 +209,15 @@ def spread(graph: SocialGraph, active: set[int], posters: Iterable[int], event_k
     return fresh
 
 
-@dataclass
-class ActivationState:
-    """Cascade bookkeeping for one event; survives across seed arrivals."""
-
-    event_key: int
-    active: set[int] = field(default_factory=set)
-
-    def absorb(self, graph: SocialGraph, seeds: Iterable[int], streams: RngStreams) -> set[int]:
-        """Add seeds and run spread rounds until nothing new activates.
-        Returns every node activated by this call."""
-        frontier = sorted(set(seeds) - self.active)
-        self.active.update(frontier)
-        newly = set(frontier)
-        while frontier:
-            frontier = spread(graph, self.active, frontier, self.event_key, streams)
-            newly.update(frontier)
-        return newly
-
-
 def cascade(graph: SocialGraph, seeds: Iterable[int], event_key: int,
             streams: RngStreams) -> set[int]:
-    """One-shot independent cascade from a seed set."""
-    state = ActivationState(event_key)
-    state.absorb(graph, seeds, streams)
-    return state.active
+    """One-shot independent cascade from a seed set: spread rounds until
+    nothing new activates. Returns every active node, seeds included."""
+    active = set(seeds)
+    frontier = sorted(active)
+    while frontier:
+        frontier = spread(graph, active, frontier, event_key, streams)
+    return active
 
 
 def cascade_trial_batch(graph: SocialGraph, seeds: Iterable[int], trials: int,

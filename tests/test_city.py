@@ -191,6 +191,24 @@ def test_circular_line_geometry():
     assert ring.terminal(+1) == 10 and ring.terminal(-1) == 10
 
 
+@pytest.mark.parametrize("circular", [False, True])
+def test_ride_seconds_equals_a_walk_along_the_path(circular):
+    svc = LineService(run_seconds=100, dwell_seconds=7, headway_seconds=300,
+                      first_departure=0, last_departure=3600)
+    line = TransitLine("R", [5, 2, 9, 7, 4], svc, circular=circular)
+    for d in (+1, -1):
+        path = line.path(d)
+        n = len(path)
+        for i, a in enumerate(path):
+            assert line.ride_seconds(a, a, d) == 0
+            # walk on from a, past the anchor on a loop, adding a dwell at
+            # every stop passed and a run per hop
+            seconds = 0
+            for hop in range(1, n if circular else n - i):
+                seconds += (svc.dwell_seconds if hop > 1 else 0) + svc.run_seconds
+                assert line.ride_seconds(a, path[(i + hop) % n], d) == seconds
+
+
 def test_linear_line_hops_and_next():
     line = TransitLine("EW", [0, 1, 2], SVC)
     assert line.next_station(2, +1) is None

@@ -28,6 +28,14 @@ CITY_12H_SHA256 = {
     "wait.csv": "e32d37436fbb7dcf",
 }
 
+# the same for singapore-like as shipped (24 h)
+CITY_SHA256 = {
+    "event.log": "2ff6d1153e281088",
+    "summary.csv": "9370e9b6a8ffb0e9",
+    "usage.csv": "d19947c7bee83870",
+    "wait.csv": "e2e9bcbdb4075fd3",
+}
+
 # the same for desk under the greedy strategy with alternative routing, which
 # reaches the ridership estimate and the full-train detours
 DESK_GREEDY_ALT_SHA256 = {
@@ -78,6 +86,11 @@ def test_city_bytes_match_across_hash_seeds(tmp_path):
                              lambda doc: doc.update(horizon_hours=12),
                              tmp_path / "singapore-like-12h.yaml")
     assert_bytes_match_across_hash_seeds(scenario, CITY_12H_SHA256, tmp_path)
+
+
+def test_singapore_like_bytes_match_across_hash_seeds(tmp_path):
+    assert_bytes_match_across_hash_seeds(ROOT / "scenarios" / "singapore-like.yaml",
+                                         CITY_SHA256, tmp_path)
 
 
 def test_desk_greedy_alt_bytes_match_across_hash_seeds(tmp_path):

@@ -196,8 +196,8 @@ def test_section_aggregates_match_manual_ledger_replay():
 def test_avg_total_travel_absent_without_trips():
     led = MetricsLedger()
     assert avg_total_travel(led, 0, 3600) is None
-    led.record_trip(TripRecord(0, 100, 3100, 600, 300, 1800))
-    led.record_trip(TripRecord(1, 200, 5200, 0, 0, 0))
+    led.record_trip(TripRecord(0, 100, 3100))
+    led.record_trip(TripRecord(1, 200, 5200))
     assert avg_total_travel(led, 0, 3600) == pytest.approx(3000.0)
     assert avg_total_travel(led, 0, 7200) == pytest.approx(4000.0)
 
@@ -216,7 +216,7 @@ def write_report(tmpdir, name):
     for i in range(10):
         led.record_visit(i * 300, 0, "L", i)
     led.record_wait(3, 4, 120, 480)
-    led.record_trip(TripRecord(3, 0, 2400, 300, 360, 1740, used_alternative=True))
+    led.record_trip(TripRecord(3, 0, 2400))
     led.alt_considered, led.alt_adopted = 4, 1
     led.close(2 * 3600)
     out = os.path.join(tmpdir, name)

@@ -1,6 +1,7 @@
 """World-level behavior: schedule coverage, conservation sweeps, keyed-stream
-run pairing, diffusion pacing, full-train rerouting, busy-human deferral, and
-the dead-route rescue fallback."""
+run pairing, diffusion pacing, the cascade as the world runs it, full-train
+rerouting, riders aboard at end of service, busy-human deferral, and the
+dead-route rescue fallback."""
 
 import json
 
@@ -12,6 +13,7 @@ from transitsim.events import SocialEvent
 from transitsim.population import Human, Trip, generate_population
 from transitsim.routing import TrainLeg
 from transitsim.simulation import RETRY_SECONDS, ActiveTrip, ConservationError, World
+import transitsim.social as social
 from transitsim.social import SocialGraph, generate_graph
 from transitsim.strategies import make_strategy
 
@@ -107,11 +109,68 @@ def test_diffusion_advances_one_round_per_poll_cycle():
     # 2 was offered too late to arrive within tolerance and declined
     assert w.attendees[0] == {0, 1}
     assert w.spread_frontier[0] == []
-    assert w.activation[0].active == {0, 1}
     assert w.state[1].at_event == 0
     assert w.state[1].point == ev.location
     w.run()
     assert w.attendees[0] == {0, 1}
+
+
+def test_simulated_cascade_posts_each_attendee_once(monkeypatch):
+    """The cascade the world runs: seeds come in over several feed cycles,
+    each (event, poster) draws its followers' coins at most once, and the
+    posters are exactly the attendees."""
+    draws = []
+    real = social.keyed_uniform_batch
+
+    def counting(streams, name, prefix, varying, suffix=()):
+        draws.append(prefix)
+        return real(streams, name, prefix, varying, suffix)
+
+    monkeypatch.setattr(social, "keyed_uniform_batch", counting)
+    net = line4()
+    at0 = net.stations[0].point
+    humans = [Human(i, "senior-citizen", 6, at0) for i in range(4)]
+    # a ring of sure-thing edges: i follows i - 1
+    graph = SocialGraph([[3], [0], [1], [2]], [[1.0]] * 4)
+    ev = SocialEvent(id=0, location=net.stations[3].point, start=hms(8, 0), end=hms(9, 0),
+                     age_range=frozenset({6}), broadcast_from=3600)
+    w = make_world(net, humans, graph, [ev], horizon=10, poll_probability=0.5)
+    w.run()
+    assert len(draws) == len(set(draws))
+    assert sorted(poster for _, poster in draws) == sorted(w.attendees[0])
+
+
+def test_riders_aboard_at_end_of_service_rejoin_the_platform():
+    """The last loop of a circular line retires at its anchor with a rider
+    aboard: the rider waits there on the rest of the leg and rides on."""
+    doc = {
+        "stations": [{"id": i, "name": f"s{i}", "lat": 1.0, "lon": 103.0 + 0.01 * i}
+                     for i in range(5)],
+        "lines": [{"name": "R", "stations": [0, 1, 2, 3, 4], "circular": True,
+                   "service": {"run_seconds": 120, "dwell_seconds": 30,
+                               "headway_seconds": 600, "first_departure": 3600,
+                               "last_departure": 7200}}],
+    }
+    net = network_from_dict(doc)
+    at4, at1 = net.stations[4].point, net.stations[1].point
+    w = make_world(net, [Human(0, "senior-citizen", 6, at4)], empty_graph(1), [], horizon=3)
+    w.scheduler.schedule(7700, "human", "trip-start", Trip(0, "home", "other", 0, 0, 7700, at4, at1))
+    resumed = []
+    resume = w._resume_from_platform
+
+    def spy(human, station, now):
+        resume(human, station, now)
+        resumed.append((station, now, w.state[human].trip.current_leg()))
+
+    w._resume_from_platform = spy
+    w.run()
+    assert resumed == [(0, 7920, TrainLeg("R", +1, 0, 1))]
+    assert [(r.station, r.start, r.end) for r in w.metrics.waits] == [
+        (4, 7700, 7800), (0, 7920, 7950)]
+    assert [(r.start, r.end) for r in w.metrics.trips] == [(7700, 8070)]
+    assert w.state[0].point == at1 and w.state[0].trip is None
+    # hour ticks 0..3 plus the closing sweep, none raised
+    assert w.sweeps == 5
 
 
 def seniors_at_a_full_train():
@@ -139,10 +198,7 @@ def test_full_train_spills_to_road_when_margin_met():
     assert w.full_train_denials == 9
     assert w.metrics.alt_considered == 9
     assert w.metrics.alt_adopted == 9
-    rerouted = [t for t in w.metrics.trips if t.used_alternative]
-    assert len(rerouted) == 9
     late = ev.start + ev.tau
-    assert all(t.road_seconds > 0 and t.end <= late for t in rerouted)
     # everyone made it to the venue within the lateness tolerance
     arrived = {t.human for t in w.metrics.trips if t.end <= late}
     assert arrived == set(range(40))
@@ -165,24 +221,19 @@ def greedy_town():
 
 
 @pytest.mark.parametrize("build", [seniors_at_a_full_train, greedy_town])
-def test_trip_waits_equal_the_wait_ledger(build):
+def test_tokens_left_belong_to_queueing_riders(build):
     w = build()
     w.run()
     assert w.metrics.trips and w.metrics.alt_adopted > 0
-    for rec in w.metrics.trips:
-        booked = sum(wr.end - wr.start for wr in w.metrics.waits
-                     if wr.human == rec.human and rec.start <= wr.start and wr.end <= rec.end)
-        assert rec.wait_seconds == booked, rec
     # every token left belongs to a rider still queueing for the leg it
-    # boards here: none to a trip that detoured by road
+    # boards here: none to a trip that has finished, by rail or by road
     for sid, master in w.manager.masters.items():
         for human in master.waiting:
             leg = w.state[human].trip.current_leg()
             assert leg is not None and leg.board == sid
     for rec in w.metrics.trips:
-        if rec.used_alternative:
-            for master in w.manager.masters.values():
-                assert master.waiting.get(rec.human, rec.end) >= rec.end
+        for master in w.manager.masters.values():
+            assert master.waiting.get(rec.human, rec.end) >= rec.end
 
 
 def test_full_train_keeps_queue_without_alt_routing():
@@ -287,8 +338,7 @@ def test_dead_route_rescue_returns_token_and_drives():
     w.scheduler.run_until(9000, w._handle)
     # a leg pointing past the end of the line can never board
     dest = net.stations[0].point
-    trip = ActiveTrip(0, dest, "regular", None,
-                      [TrainLeg("L", +1, 3, 0)], 0, started=9000)
+    trip = ActiveTrip(dest, [TrainLeg("L", +1, 3, 0)], 0, started=9000)
     w.manager.issue_token(3, 0, 9000)
     w.state[0].trip = trip
     w.run()
@@ -298,8 +348,7 @@ def test_dead_route_rescue_returns_token_and_drives():
                for r in w.metrics.waits)
     rec = [t for t in w.metrics.trips if t.human == 0]
     assert len(rec) == 1
-    assert rec[0].wait_seconds == 1800
-    assert rec[0].road_seconds > 0
+    assert rec[0].end == 10800 + w.planner.road.travel_seconds(net.stations[3].point, dest)
     assert w.state[0].trip is None
     assert w.state[0].point == dest
 
@@ -308,8 +357,8 @@ def rider_from_1_to_3():
     net = line4()
     w = make_world(net, [Human(0, "senior-citizen", 6, net.stations[0].point)],
                    empty_graph(1), [])
-    w.state[0].trip = ActiveTrip(0, net.stations[3].point, "regular", None,
-                                 [TrainLeg("L", +1, 1, 3)], 0, started=0)
+    w.state[0].trip = ActiveTrip(net.stations[3].point, [TrainLeg("L", +1, 1, 3)], 0,
+                                 started=0)
     return w
 
 
@@ -359,7 +408,7 @@ def test_attendee_arrives_within_tolerance_and_returns_after_end():
     assert w.state[0].point == at0
     # only the day's own plans may have set out again since
     trip = w.state[0].trip
-    assert trip is None or (trip.purpose == "regular" and trip.started > back[0].end)
+    assert trip is None or (trip.event_id is None and trip.started > back[0].end)
 
 
 def test_event_log_lines_equal_json_dumps(tmp_path):

@@ -11,7 +11,6 @@ from transitsim.engine import RngStreams
 from transitsim.population import Human, generate_population
 import transitsim.social as social
 from transitsim.social import (
-    ActivationState,
     InfeasibleDegreeError,
     SocialGraph,
     _sample_degrees,
@@ -232,7 +231,7 @@ def test_cascade_path_monte_carlo_vs_enumeration():
 
 def test_cascade_single_attempt_per_edge(monkeypatch):
     """Each (event, poster) draws its followers' coins at most once, so no
-    edge is tried twice, also when seeds arrive one absorb at a time."""
+    edge is tried twice."""
     draws = []
     real = social.keyed_uniform_batch
 
@@ -246,29 +245,12 @@ def test_cascade_single_attempt_per_edge(monkeypatch):
     g = SocialGraph(following, probs)
     streams = RngStreams(1)
     active = cascade(g, [0], 5, streams)
-    state = ActivationState(6)
-    state.absorb(g, [0], streams)
-    state.absorb(g, [1, 2], streams)
     prefixes = [prefix for prefix, _ in draws]
     assert len(prefixes) == len(set(prefixes))
     # every active node posted once, to all of its followers
-    assert sorted(poster for ev, poster in prefixes if ev == 5) == sorted(active)
-    assert sorted(poster for ev, poster in prefixes if ev == 6) == [0, 1, 2]
+    assert sorted(poster for _, poster in prefixes) == sorted(active)
     for (_, poster), followers in draws:
         assert followers == g.followers_of(poster)[0].tolist()
-
-
-def test_incremental_absorb_equals_batch():
-    streams = RngStreams(13)
-    following = [[1, 3], [2], [0, 3], [1]]
-    probs = [[0.6, 0.4], [0.7], [0.5, 0.2], [0.9]]
-    g = SocialGraph(following, probs)
-    for ev in range(40):
-        batch = cascade(g, [0, 2], ev, streams)
-        state = ActivationState(ev)
-        state.absorb(g, [0], streams)
-        state.absorb(g, [2], streams)
-        assert state.active == batch
 
 
 @settings(max_examples=60, deadline=None)
