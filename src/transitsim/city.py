@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,33 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     dlo = lo2 - lo1
     h = math.sin(dla / 2) ** 2 + math.cos(la1) * math.cos(la2) * math.sin(dlo / 2) ** 2
     return 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+
+
+def _math_map(fn, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def radians_and_cos(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Points given in degrees as a (3, n) array of latitude and longitude in
+    radians and the cosine of latitude, as haversine_km takes them."""
+    la, lo = _math_map(math.radians, lat), _math_map(math.radians, lon)
+    return np.stack([la, lo, _math_map(math.cos, la)])
+
+
+def haversine_km_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """haversine_km between the columns of two ``radians_and_cos`` arrays,
+    bit for bit.
+
+    numpy's sin, arcsin and square may differ from libm's ``sin``, ``asin``
+    and ``pow(x, 2.0)`` in the last bit, so those steps go through ``math``
+    one value at a time; the rest is IEEE arithmetic, exact either way.
+    """
+    def sin_half_squared(d):
+        sines = map(math.sin, (d / 2).tolist())
+        return np.fromiter(map(math.pow, sines, repeat(2.0)), dtype=np.float64, count=len(d))
+
+    h = sin_half_squared(b[0] - a[0]) + a[2] * b[2] * sin_half_squared(b[1] - a[1])
+    return 2 * EARTH_RADIUS_KM * _math_map(math.asin, np.minimum(1.0, np.sqrt(h)))
 
 
 @dataclass(frozen=True)
@@ -231,12 +259,10 @@ class TransitNetwork:
             for sid, ms in self.memberships.items()}
         self._ordered_ids = sorted(self.stations)
         self._nearest: dict[GeoPoint, Station] = {}
-        # radians and cos-latitude per station in id order, taken with the
-        # same scalar calls haversine_km makes
+        # radians and cos-latitude per station in id order
         points = [self.stations[sid].point for sid in self._ordered_ids]
-        self._lat = np.array([math.radians(p.lat) for p in points])
-        self._lon = np.array([math.radians(p.lon) for p in points])
-        self._cos_lat = np.array([math.cos(math.radians(p.lat)) for p in points])
+        self._lat, self._lon, self._cos_lat = radians_and_cos(
+            np.array([p.lat for p in points]), np.array([p.lon for p in points]))
 
     def station(self, station_id: int) -> Station:
         try:

@@ -99,6 +99,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         raise ConfigError("population.size must be positive")
     if cfg.strategy.get("name") not in ("none", "greedy"):
         raise ConfigError(f"unknown strategy {cfg.strategy.get('name')!r}")
+    p = cfg.social.get("constant_probability")
+    if p is not None and not (isinstance(p, (int, float)) and 0 <= p <= 1):
+        raise ConfigError(f"social.constant_probability must be within [0, 1], got {p!r}")
     return cfg
 
 

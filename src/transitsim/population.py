@@ -11,7 +11,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .city import EARTH_RADIUS_KM, BoundingBox, GeoPoint, haversine_km, random_point_within
+from .city import (EARTH_RADIUS_KM, BoundingBox, GeoPoint, haversine_km_array, radians_and_cos,
+                   random_point_within)
 from .engine import SECONDS_PER_DAY, RngStreams, SimTime, hms, keyed_uniform_batch
 
 WORKING_PROFESSIONAL = "working-professional"
@@ -249,11 +250,11 @@ def _destinations(humans: Sequence[Human], kept: np.ndarray, j: int, ids: np.nda
     drawn_ids = ids[drawn]
     c_lat = np.fromiter((c.lat for c in centres), float, count)
     c_lon = np.fromiter((c.lon for c in centres), float, count)
+    centre = radians_and_cos(c_lat, c_lon)
     r = np.array(radii)
     # the box random_point_within rejects from, with math's cosine
     d_lat = r / (EARTH_RADIUS_KM * math.pi / 180.0)
-    d_lon = d_lat / np.maximum(0.1, np.fromiter(
-        (math.cos(math.radians(c.lat)) for c in centres), float, count))
+    d_lon = d_lat / np.maximum(0.1, centre[2])
     pending = np.arange(count)
     n = 0
     while len(pending):
@@ -266,21 +267,8 @@ def _destinations(humans: Sequence[Human], kept: np.ndarray, j: int, ids: np.nda
         n += 2
         lat = c_lat[pending] + (-d_lat[pending] + 2 * d_lat[pending] * u_lat)
         lon = c_lon[pending] + (-d_lon[pending] + 2 * d_lon[pending] * u_lon)
-        # the haversine_km test, vectorised; numpy's trigonometry may differ
-        # from math's in the last bits, so candidates within a relative 1e-9
-        # of the radius are settled by haversine_km itself
-        d = _np_haversine_km(c_lat[pending], c_lon[pending], lat, lon)
-        inside = d <= r[pending]
-        for q in np.flatnonzero(np.abs(d - r[pending]) <= r[pending] * 1e-9):
-            m = pending[q]
-            inside[q] = haversine_km(centres[m], GeoPoint(float(lat[q]), float(lon[q]))) <= radii[m]
+        inside = haversine_km_array(centre[:, pending], radians_and_cos(lat, lon)) <= r[pending]
         for m, la, lo in zip(pending[inside].tolist(), lat[inside].tolist(), lon[inside].tolist()):
             places[drawn[m]] = GeoPoint(la, lo)
         pending = pending[~inside]
     return places
-
-
-def _np_haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
-    la1, lo1, la2, lo2 = (np.radians(x) for x in (lat1, lon1, lat2, lon2))
-    h = np.sin((la2 - la1) / 2) ** 2 + np.cos(la1) * np.cos(la2) * np.sin((lo2 - lo1) / 2) ** 2
-    return 2 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))

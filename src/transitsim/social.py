@@ -16,12 +16,12 @@ cascade and the simulator, which runs one round per feed cycle.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .city import haversine_km
+from .city import haversine_km, haversine_km_array, radians_and_cos
 from .engine import RngStreams, keyed_uniform_batch
 from .population import Human
 
@@ -30,12 +30,16 @@ DEFAULT_DEGREE_PARAMS = (1, 5000, 500)
 
 MEAN_TOLERANCE = 0.05
 
+# followers per array pass in generate_graph: bounds the per-edge temporaries,
+# which for a whole crowd-sized graph at once would raise the run's peak memory
+_BLOCK = 2048
+
 
 class InfeasibleDegreeError(ValueError):
     pass
 
 
-# influence components
+# influence components: each reads two Humans or two _Columns alike
 
 
 def similar_age_influence(a: Human, b: Human) -> float:
@@ -43,7 +47,7 @@ def similar_age_influence(a: Human, b: Human) -> float:
 
 
 def similar_class_influence(a: Human, b: Human) -> float:
-    return 1.0 if a.category == b.category else 0.0
+    return (a.category == b.category) * 1.0
 
 
 def proximity(a: Human, b: Human) -> float:
@@ -58,7 +62,7 @@ def proximity(a: Human, b: Human) -> float:
     return best
 
 
-def influence(a: Human, b: Human, prox: float, farthest: float) -> float:
+def influence(a: Human, b: Human, prox, farthest):
     """Probability that poster ``a`` activates follower ``b`` (``b`` follows
     ``a``), given ``prox = proximity(a, b)`` and the proximity of ``b``'s
     least proximate (farthest) connection.
@@ -67,19 +71,31 @@ def influence(a: Human, b: Human, prox: float, farthest: float) -> float:
     connection, which itself scores 0. An infinite farthest distance makes
     any finite-proximity connection score 1; if ``a`` is also at infinite
     proximity the pair scores 0.
+
+    The one formula of the model, written for arrays: ``a`` and ``b`` may
+    also be ``_Columns`` of many pairs, with arrays ``prox`` and
+    ``farthest``, and each pair scores as it would alone.
     """
-    if prox == farthest:
-        near = 0.0
-    elif math.isinf(farthest):
-        near = 1.0
-    else:
-        near = 1 - prox / farthest
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = np.where(prox == farthest, 0.0,
+                        np.where(np.isinf(farthest), 1.0, 1 - np.divide(prox, farthest)))
     return (similar_age_influence(a, b) + similar_class_influence(a, b) + near) / 3.0
 
 
 def influence_probability(a: Human, b: Human, graph: "SocialGraph") -> float:
     """Probability that poster ``a`` activates follower ``b`` in ``graph``."""
-    return influence(a, b, proximity(a, b), graph.least_proximate(b.id))
+    return float(influence(a, b, proximity(a, b), graph.least_proximate(b.id)))
+
+
+class _Columns(NamedTuple):
+    """The age groups and category codes of many humans, read by the
+    influence components as they read a Human's fields."""
+
+    age_group: np.ndarray
+    category: np.ndarray
+
+    def take(self, ids: np.ndarray) -> "_Columns":
+        return _Columns(self.age_group[ids], self.category[ids])
 
 
 class SocialGraph:
@@ -132,8 +148,8 @@ def _sample_degrees(n: int, dmin: int, dmax: int, dmean: float, gen,
         degrees = np.clip(draws, dmin, dmax)
         if abs(float(degrees.mean()) - dmean) <= MEAN_TOLERANCE * dmean:
             return degrees
-    raise RuntimeError(f"degree sampling failed to hit mean {dmean} within "
-                       f"{MEAN_TOLERANCE:.0%} after {max_attempts} attempts")
+    raise InfeasibleDegreeError(f"degree sampling failed to hit mean {dmean} within "
+                                f"{MEAN_TOLERANCE:.0%} after {max_attempts} attempts")
 
 
 def generate_graph(population: Sequence[Human], streams: RngStreams,
@@ -154,36 +170,66 @@ def generate_graph(population: Sequence[Human], streams: RngStreams,
             f"max degree {dmax} needs at least {dmax + 1} humans, got {n}")
     if not (1 <= dmin <= dmax):
         raise InfeasibleDegreeError(f"bad degree bounds ({dmin}, {dmax})")
+    if not (dmin <= dmean <= dmax):
+        raise InfeasibleDegreeError(f"mean degree {dmean} outside [{dmin}, {dmax}]")
     gen = streams.generator("graph")
     degrees = _sample_degrees(n, dmin, dmax, dmean, gen)
-    following: list[list[int]] = []
-    for x in range(n):
-        following.append(_draw_targets(gen, n, x, int(degrees[x])))
-
+    following = [_draw_targets(gen, n, x, want) for x, want in enumerate(degrees.tolist())]
     if constant_probability is not None:
         probs = [[constant_probability] * len(t) for t in following]
         return SocialGraph(following, probs)
-    lpc: list[float] = []
-    probs = []
-    for x, targets in enumerate(following):
-        follower = population[x]
-        prox = [proximity(population[y], follower) for y in targets]
-        worst = max(prox)
-        lpc.append(worst)
-        probs.append([influence(population[y], follower, d, worst)
-                      for y, d in zip(targets, prox)])
-    return SocialGraph(following, probs, lpc=lpc)
+    return SocialGraph(following, *_influence_edges(population, following))
 
 
 def _draw_targets(gen, n: int, x: int, want: int) -> list[int]:
     """First ``want`` distinct uniform draws over [0, n) minus x, sorted."""
-    kept = np.empty(0, dtype=np.int64)
+    kept: dict[int, None] = {}  # distinct, in draw order
     while len(kept) < want:
         batch = gen.integers(0, n, size=(want - len(kept)) + max(8, want // 16))
-        arr = np.concatenate([kept, batch[batch != x]])
-        _, idx = np.unique(arr, return_index=True)
-        kept = arr[np.sort(idx)][:want]  # distinct, in draw order
-    return sorted(int(v) for v in kept)
+        kept.update(dict.fromkeys(batch.tolist()))
+        kept.pop(x, None)
+    return sorted(islice(kept, want))
+
+
+def _influence_edges(population: Sequence[Human], following: list[list[int]]
+                     ) -> tuple[list[list[float]], list[float]]:
+    """Each edge's influence probability, per follower as in ``following``,
+    and each follower's least proximate connection.
+
+    Proximity, its per-follower maximum and the influence model are array
+    passes over blocks of followers, equal bit for bit to ``proximity`` and
+    ``influence`` pair by pair.
+    """
+    contacts = []
+    for kind in ("home", "office", "school"):
+        points = [getattr(h, kind) for h in population]
+        has = np.array([p is not None for p in points])
+        lat = np.array([0.0 if p is None else p.lat for p in points])
+        lon = np.array([0.0 if p is None else p.lon for p in points])
+        contacts.append((has, radians_and_cos(lat, lon)))
+    codes: dict[str, int] = {}
+    people = _Columns(np.array([h.age_group for h in population]),
+                      np.array([codes.setdefault(h.category, len(codes)) for h in population]))
+    probs: list[list[float]] = []
+    lpc: list[float] = []
+    for lo in range(0, len(following), _BLOCK):
+        block = following[lo:lo + _BLOCK]
+        degree = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+        posters = np.fromiter(chain.from_iterable(block), dtype=np.int64, count=int(degree.sum()))
+        followers = np.repeat(np.arange(lo, lo + len(block)), degree)
+        prox = np.full(len(posters), math.inf)
+        for has, polar in contacts:
+            both = np.flatnonzero(has[posters] & has[followers])
+            km = haversine_km_array(polar[:, posters[both]], polar[:, followers[both]])
+            prox[both] = np.minimum(prox[both], km * 1000.0)
+        ends = np.cumsum(degree)
+        starts = ends - degree
+        farthest = np.maximum.reduceat(prox, starts)
+        p = influence(people.take(posters), people.take(followers), prox,
+                      np.repeat(farthest, degree)).tolist()
+        probs += [p[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+        lpc += farthest.tolist()
+    return probs, lpc
 
 
 def spread(graph: SocialGraph, active: set[int], posters: Iterable[int], event_key: int,

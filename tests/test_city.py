@@ -20,7 +20,9 @@ from transitsim.city import (
     UnknownStationError,
     bounding_box_around,
     haversine_km,
+    haversine_km_array,
     network_from_dict,
+    radians_and_cos,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +66,31 @@ def test_haversine_symmetry_property():
         assert haversine_km(a, b) >= 0
 
     inner()
+
+
+def test_haversine_array_matches_scalar_bit_for_bit():
+    # numpy's square and arcsin differ from libm's pow(x, 2.0) and asin in
+    # the last bit for some arguments in these ranges, so a near match would
+    # not do: the rejection test and the graph's influence compare exactly.
+    # 100k pairs up to 10 km apart (trip discs), 100k up to 100 km (a city)
+    rng = np.random.default_rng(2015)
+    n = 200_000
+    lat = rng.uniform(-60, 60, n)
+    lon = rng.uniform(-180, 180, n)
+    km = np.concatenate([rng.uniform(0, 10, n // 2), rng.uniform(0, 100, n // 2)])
+    bearing = rng.uniform(0, 2 * np.pi, n)
+    deg = 180.0 / (6371.0 * np.pi)
+    lat2 = lat + km * np.cos(bearing) * deg
+    lon2 = lon + km * np.sin(bearing) * deg / np.cos(np.radians(lat))
+    # identical points too
+    lat2[:1000], lon2[:1000] = lat[:1000], lon[:1000]
+    got = haversine_km_array(radians_and_cos(lat, lon), radians_and_cos(lat2, lon2))
+    want = np.array([haversine_km(GeoPoint(a, b), GeoPoint(c, d))
+                     for a, b, c, d in zip(lat.tolist(), lon.tolist(),
+                                           lat2.tolist(), lon2.tolist())])
+    assert np.all(want[:1000] == 0.0) and want[:n // 2].max() < 10.01
+    bad = int(np.count_nonzero(got != want))
+    assert bad == 0, f"{bad} of {n} pairs differ"
 
 
 def test_road_travel_seconds():

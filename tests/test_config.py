@@ -168,6 +168,21 @@ def test_cli_reports_broken_network_as_config_error(tmp_path, capsys, breaks):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+@pytest.mark.parametrize("social", [
+    {"degree_mean": 100, "degree_max": 30},  # mean above the largest degree
+    {"degree_mean": -3},                      # mean below the smallest degree
+    {"constant_probability": 1.5},            # not a probability
+], ids=["mean_above_max", "negative_mean", "probability_above_one"])
+def test_cli_reports_bad_social_config_as_config_error(tmp_path, capsys, social):
+    doc = doc4()
+    doc["social"].update(social)
+    scn = tmp_path / "scn.yaml"
+    scn.write_text(yaml.safe_dump(doc))
+    rc = main(["--scenario", str(scn), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
 def test_bundled_scenarios_load_and_build():
     from transitsim.city import network_from_dict
     root = os.path.join(os.path.dirname(__file__), "..", "scenarios")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import product
 
@@ -131,6 +132,25 @@ def test_influence_probability_examples():
     assert v == pytest.approx(0.5, rel=1e-6)
 
 
+def assert_graph_follows_model(pop, g):
+    """Every edge once in the follower index, followers in ascending id, each
+    follower's least proximate connection the farthest of its targets, and
+    each edge with the probability the influence model gives, recomputed
+    pair by pair."""
+    followers = {y: [] for y in range(g.n)}
+    for x, t in enumerate(g.following):
+        for y in t:
+            followers[y].append(x)
+        assert g.least_proximate(x) == max(proximity(pop[y], pop[x]) for y in t)
+    assert g.edge_count() == sum(len(t) for t in g.following)
+    for y in range(g.n):
+        ids, probs = g.followers_of(y)
+        assert ids.tolist() == followers[y]
+        for x, p in zip(ids.tolist(), probs.tolist()):
+            assert 0.0 <= p <= 1.0
+            assert p == influence_probability(pop[y], pop[x], g)
+
+
 def test_generate_graph_structure_and_probability_range():
     streams = RngStreams(21)
     pop = generate_population(300, BBOX, streams)
@@ -141,19 +161,21 @@ def test_generate_graph_structure_and_probability_range():
         assert len(t) >= 1
         assert x not in t
         assert t == sorted(set(t))
-    # the follower index holds every edge once, followers in ascending id,
-    # each with the probability the influence model gives, recomputed
-    followers = {y: [] for y in range(g.n)}
-    for x, t in enumerate(g.following):
-        for y in t:
-            followers[y].append(x)
-    assert g.edge_count() == sum(len(t) for t in g.following)
-    for y in range(g.n):
-        ids, probs = g.followers_of(y)
-        assert ids.tolist() == followers[y]
-        for x, p in zip(ids.tolist(), probs.tolist()):
-            assert 0.0 <= p <= 1.0
-            assert p == influence_probability(pop[y], pop[x], g)
+    assert_graph_follows_model(pop, g)
+
+
+def test_generate_graph_with_unmatched_contacts():
+    # humans without a home match others only at an office or a school, so
+    # some pairs, and some followers' every connection, are infinitely far
+    streams = RngStreams(34)
+    pop = generate_population(200, BBOX, streams)
+    for h in pop[::3]:
+        h.home = None
+    g = generate_graph(pop, streams, degree_params=(1, 20, 6))
+    prox = [proximity(pop[y], pop[x]) for x, t in enumerate(g.following) for y in t]
+    assert any(math.isinf(d) for d in prox) and not all(math.isinf(d) for d in prox)
+    assert any(math.isinf(g.least_proximate(x)) for x in range(g.n))
+    assert_graph_follows_model(pop, g)
 
 
 def test_generate_graph_errors_and_forced_two_node():
@@ -165,6 +187,39 @@ def test_generate_graph_errors_and_forced_two_node():
     assert g.following == [[1], [0]]
     with pytest.raises(ValueError):
         generate_graph([], streams, degree_params=(1, 1, 1))
+
+
+def test_infeasible_degree_means_are_refused():
+    streams = RngStreams(3)
+    pop = generate_population(50, BBOX, streams)
+    for mean in (31, 0.5, -3):
+        with pytest.raises(InfeasibleDegreeError, match="mean degree"):
+            generate_graph(pop, streams, degree_params=(1, 30, mean))
+    # inside the bounds, but clamped exponential draws never average 29
+    with pytest.raises(InfeasibleDegreeError, match="sampling failed"):
+        _sample_degrees(1000, 1, 30, 29.0, RngStreams(3).generator("graph"))
+
+
+def test_dense_graph_pinned():
+    """A dense graph, pinned bit for bit to the per-pair build it replaced:
+    the follow lists, the edge probabilities in follower-index order, the
+    least proximate connections and the graph stream's next draw."""
+    streams = RngStreams(2024)
+    pop = generate_population(3000, BBOX, streams)
+    g = generate_graph(pop, streams, degree_params=(1, 200, 60))
+    lpc = np.array([g.least_proximate(x) for x in range(g.n)])
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    assert g.edge_count() == 176225
+    assert sha(repr(g.following).encode()) == (
+        "09fc8641ab90802d4852a6f1a56968405720f2916c6873b86c4a7e6362a2e58c")
+    assert sha(g.edge_probs.tobytes()) == (
+        "720577c543f0db814586f2504af4801218d0e0b0bbdb7d4ef13ea4a8c8096193")
+    assert sha(lpc.tobytes()) == (
+        "d95b04b94a6aeb066a5c91168378af947467d4eb78d14dc2dc65e3719bffa05a")
+    assert streams.generator("graph").random() == 0.6803981745682851
 
 
 def test_degree_mean_tracks_target_across_seeds():
