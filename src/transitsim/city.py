@@ -362,9 +362,14 @@ def _check_timetable(line: TransitLine) -> None:
     while today is still running, so both are refused. From a first
     departure at or after midnight on, tomorrow's first slot is either
     undispatched or its train has not yet passed any station before today
-    ends, so every listed route has a next departure.
+    ends, so every listed route has a next departure. A negative run or
+    dwell time is refused too: trains would arrive before they leave, and
+    the route planner's search needs costs that are never negative.
     """
     svc = line.service
+    for field in ("run_seconds", "dwell_seconds"):
+        if getattr(svc, field) < 0:
+            raise ParseError(f"line {line.name!r}: {field} must not be negative")
     if svc.headway_seconds < 1:
         raise ParseError(f"line {line.name!r}: headway_seconds must be positive")
     if svc.first_departure < 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import gc
 import os
 import sys
 from typing import Optional
@@ -75,7 +76,13 @@ def run_one(cfg: ScenarioConfig, out_dir: str, label: str) -> dict:
     os.makedirs(run_dir, exist_ok=True)
     log_path = os.path.join(run_dir, "event.log")
     world = build_world(cfg, log_path=log_path)
-    world.run()
+    # the world's set-up objects live for the whole run: keep the cyclic
+    # collector from walking them over and over while it runs
+    gc.freeze()
+    try:
+        world.run()
+    finally:
+        gc.unfreeze()
     emit_report(world.metrics, world.network, run_dir,
                 hours=cfg.horizon_hours, population=len(world.humans))
     outputs = ["usage.csv", "wait.csv", "summary.csv", "event.log"]

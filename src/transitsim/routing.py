@@ -50,6 +50,12 @@ class RoutePlanner:
         # _rail_path results, keyed (board, alight) for plan and (board,
         # alight, sorted first waits) for alternative
         self._rail_paths: dict[tuple, Optional[tuple]] = {}
+        # shortest-path trees, keyed board for plan and (board, sorted first
+        # waits) for alternative
+        self._trees: dict = {}
+        self._ids = sorted(network.stations)
+        self._ordinal = {sid: i for i, sid in enumerate(self._ids)}
+        self._boards, self._rides = _state_graph(network, self._ordinal)
 
     def plan(self, origin: GeoPoint, dest: GeoPoint) -> Route:
         """Fastest route from origin to dest, rail if it beats the road.
@@ -61,7 +67,8 @@ class RoutePlanner:
         Planning uses scheduled figures only and asks no schedule inquiry:
         every route a station lists has a next departure on any timetable
         ``network_from_dict`` accepts. The rail search is therefore
-        time-independent and cached per (board station, alight station).
+        time-independent: one shortest-path tree per board station answers
+        every alight station, and each (board, alight) answer is memoised.
         The network must not change after the planner is built.
         """
         return self._fastest(origin, dest, self.network.nearest_station(origin))
@@ -74,9 +81,9 @@ class RoutePlanner:
         after it is a valid option and is priced with its real departure
         time, as is the first boarding on every other line here. Road travel
         straight from the station is the fallback, so something feasible
-        always comes back. The rail search is cached per (station, alight
-        station, first waits): riders left behind by the same train see the
-        same live waits.
+        always comes back. The rail search is cached per (station, first
+        waits) and its answers per (station, alight station, first waits):
+        riders left behind by the same train see the same live waits.
         """
         first_waits: dict[tuple[str, int], int] = {}
         for route in self.network.routes_at(station_id):
@@ -92,8 +99,11 @@ class RoutePlanner:
         """Rail from ``board`` to the station nearest ``dest``, reached from
         ``here`` by road, or the road all the way if that is strictly
         faster or no rail path exists. ``first_waits`` prices the first
-        boarding as in ``_rail_path`` and joins the memo key; left empty,
-        it leaves only the road."""
+        boarding as in ``_rail_path``; left empty, it leaves only the road.
+
+        Rail answers are memoised in ``_rail_paths`` under (board, alight),
+        plus the sorted first waits when given; a miss calls ``_rail_path``.
+        """
         road_total = self.road.travel_seconds(here, dest)
         alight = self.network.nearest_station(dest)
         rail = None
@@ -116,75 +126,119 @@ class RoutePlanner:
 
     def _rail_path(self, src: int, dst: int,
                    first_waits: Optional[dict[tuple[str, int], int]] = None):
-        """Dijkstra from station src to dst over (station, line, direction)
-        states. Returns (legs, wait_seconds, ride_seconds) or None.
+        """Minimum-time train legs from station src to dst, as
+        (legs, wait_seconds, ride_seconds), or None if dst is out of reach.
 
-        States: ("hub", s) = standing at station s; ("on", s, line, d) =
-        onboard, doors just opened at s. Boarding jumps straight to the next
-        station (wait + run); continuing costs dwell + run; alighting is free.
-        With ``first_waits`` the first boarding may only take the routes
-        listed there, at the given waits.
+        Read back from the shortest-path tree of src, which ``_search``
+        builds on the first query from src (per first waits when given) and
+        ``_trees`` keeps. The tree holds per station only the hub it was
+        boarded from and the route taken; each leg's wait is rebuilt as the
+        given first wait for a boarding at src, else half the headway.
         """
-        net = self.network
-        start = ("hub", src)
-        goal = ("hub", dst)
-        dist: dict = {start: 0.0}
-        parent: dict = {}
-        heap = [(0.0, 0, start)]
-        tiebreak = itertools.count(1)
-        done = set()
-        while heap:
-            cost, _, state = heappop(heap)
-            if state in done:
-                continue
-            done.add(state)
-            if state == goal:
-                break
-
-            def relax(nstate, ncost, edge):
-                if ncost < dist.get(nstate, math.inf):
-                    dist[nstate] = ncost
-                    parent[nstate] = (state, edge)
-                    heappush(heap, (ncost, next(tiebreak), nstate))
-
-            if state[0] == "hub":
-                s = state[1]
-                for line_name, d in net.routes_at(s):
-                    line = net.lines[line_name]
-                    if s == src and first_waits is not None:
-                        if (line_name, d) not in first_waits:
-                            continue
-                        w = first_waits[(line_name, d)]
-                    else:
-                        w = line.service.headway_seconds / 2.0
-                    relax(("on", line.next_station(s, d), line_name, d),
-                          cost + w + line.service.run_seconds,
-                          ("board", line_name, d, s, w))
-            else:
-                _, s, line_name, d = state
-                line = net.lines[line_name]
-                relax(("hub", s), cost, ("alight", s))
-                s2 = line.next_station(s, d)
-                if s2 is not None:
-                    relax(("on", s2, line_name, d), cost + line.service.dwell_seconds + line.service.run_seconds,
-                          ("ride",))
-        if goal not in parent and goal != start:
+        key = src if first_waits is None else (src, tuple(sorted(first_waits.items())))
+        tree = self._trees.get(key)
+        if tree is None:
+            tree = self._trees[key] = self._search(src, first_waits)
+        came_from, via = tree
+        root, i = self._ordinal[src], self._ordinal[dst]
+        if i != root and via[i] is None:
             return None
-        # walk back and stitch board..alight pairs into legs
+        lines = self.network.lines
         legs: list[TrainLeg] = []
         wait_s = 0.0
-        state = goal
-        alight_at = None
-        while state != start:
-            prev, edge = parent[state]
-            if edge[0] == "alight":
-                alight_at = edge[1]
-            elif edge[0] == "board":
-                _, line_name, d, board_at, w = edge
-                legs.append(TrainLeg(line_name, d, board_at, alight_at))
-                wait_s += w
-            state = prev
+        while i != root:
+            b = came_from[i]
+            route = via[i]
+            legs.append(TrainLeg(route[0], route[1], self._ids[b], self._ids[i]))
+            if b == root and first_waits is not None:
+                wait_s += first_waits[route]
+            else:
+                wait_s += lines[route[0]].service.headway_seconds / 2.0
+            i = b
         legs.reverse()
-        ride_s = sum(net.lines[leg.line].ride_seconds(leg.board, leg.alight, leg.direction)
+        ride_s = sum(lines[leg.line].ride_seconds(leg.board, leg.alight, leg.direction)
                      for leg in legs)
         return tuple(legs), int(round(wait_s)), ride_s
+
+    def _search(self, src: int, first_waits: Optional[dict[tuple[str, int], int]] = None):
+        """Dijkstra from station src over the whole state graph.
+
+        States: a hub, standing at a station; onboard, on a (line,
+        direction) with the doors just opened at a station. Boarding jumps
+        straight to the next station (wait + run); continuing costs dwell +
+        run; alighting is free. The wait is half the headway, except that
+        with ``first_waits`` the boarding at src may only take the routes
+        listed there, at the given waits. Ties pop in insertion order.
+
+        Costs are never negative, so each station's path is the one a search
+        stopped at that station would find. Returns, per station ordinal,
+        the hub ordinal of the last boarding on its path and the (line,
+        direction) ridden from there, or (-1, None) if out of reach.
+        """
+        n = len(self._ids)
+        boards, rides = self._boards, self._rides
+        root = self._ordinal[src]
+        first = boards[root]
+        if first_waits is not None:
+            first = [(route, nxt, first_waits[route], run)
+                     for route, nxt, _, run in first if route in first_waits]
+        dist = [math.inf] * (n + len(rides))
+        dist[root] = 0.0
+        # hub: previous hub on its path; onboard state: the hub boarded at
+        came_from = [-1] * len(dist)
+        via: list[Optional[tuple[str, int]]] = [None] * n
+        heap = [(0.0, 0, root)]
+        tiebreak = itertools.count(1)
+        while heap:
+            cost, _, s = heappop(heap)
+            if cost > dist[s]:
+                continue   # superseded by a cheaper push of the same state
+            if s < n:
+                for route, nxt, w, run in (first if s == root else boards[s]):
+                    ncost = cost + w + run
+                    if ncost < dist[nxt]:
+                        dist[nxt] = ncost
+                        came_from[nxt] = s
+                        heappush(heap, (ncost, next(tiebreak), nxt))
+                continue
+            hub, nxt, route, dwell, run = rides[s - n]
+            if cost < dist[hub]:
+                dist[hub] = cost
+                came_from[hub] = came_from[s]
+                via[hub] = route
+                heappush(heap, (cost, next(tiebreak), hub))
+            if nxt is not None:
+                ncost = cost + dwell + run
+                if ncost < dist[nxt]:
+                    dist[nxt] = ncost
+                    came_from[nxt] = came_from[s]
+                    heappush(heap, (ncost, next(tiebreak), nxt))
+        return came_from[:n], via
+
+
+def _state_graph(network: TransitNetwork, ordinal: dict[int, int]):
+    """Successor table of the planner's state graph, built once.
+
+    Hubs are numbered by station ``ordinal``, followed by one onboard state
+    per (line, direction, station). Returns per hub its boardings in
+    ``routes_at`` order as (route, onboard state at the next stop, half the
+    headway, run), and per onboard state (hub, next onboard state or None,
+    route, dwell, run).
+    """
+    keys = [(sid, name, d) for name, line in network.lines.items()
+            for d in (+1, -1) for sid in line.station_ids]
+    onboard = {key: len(ordinal) + k for k, key in enumerate(keys)}
+    rides = []
+    for sid, name, d in keys:
+        line = network.lines[name]
+        rides.append((ordinal[sid], onboard.get((line.next_station(sid, d), name, d)),
+                      (name, d), line.service.dwell_seconds, line.service.run_seconds))
+    boards = []
+    for sid in ordinal:
+        moves = []
+        for name, d in network.routes_at(sid):
+            line = network.lines[name]
+            moves.append(((name, d), onboard[(line.next_station(sid, d), name, d)],
+                          line.service.headway_seconds / 2.0, line.service.run_seconds))
+        boards.append(moves)
+    return boards, rides

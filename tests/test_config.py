@@ -3,10 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
-from transitsim.cli import _parse_event_flag, main
+from transitsim.cli import _parse_event_flag, compare, main
 from transitsim.config import (ConfigError, config_hash, load_scenario,
                                scenario_from_dict)
 
@@ -129,6 +130,31 @@ def test_cli_compare_writes_matching_delta(tmp_path):
     assert header == "kind,hour,line,section,delta"
 
 
+def test_compare_event_arms_match_up_to_the_first_broadcast_poll(tmp_path):
+    # README: a no-event day inside an event comparison is identical to the
+    # event day right up to the first broadcast poll
+    root = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    cfg = load_scenario(os.path.join(root, "desk.yaml"))
+    cfg.horizon_hours = 12
+    event, no_event = compare(cfg, "event", str(tmp_path))
+    logs = []
+    for res in (event, no_event):
+        with open(os.path.join(res["dir"], "event.log"), encoding="utf-8") as f:
+            logs.append(f.read().splitlines())
+    world = event["world"]
+    ids = np.array([h.id for h in world.humans], dtype=np.uint64)
+
+    def hands_out_an_event(rec):
+        # nobody has seen an event before the first poll that shows one, so
+        # any successful poll coin while one is on air shows it
+        return (rec["kind"] == "poll" and world.feed.on_air(rec["t"])
+                and world.feed.polls_succeed(ids, rec["t"], world.streams).any())
+
+    first = next(i for i, line in enumerate(logs[0]) if hands_out_an_event(json.loads(line)))
+    assert logs[0][:first + 1] == logs[1][:first + 1]
+    assert logs[0][first + 1:] != logs[1][first + 1:]
+
+
 def test_cli_reports_missing_scenario(tmp_path, capsys):
     missing = str(tmp_path / "gone.yaml")
     rc = main(["--scenario", missing, "--out", str(tmp_path / "o")])
@@ -157,7 +183,16 @@ def duplicate_station(doc):
     doc["network"]["stations"][3]["id"] = 2
 
 
-@pytest.mark.parametrize("breaks", [one_station_line, no_platforms, duplicate_station])
+def negative_run_seconds(doc):
+    doc["network"]["lines"][0]["service"]["run_seconds"] = -120
+
+
+def negative_dwell_seconds(doc):
+    doc["network"]["lines"][0]["service"]["dwell_seconds"] = -1
+
+
+@pytest.mark.parametrize("breaks", [one_station_line, no_platforms, duplicate_station,
+                                    negative_run_seconds, negative_dwell_seconds])
 def test_cli_reports_broken_network_as_config_error(tmp_path, capsys, breaks):
     doc = doc4()
     breaks(doc)

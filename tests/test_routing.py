@@ -1,3 +1,6 @@
+import itertools
+import math
+from heapq import heappop, heappush
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +17,11 @@ from transitsim.city import (
 )
 from transitsim.cli import build_world
 from transitsim.config import load_scenario
-from transitsim.routing import RoutePlanner
+from transitsim.routing import RoutePlanner, TrainLeg
 from transitsim.transit import TransportManager
 
 ROAD = RoadRouter(35.0)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def svc(run=120, dwell=30, headway=600):
@@ -155,7 +159,7 @@ def test_plan_makes_no_schedule_inquiry(monkeypatch):
 
     monkeypatch.setattr(RoutePlanner, "plan", plan)
     monkeypatch.setattr(TransportManager, "next_departure", next_departure)
-    cfg = load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml"))
+    cfg = load_scenario(str(SCENARIOS / "desk.yaml"))
     cfg.population["size"] = 600
     cfg.horizon_hours = 12
     cfg.strategy["alt_routing"] = True
@@ -165,23 +169,195 @@ def test_plan_makes_no_schedule_inquiry(monkeypatch):
                         lambda *a, real=w.planner._rail_path, **k: calls.append((a, k)) or real(*a, **k))
     w.run()
     assert w.trips_started > 500 and w.attendees[0]
-    # one search per station pair: the memo key is (board, alight) alone
-    plan_keys = [a for a, k in calls if not k]
+    # one _rail_path call per station pair: a plan's memo key is (board,
+    # alight) alone; alternative calls carry their first waits
+    plan_keys = [a for a, k in calls if a[2] is None]
     assert plan_keys and len(plan_keys) == len(set(plan_keys))
 
 
+def reference_rail_path(net, src, dst, first_waits=None):
+    """The per-pair search the planner's trees replace: Dijkstra from src
+    over (station, line, direction) states, stopped when dst is settled."""
+    start = ("hub", src)
+    goal = ("hub", dst)
+    dist = {start: 0.0}
+    parent = {}
+    heap = [(0.0, 0, start)]
+    tiebreak = itertools.count(1)
+    done = set()
+    while heap:
+        cost, _, state = heappop(heap)
+        if state in done:
+            continue
+        done.add(state)
+        if state == goal:
+            break
+
+        def relax(nstate, ncost, edge):
+            if ncost < dist.get(nstate, math.inf):
+                dist[nstate] = ncost
+                parent[nstate] = (state, edge)
+                heappush(heap, (ncost, next(tiebreak), nstate))
+
+        if state[0] == "hub":
+            s = state[1]
+            for line_name, d in net.routes_at(s):
+                line = net.lines[line_name]
+                if s == src and first_waits is not None:
+                    if (line_name, d) not in first_waits:
+                        continue
+                    w = first_waits[(line_name, d)]
+                else:
+                    w = line.service.headway_seconds / 2.0
+                relax(("on", line.next_station(s, d), line_name, d),
+                      cost + w + line.service.run_seconds,
+                      ("board", line_name, d, s, w))
+        else:
+            _, s, line_name, d = state
+            line = net.lines[line_name]
+            relax(("hub", s), cost, ("alight", s))
+            s2 = line.next_station(s, d)
+            if s2 is not None:
+                relax(("on", s2, line_name, d),
+                      cost + line.service.dwell_seconds + line.service.run_seconds, ("ride",))
+    if goal not in parent and goal != start:
+        return None
+    legs = []
+    wait_s = 0.0
+    state = goal
+    alight_at = None
+    while state != start:
+        prev, edge = parent[state]
+        if edge[0] == "alight":
+            alight_at = edge[1]
+        elif edge[0] == "board":
+            _, line_name, d, board_at, w = edge
+            legs.append(TrainLeg(line_name, d, board_at, alight_at))
+            wait_s += w
+        state = prev
+    legs.reverse()
+    ride_s = sum(net.lines[leg.line].ride_seconds(leg.board, leg.alight, leg.direction)
+                 for leg in legs)
+    return tuple(legs), int(round(wait_s)), ride_s
+
+
+@pytest.mark.parametrize("scenario", ["desk", "singapore-like"])
+def test_tree_answers_match_per_pair_search(scenario):
+    from transitsim.city import network_from_dict
+    net = network_from_dict(load_scenario(str(SCENARIOS / f"{scenario}.yaml")).network)
+    p = RoutePlanner(net, ROAD)
+    ids = sorted(net.stations)
+    transfers = 0
+    for src in ids:
+        for dst in ids:
+            got = p._rail_path(src, dst)
+            assert got == reference_rail_path(net, src, dst), (src, dst)
+            transfers += len(got[0]) > 1
+    assert len(p._trees) == len(ids) and transfers > 0
+
+
+def island_cross_network(service):
+    """cross_network plus a two-station line that no other line reaches."""
+    net = cross_network(service)
+    stations = list(net.stations.values()) + [
+        Station(30, "I0", GeoPoint(1.45, 103.90)), Station(31, "I1", GeoPoint(1.46, 103.90))]
+    return TransitNetwork(stations, list(net.lines.values())
+                          + [TransitLine("I", [30, 31], service)])
+
+
+# the second service's dwell is half its headway, so staying aboard ties
+# with alighting and boarding the next train at every stop
+@pytest.mark.parametrize("service", [svc(run=60, dwell=15, headway=180),
+                                     svc(run=60, dwell=90, headway=180)],
+                         ids=["fast", "dwell_ties_reboarding"])
+def test_tree_answers_match_per_pair_search_with_first_waits(service):
+    # a few wait values make ties between routes likely; routes left out of
+    # the first waits, and the island line, leave stations out of reach
+    net = island_cross_network(service)
+    p = RoutePlanner(net, ROAD)
+    rng = np.random.default_rng(11)
+    ids = sorted(net.stations)
+    unreachable = 0
+    for _ in range(300):
+        src = int(rng.choice(ids))
+        first_waits = {route: int(rng.choice([0, 30, 90, 240]))
+                       for route in net.routes_at(src) if rng.random() < 0.7}
+        for dst in ids:
+            want = reference_rail_path(net, src, dst, first_waits)
+            assert p._rail_path(src, dst, first_waits) == want, (src, dst, first_waits)
+            unreachable += want is None
+        assert p._rail_path(src, 30) == reference_rail_path(net, src, 30)
+    assert unreachable > 1000
+
+
+def random_network(rng, n=8):
+    """Three lines over random runs of n stations, some circular, with
+    services drawn from a few values so that equal-cost paths are common."""
+    stations = [Station(i, f"S{i}", GeoPoint(1.30 + 0.01 * i, 103.70)) for i in range(n)]
+    lines = []
+    for k in range(3):
+        size = int(rng.integers(2, n + 1))
+        service = LineService(int(rng.choice([60, 120])), int(rng.choice([0, 30, 60])),
+                              int(rng.choice([60, 120, 240])), 0, 3600)
+        lines.append(TransitLine(f"L{k}", [int(x) for x in rng.permutation(n)[:size]],
+                                 service, circular=size > 2 and rng.random() < 0.3))
+    return TransitNetwork(stations, lines)
+
+
+def test_tree_answers_match_per_pair_search_on_random_networks():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        net = random_network(rng)
+        p = RoutePlanner(net, ROAD)
+        for src in net.stations:
+            for first_waits in [None] + [
+                    {route: int(rng.choice([0, 30, 60]))
+                     for route in net.routes_at(src) if rng.random() < 0.8} for _ in range(2)]:
+                for dst in net.stations:
+                    assert (p._rail_path(src, dst, first_waits)
+                            == reference_rail_path(net, src, dst, first_waits))
+
+
+def test_one_tree_search_per_board_station(monkeypatch):
+    cfg = load_scenario(str(SCENARIOS / "singapore-like.yaml"))
+    cfg.horizon_hours = 12
+    w = build_world(cfg)
+    planner = w.planner
+    misses, searches = [], []
+    monkeypatch.setattr(planner, "_rail_path",
+                        lambda *a, real=planner._rail_path: misses.append(a[:2]) or real(*a))
+    monkeypatch.setattr(planner, "_search",
+                        lambda *a, real=planner._search: searches.append(a) or real(*a))
+    w.run()
+    assert len(misses) > 1000
+    # one _rail_path call per distinct (board, alight) key, one search per
+    # board station
+    assert len(misses) == len(set(misses)) == len(planner._rail_paths)
+    assert sorted(searches) == sorted({(src, None) for src, _ in misses})
+
+
 def test_rail_path_memo_keyed_on_station_pair():
-    stations = [Station(0, "A", GeoPoint(1.30, 103.70)), Station(1, "B", GeoPoint(1.30, 103.80))]
-    net = TransitNetwork(stations, [TransitLine("L", [0, 1], svc())])
-    a, b = stations[0].point, stations[1].point
+    stations = [Station(0, "A", GeoPoint(1.30, 103.70)), Station(1, "B", GeoPoint(1.30, 103.80)),
+                Station(2, "C", GeoPoint(1.30, 103.90))]
+    net = TransitNetwork(stations, [TransitLine("L", [0, 1, 2], svc())])
+    a, b, c = (s.point for s in stations)
     p = RoutePlanner(net, ROAD)
     first = p.plan(a, b)
     assert not first.road_only
     # nearby points board and alight at the same stations and reuse the search
     assert p.plan(GeoPoint(1.3001, 103.7001), b).legs == first.legs
     assert list(p._rail_paths) == [(0, 1)]
+    assert list(p._trees) == [0]
+    # another alight station reads the same board station's tree
+    assert p.plan(a, c).legs[0].alight == 2
+    assert list(p._rail_paths) == [(0, 1), (0, 2)]
+    assert list(p._trees) == [0]
     assert p.plan(b, a).legs[0].direction == -1
-    assert list(p._rail_paths) == [(0, 1), (1, 0)]
+    assert list(p._rail_paths) == [(0, 1), (0, 2), (1, 0)]
+    assert list(p._trees) == [0, 1]
+    # the tree keeps per station the hub it was boarded from and the route
+    came_from, via = p._trees[0]
+    assert came_from == [-1, 0, 0] and via == [None, ("L", 1), ("L", 1)]
 
 
 def test_warm_planner_matches_fresh_planner():
