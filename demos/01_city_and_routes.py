@@ -51,7 +51,7 @@ def main() -> None:
         st = net.nearest_station(pt)
         print(f"  ({pt.lat:.3f}, {pt.lon:.3f}) -> {st.name} (id {st.id})")
 
-    print("\n== route plans (static wait estimate) ==")
+    print("\n== route plans at 08:00 (static wait estimate) ==")
     planner = RoutePlanner(net, RoadRouter(float(cfg.transit["road_speed_kmh"])))
     trips = [
         (GeoPoint(1.302, 103.702), GeoPoint(1.299, 103.833), "west end to east end"),
@@ -59,7 +59,7 @@ def main() -> None:
         (GeoPoint(1.300, 103.774), GeoPoint(1.302, 103.777), "around the corner"),
     ]
     for origin, dest, label in trips:
-        r = planner.plan(origin, dest)
+        r = planner.plan(origin, dest, 8 * 3600)
         if r.road_only:
             print(f"  {label}: road only, {r.total_seconds // 60} min")
             continue

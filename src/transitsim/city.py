@@ -153,9 +153,9 @@ class TransitLine:
 
     Direction ``+1`` walks ``stations`` forward (index 0 is the up terminal),
     ``-1`` walks it backward. Circular lines close the loop from the last
-    station back to the first; the station at index 0 acts as the loop anchor
-    where trains are dispatched and retired. ``station_ids`` must not change
-    after construction: station positions are indexed once.
+    station back to the first; each run on a loop goes once round from the
+    anchor at index 0 back to it. ``station_ids`` must not change after
+    construction: station positions are indexed once.
     """
 
     name: str
@@ -183,10 +183,14 @@ class TransitLine:
         except KeyError:
             raise ValueError(f"station {station_id} is not on line {self.name!r}") from None
 
+    @property
+    def run_hops(self) -> int:
+        """Hops in one run: ``n - 1`` on a linear line, ``n`` on a loop."""
+        return self.n if self.circular else self.n - 1
+
     def position(self, station_id: int, direction: int) -> int:
-        """Index of the station along ``path(direction)``."""
-        i = self.index_of(station_id)
-        return i if direction == +1 else self.n - 1 - i
+        """Hops from ``terminal(direction)`` to the station on a run."""
+        return self.hops(self.terminal(direction), station_id, direction)
 
     def terminal(self, direction: int) -> int:
         if self.circular:
@@ -213,7 +217,11 @@ class TransitLine:
         return k if k > 0 else None
 
     def path(self, direction: int) -> list[int]:
-        return list(self.station_ids) if direction == +1 else list(reversed(self.station_ids))
+        """One run's stops, from ``terminal(direction)``."""
+        stops = [self.terminal(direction)]
+        for _ in range(self.run_hops):
+            stops.append(self.next_station(stops[-1], direction))
+        return stops
 
     def ride_seconds(self, a: int, b: int, direction: int) -> int:
         """Scheduled seconds aboard from a to b in the given direction: one

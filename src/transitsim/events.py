@@ -169,7 +169,7 @@ def wants_to_seed(h: Human, ev: SocialEvent, planner, t: SimTime,
     """
     if h.age_group not in ev.age_range:
         return False
-    route = planner.plan(origin or h.home, ev.location)
+    route = planner.plan(origin or h.home, ev.location, t)
     return t + route.total_seconds <= ev.start
 
 
@@ -183,7 +183,7 @@ def decide_attendance(h: Human, ev: SocialEvent, planner, t: SimTime,
     """
     if t >= ev.end:
         raise EventEndedError(f"event {ev.id} already over at t={t}")
-    route = planner.plan(origin or h.home, ev.location)
+    route = planner.plan(origin or h.home, ev.location, t)
     if t + route.total_seconds <= ev.start + ev.tau:
         return route
     return None

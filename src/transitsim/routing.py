@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from .city import GeoPoint, RoadRouter, Station, TransitNetwork
-from .engine import SimTime
+from .engine import SECONDS_PER_DAY, SimTime
 
 @dataclass(frozen=True)
 class TrainLeg:
@@ -57,12 +57,15 @@ class RoutePlanner:
         self._ordinal = {sid: i for i, sid in enumerate(self._ids)}
         self._boards, self._rides = _state_graph(network, self._ordinal)
 
-    def plan(self, origin: GeoPoint, dest: GeoPoint) -> Route:
+    def plan(self, origin: GeoPoint, dest: GeoPoint, t: SimTime) -> Route:
         """Fastest route from origin to dest, rail if it beats the road.
 
         Boarding happens at the station nearest the origin and alighting at
         the station nearest the destination; the search is over train legs
-        between those two. A strictly faster pure-road trip wins.
+        between those two. A strictly faster pure-road trip wins, as does
+        the road if a rider setting out at t would, on the planned figures,
+        reach a leg's board station no earlier than that route's last pass
+        there that day.
 
         Planning uses scheduled figures only and asks no schedule inquiry:
         every route a station lists has a next departure on any timetable
@@ -71,7 +74,7 @@ class RoutePlanner:
         every alight station, and each (board, alight) answer is memoised.
         The network must not change after the planner is built.
         """
-        return self._fastest(origin, dest, self.network.nearest_station(origin))
+        return self._fastest(origin, dest, self.network.nearest_station(origin), t)
 
     def alternative(self, station_id: int, dest: GeoPoint, current_first: tuple[str, int],
                     inquiry, t: SimTime, exclude_train: Optional[int] = None) -> Route:
@@ -92,14 +95,15 @@ class RoutePlanner:
             if dep is not None:
                 first_waits[route] = dep - t
         board = self.network.station(station_id)
-        return self._fastest(board.point, dest, board, first_waits)
+        return self._fastest(board.point, dest, board, t, first_waits)
 
-    def _fastest(self, here: GeoPoint, dest: GeoPoint, board: Station,
+    def _fastest(self, here: GeoPoint, dest: GeoPoint, board: Station, t: SimTime,
                  first_waits: Optional[dict[tuple[str, int], int]] = None) -> Route:
         """Rail from ``board`` to the station nearest ``dest``, reached from
         ``here`` by road, or the road all the way if that is strictly
-        faster or no rail path exists. ``first_waits`` prices the first
-        boarding as in ``_rail_path``; left empty, it leaves only the road.
+        faster, no rail path exists or the rail trip misses a last pass (see
+        ``plan``). ``first_waits`` prices the first boarding as in
+        ``_rail_path``; left empty, it leaves only the road.
 
         Rail answers are memoised in ``_rail_paths`` under (board, alight),
         plus the sorted first waits when given; a miss calls ``_rail_path``.
@@ -122,6 +126,18 @@ class RoutePlanner:
         total = access + wait_s + ride_s + egress
         if road_total < total:
             return _road_route(road_total)
+        # the road if a board station is reached at or after its last pass that day
+        at = t + access
+        for k, leg in enumerate(legs):
+            line = self.network.lines[leg.line]
+            svc = line.service
+            if at >= (at // SECONDS_PER_DAY * SECONDS_PER_DAY + svc.last_departure
+                      + line.position(leg.board, leg.direction)
+                      * (svc.run_seconds + svc.dwell_seconds)):
+                return _road_route(road_total)
+            first = k == 0 and first_waits is not None
+            wait = first_waits[(leg.line, leg.direction)] if first else svc.headway_seconds / 2.0
+            at += wait + line.ride_seconds(leg.board, leg.alight, leg.direction)
         return Route(legs, access, wait_s, ride_s, egress, total)
 
     def _rail_path(self, src: int, dst: int,
@@ -223,7 +239,8 @@ def _state_graph(network: TransitNetwork, ordinal: dict[int, int]):
     per (line, direction, station). Returns per hub its boardings in
     ``routes_at`` order as (route, onboard state at the next stop, half the
     headway, run), and per onboard state (hub, next onboard state or None,
-    route, dwell, run).
+    route, dwell, run). A run ends at its terminal, so the onboard state
+    there has no next one: a trip across a loop's anchor changes trains.
     """
     keys = [(sid, name, d) for name, line in network.lines.items()
             for d in (+1, -1) for sid in line.station_ids]
@@ -231,7 +248,8 @@ def _state_graph(network: TransitNetwork, ordinal: dict[int, int]):
     rides = []
     for sid, name, d in keys:
         line = network.lines[name]
-        rides.append((ordinal[sid], onboard.get((line.next_station(sid, d), name, d)),
+        nxt = None if sid == line.terminal(d) else line.next_station(sid, d)
+        rides.append((ordinal[sid], onboard.get((nxt, name, d)),
                       (name, d), line.service.dwell_seconds, line.service.run_seconds))
     boards = []
     for sid in ordinal:

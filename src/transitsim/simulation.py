@@ -201,7 +201,7 @@ class World:
             return
         origin = self.state[human].point
         if origin != trip.dest:
-            route = self.planner.plan(origin, trip.dest)
+            route = self.planner.plan(origin, trip.dest, now)
             self._begin_trip(human, trip.dest, route, now)
         self._release_pending(human, now)
 
@@ -276,7 +276,7 @@ class World:
             # arrived after it wrapped up; turn straight back
             home = self.humans[human].home
             if state.point != home:
-                route = self.planner.plan(state.point, home)
+                route = self.planner.plan(state.point, home, now)
                 self._begin_trip(human, home, route, now)
         self._release_pending(human, now)
 
@@ -341,7 +341,7 @@ class World:
         state = self.state[human]
         ev = self.events[ev_id]
         if now < ev.end and state.point != ev.location:
-            route = self.planner.plan(state.point, ev.location)
+            route = self.planner.plan(state.point, ev.location, now)
             self._begin_trip(human, ev.location, route, now, event_id=ev_id)
         self._release_pending(human, now)
 
@@ -356,7 +356,7 @@ class World:
             if state.point == home:
                 self._release_pending(human, now)
                 continue
-            route = self.planner.plan(state.point, home)
+            route = self.planner.plan(state.point, home, now)
             self._begin_trip(human, home, route, now)
 
     # trains
@@ -379,7 +379,6 @@ class World:
         train.slot_time = slot
         train.delay = 0
         train.path_pos = 0
-        train.loops = 0
         train.at_station = line.terminal(direction)
         self.manager.active[(line_name, direction)].add(tid)
         key = (line_name, direction)
@@ -390,36 +389,25 @@ class World:
 
     def _on_train_arrive(self, tid: int, station: int, *, now: SimTime) -> None:
         train = self.manager.trains[tid]
-        line = self.network.lines[train.line]
-        if line.circular and station == line.terminal(train.direction) and train.path_pos > 0:
-            train.loops += 1
         train.at_station = station
-        train.path_pos = line.position(station, train.direction)
+        train.path_pos += 1
         master = self.manager.masters[station]
         if master.request_arrival(tid, now):
             self._train_docked(tid, now)
 
     def _train_docked(self, tid: int, now: SimTime) -> None:
-        """On a platform: let riders off, then either turn around or set a
-        departure after the dwell."""
+        """On a platform: let riders off, then either turn around at the end
+        of the run or set a departure after the dwell, not before the slot."""
         train = self.manager.trains[tid]
         line = self.network.lines[train.line]
         s = train.at_station
         self._alight(train, s, now)
         self.metrics.record_visit(now, tid, train.line, s)
         self.metrics.record_occupancy(now, tid, len(train.onboard), train.capacity)
-        svc = line.service
-        if line.circular:
-            day_base = (train.slot_time // SECONDS_PER_DAY) * SECONDS_PER_DAY
-            retiring = (train.loops > 0 and s == line.terminal(train.direction)
-                        and now > day_base + svc.last_departure)
-        else:
-            retiring = line.next_station(s, train.direction) is None
-        if retiring:
+        if train.path_pos == line.run_hops:
             self._turnaround(tid, now)
             return
-        fresh = train.path_pos == 0 and train.loops == 0
-        depart_at = max(now + svc.dwell_seconds, train.slot_time if fresh else 0)
+        depart_at = max(now + line.service.dwell_seconds, train.slot_time)
         self.scheduler.schedule(depart_at, "train", "train-depart", tid)
 
     def _on_train_depart(self, tid: int, now: SimTime) -> None:
@@ -429,7 +417,7 @@ class World:
         svc = line.service
         self._board(train, s, now)
         step = svc.run_seconds + svc.dwell_seconds
-        expected = train.slot_time + (train.loops * line.n + train.path_pos) * step
+        expected = train.slot_time + train.path_pos * step
         train.delay = max(0, now - expected)
         self.metrics.record_occupancy(now, tid, len(train.onboard), train.capacity)
         ns = line.next_station(s, train.direction)
@@ -442,10 +430,7 @@ class World:
         train = self.manager.trains[tid]
         s = train.at_station
         if train.onboard:
-            # end of service can strand riders; put them back on the platform
-            for human, _ in sorted(train.onboard.items()):
-                self._resume_from_platform(human, s, now)
-            train.onboard.clear()
+            raise ConservationError(f"train {tid} ends its run at station {s} with riders aboard")
         self.manager.active[(train.line, train.direction)].discard(tid)
         before = train.capacity
         self.manager.terminal_service(train)
@@ -543,14 +528,6 @@ class World:
             if i > trip.leg_index:
                 total += line.service.headway_seconds / 2.0
         return total + trip.egress_seconds
-
-    def _resume_from_platform(self, human: int, station: int, now: SimTime) -> None:
-        """A ride ended early because the train retired; the rider rejoins
-        the queue here with the leg rebased so the next train can take it."""
-        trip = self.state[human].trip
-        leg = trip.current_leg()
-        trip.legs[trip.leg_index] = TrainLeg(leg.line, leg.direction, station, leg.alight)
-        self.manager.issue_token(station, human, now)
 
     # hourly work
 

@@ -3,10 +3,12 @@ platform arbitration, trains and terminal pools, schedule arithmetic, the
 train inquiry, and hourly ridership estimation.
 
 A route here means one direction of one line. Scheduled terminal departures
-("slots") repeat daily per the line's service block; the fleet per line is
-sized so the schedule is coverable, and a slot whose terminal pool is empty
-waits for the next returning train, which starts it late. No log record
-marks such a wait; the late start shows only in that train's delay.
+("slots") repeat daily per the line's service block; each slot is one run
+from a terminal pool to the end of the line, once round on a loop, and into
+the pool there. The fleet per line is sized so the schedule is coverable,
+and a slot whose terminal pool is empty waits for the next returning train,
+which starts it late. No log record marks such a wait; the late start shows
+only in that train's delay.
 """
 
 from __future__ import annotations
@@ -110,12 +112,11 @@ class Train:
     direction: int = +1
     slot_time: SimTime = 0      # scheduled terminal departure of current run
     delay: int = 0              # seconds behind that schedule
-    path_pos: int = 0           # index along path(direction) of current/next station
+    path_pos: int = 0           # hops made in the current run
     at_station: Optional[int] = None
     onboard: dict[int, int] = field(default_factory=dict)  # human -> alight station
     pending_detach: int = 0
     pending_attach: int = 0
-    loops: int = 0              # completed circuits of a circular line this run
 
     @property
     def capacity(self) -> int:
@@ -214,8 +215,8 @@ class TransportManager:
     def next_departure(self, line_name: str, station_id: int, direction: int,
                        t: SimTime, exclude_train: Optional[int] = None) -> Optional[SimTime]:
         """Earliest predicted departure of the route from a station at or
-        after t: live trains shifted by their known delays, then still
-        undispatched schedule slots, today's or else tomorrow's."""
+        after t: live trains not past the station, shifted by known delays,
+        then undispatched schedule slots, today's or else tomorrow's."""
         if station_id not in self.network.stations:
             raise UnknownStationError(f"unknown station {station_id}")
         line = self.network.lines[line_name]
@@ -224,21 +225,15 @@ class TransportManager:
         svc = line.service
         p = line.position(station_id, direction)
         offset = p * (svc.run_seconds + svc.dwell_seconds)
-        period = line.n * (svc.run_seconds + svc.dwell_seconds)
         best: Optional[SimTime] = None
         for tid in self.active[(line_name, direction)]:
             if tid == exclude_train:
                 continue
             train = self.trains[tid]
-            pred = train.slot_time + offset + train.delay
-            if line.circular:
-                if pred < t:
-                    pred += period * math.ceil((t - pred) / period)
-            else:
-                if train.path_pos > p:
-                    continue
-                pred = max(pred, t)
-            if pred >= t and (best is None or pred < best):
+            if train.path_pos > p:
+                continue
+            pred = max(train.slot_time + offset + train.delay, t)
+            if best is None or pred < best:
                 best = pred
         # earliest slot that is undispatched and departs here at or after t
         earliest = max(self.dispatched_upto[(line_name, direction)] + 1, t - offset)

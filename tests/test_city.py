@@ -180,6 +180,8 @@ def test_line_geometry_and_direction():
     assert ew.path(+1) == [0, 1, 2]
     assert ew.path(-1) == [2, 1, 0]
     assert ew.terminal(+1) == 0 and ew.terminal(-1) == 2
+    assert ew.run_hops == 2
+    assert [ew.position(s, -1) for s in ew.path(-1)] == [0, 1, 2]
     assert ew.one_way_seconds() == 2 * 120 + 1 * 30
 
 
@@ -216,6 +218,12 @@ def test_circular_line_geometry():
     # full loop time from any station back to itself
     assert ring.one_way_seconds() == 4 * (120 + 30)
     assert ring.terminal(+1) == 10 and ring.terminal(-1) == 10
+    # a run is one circuit from the anchor back to it, either way round
+    assert ring.run_hops == 4
+    assert ring.path(+1) == [10, 11, 12, 13, 10]
+    assert ring.path(-1) == [10, 13, 12, 11, 10]
+    for d in (+1, -1):
+        assert [ring.position(s, d) for s in ring.path(d)[:-1]] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("circular", [False, True])
@@ -225,15 +233,15 @@ def test_ride_seconds_equals_a_walk_along_the_path(circular):
     line = TransitLine("R", [5, 2, 9, 7, 4], svc, circular=circular)
     for d in (+1, -1):
         path = line.path(d)
-        n = len(path)
         for i, a in enumerate(path):
             assert line.ride_seconds(a, a, d) == 0
-            # walk on from a, past the anchor on a loop, adding a dwell at
-            # every stop passed and a run per hop
+            # walk on from a to the end of the run, back at the anchor on a
+            # loop, adding a dwell at every stop passed and a run per hop
             seconds = 0
-            for hop in range(1, n if circular else n - i):
+            for hop, b in enumerate(path[i + 1:], 1):
                 seconds += (svc.dwell_seconds if hop > 1 else 0) + svc.run_seconds
-                assert line.ride_seconds(a, path[(i + hop) % n], d) == seconds
+                if b != a:   # no leg rides a whole loop
+                    assert line.ride_seconds(a, b, d) == seconds
 
 
 def test_linear_line_hops_and_next():

@@ -22,18 +22,18 @@ DESK_SHA256 = {
 
 # the same for singapore-like (87 stations, one circular line) cut to 12 h
 CITY_12H_SHA256 = {
-    "event.log": "e78be8d524b66102",
-    "summary.csv": "1119513776778df9",
-    "usage.csv": "b9bdf664d1b7c804",
-    "wait.csv": "e32d37436fbb7dcf",
+    "event.log": "082e4792bd74c249",
+    "summary.csv": "93876f63d3e70187",
+    "usage.csv": "ee39dc1a256e10fb",
+    "wait.csv": "dba6c5004986d135",
 }
 
 # the same for singapore-like as shipped (24 h)
 CITY_SHA256 = {
-    "event.log": "2ff6d1153e281088",
-    "summary.csv": "9370e9b6a8ffb0e9",
-    "usage.csv": "d19947c7bee83870",
-    "wait.csv": "e2e9bcbdb4075fd3",
+    "event.log": "3dc7f868cea0f509",
+    "summary.csv": "0dff05738c3052f9",
+    "usage.csv": "8f3a43674d06e3cc",
+    "wait.csv": "61733c8e977827fd",
 }
 
 # the same for desk under the greedy strategy with alternative routing, which

@@ -157,7 +157,7 @@ def test_attendance_tau_boundaries():
     h = student(home=(1.30, 103.70))
     # 180-minute event: tau = 18 min
     e = SocialEvent(0, net.station(2).point, hms(10), hms(13), frozenset([2]), hms(6))
-    route = planner.plan(h.home, e.location)
+    route = planner.plan(h.home, e.location, e.start)
     total = route.total_seconds
     tau = e.tau
     assert tau == 18 * 60
@@ -176,7 +176,7 @@ def test_attendance_monotone_in_decision_time():
     net, planner = rail_fixture()
     h = student(home=(1.30, 103.70))
     e = SocialEvent(0, net.station(2).point, hms(10), hms(13), frozenset([2]), hms(6))
-    route = planner.plan(h.home, e.location)
+    route = planner.plan(h.home, e.location, e.start)
     t_latest = e.start + e.tau - route.total_seconds
     attended = [decide_attendance(h, e, planner, t) is not None
                 for t in range(t_latest - 600, t_latest + 600, 60)]

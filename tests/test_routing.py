@@ -21,6 +21,7 @@ from transitsim.routing import RoutePlanner, TrainLeg
 from transitsim.transit import TransportManager
 
 ROAD = RoadRouter(35.0)
+T = 8 * 3600   # planning time, inside svc()'s service day
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -82,7 +83,7 @@ def test_same_nearest_station_is_road_only():
     p = RoutePlanner(net, ROAD)
     origin = GeoPoint(1.301, 103.701)
     dest = GeoPoint(1.299, 103.699)
-    r = p.plan(origin, dest)
+    r = p.plan(origin, dest, T)
     assert r.road_only
     assert r.total_seconds == ROAD.travel_seconds(origin, dest)
 
@@ -91,7 +92,7 @@ def test_two_station_line_hand_computed():
     stations = [Station(0, "A", GeoPoint(1.30, 103.70)), Station(1, "B", GeoPoint(1.30, 103.80))]
     net = TransitNetwork(stations, [TransitLine("L", [0, 1], svc(run=120, headway=600))])
     p = RoutePlanner(net, ROAD)
-    r = p.plan(stations[0].point, stations[1].point)
+    r = p.plan(stations[0].point, stations[1].point, T)
     assert not r.road_only
     assert [(l.line, l.direction, l.board, l.alight) for l in r.legs] == [("L", 1, 0, 1)]
     assert r.access_seconds == 0 and r.egress_seconds == 0
@@ -108,7 +109,7 @@ def test_planner_matches_exhaustive_enumeration():
     for _ in range(120):
         origin = GeoPoint(float(rng.uniform(1.22, 1.38)), float(rng.uniform(103.69, 103.85)))
         dest = GeoPoint(float(rng.uniform(1.22, 1.38)), float(rng.uniform(103.69, 103.85)))
-        r = p.plan(origin, dest)
+        r = p.plan(origin, dest, T)
         best = enumerate_best_total(net, origin, dest)
         assert r.total_seconds == best
         if not r.road_only:
@@ -124,17 +125,34 @@ def test_transfer_route():
     p = RoutePlanner(net, ROAD)
     origin = net.station(0).point   # H west end
     dest = net.station(19).point    # V north end
-    r = p.plan(origin, dest)
+    r = p.plan(origin, dest, T)
     assert [l.line for l in r.legs] == ["H", "V"]
     assert r.legs[0].alight == 5 and r.legs[1].board == 5
     assert r.legs[1].direction == +1
+
+
+def test_rail_only_until_a_board_station_sees_its_last_pass():
+    # svc() passes station 0 on H for the last time at 23:00 and station 5
+    # on V northbound five stops out, at 23:00 + 5 * 75 s; the H leg from 0
+    # takes a 90 s wait and 360 s aboard to reach 5
+    net = cross_network(svc(run=60, dwell=15, headway=180))
+    p = RoutePlanner(net, ROAD)
+    origin, dest = net.station(0).point, net.station(19).point
+    last = 23 * 3600
+    assert [l.line for l in p.plan(origin, dest, last - 76).legs] == ["H", "V"]
+    assert p.plan(origin, dest, last - 75).road_only
+    h_only = net.station(9).point
+    assert not p.plan(origin, h_only, last - 1).road_only
+    assert p.plan(origin, h_only, last).road_only
+    # the next day's service is planned again
+    assert not p.plan(origin, h_only, 86400 + T).road_only
 
 
 def test_road_wins_when_rail_is_slow():
     stations = [Station(0, "A", GeoPoint(1.30, 103.70)), Station(1, "B", GeoPoint(1.30, 103.72))]
     net = TransitNetwork(stations, [TransitLine("L", [0, 1], svc(run=1200, headway=3600))])
     p = RoutePlanner(net, ROAD)
-    r = p.plan(stations[0].point, stations[1].point)
+    r = p.plan(stations[0].point, stations[1].point, T)
     assert r.road_only
 
 
@@ -216,7 +234,8 @@ def reference_rail_path(net, src, dst, first_waits=None):
             _, s, line_name, d = state
             line = net.lines[line_name]
             relax(("hub", s), cost, ("alight", s))
-            s2 = line.next_station(s, d)
+            # a run ends at its terminal, which on a loop is the anchor
+            s2 = None if s == line.terminal(d) else line.next_station(s, d)
             if s2 is not None:
                 relax(("on", s2, line_name, d),
                       cost + line.service.dwell_seconds + line.service.run_seconds, ("ride",))
@@ -342,17 +361,17 @@ def test_rail_path_memo_keyed_on_station_pair():
     net = TransitNetwork(stations, [TransitLine("L", [0, 1, 2], svc())])
     a, b, c = (s.point for s in stations)
     p = RoutePlanner(net, ROAD)
-    first = p.plan(a, b)
+    first = p.plan(a, b, T)
     assert not first.road_only
     # nearby points board and alight at the same stations and reuse the search
-    assert p.plan(GeoPoint(1.3001, 103.7001), b).legs == first.legs
+    assert p.plan(GeoPoint(1.3001, 103.7001), b, T).legs == first.legs
     assert list(p._rail_paths) == [(0, 1)]
     assert list(p._trees) == [0]
     # another alight station reads the same board station's tree
-    assert p.plan(a, c).legs[0].alight == 2
+    assert p.plan(a, c, T).legs[0].alight == 2
     assert list(p._rail_paths) == [(0, 1), (0, 2)]
     assert list(p._trees) == [0]
-    assert p.plan(b, a).legs[0].direction == -1
+    assert p.plan(b, a, T).legs[0].direction == -1
     assert list(p._rail_paths) == [(0, 1), (0, 2), (1, 0)]
     assert list(p._trees) == [0, 1]
     # the tree keeps per station the hub it was boarded from and the route
@@ -371,8 +390,8 @@ def test_warm_planner_matches_fresh_planner():
     for _ in range(3):
         for i in rng.permutation(len(pairs)):
             origin, dest = pairs[i]
-            fresh = RoutePlanner(cross_network(fast), ROAD).plan(origin, dest)
-            assert warm.plan(origin, dest) == fresh
+            fresh = RoutePlanner(cross_network(fast), ROAD).plan(origin, dest, T)
+            assert warm.plan(origin, dest, T) == fresh
             rail += not fresh.road_only
     assert rail > 20
 
@@ -481,7 +500,7 @@ def test_warm_alternative_matches_fresh_planner():
         exclude = listed[0][1] if listed and rng.random() < 0.7 else None
         dest = dests[int(rng.integers(len(dests)))]
         if rng.random() < 0.3:
-            warm.plan(net.station(sid).point, dest)
+            warm.plan(net.station(sid).point, dest, T)
         fresh = RoutePlanner(net, ROAD).alternative(sid, dest, first, inquiry, t,
                                                     exclude_train=exclude)
         assert warm.alternative(sid, dest, first, inquiry, t, exclude_train=exclude) == fresh

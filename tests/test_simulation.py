@@ -1,13 +1,16 @@
-"""World-level behavior: schedule coverage, conservation sweeps, keyed-stream
-run pairing, diffusion pacing, the cascade as the world runs it, full-train
-rerouting, riders aboard at end of service, busy-human deferral, and the
-dead-route rescue fallback."""
+"""World-level behavior: schedule coverage and on-time slot starts,
+conservation sweeps, keyed-stream run pairing, diffusion pacing, the cascade
+as the world runs it, full-train rerouting, a change of trains at a loop's
+anchor, the road after the last pass, busy-human deferral, and the dead-route
+rescue fallback."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from transitsim.city import GeoPoint, bounding_box_around, network_from_dict
+from transitsim.config import load_scenario
 from transitsim.engine import RngStreams, hms
 from transitsim.events import SocialEvent
 from transitsim.population import Human, Trip, generate_population
@@ -30,6 +33,41 @@ def line4(first=3600, last=18000, headway=600):
     return network_from_dict(doc)
 
 
+def ring(n, first=3600, last=18000, headway=600):
+    """A circular line R over stations 0..n-1, anchored at 0."""
+    doc = {
+        "stations": [{"id": i, "name": f"s{i}", "lat": 1.0, "lon": 103.0 + 0.01 * i}
+                     for i in range(n)],
+        "lines": [{"name": "R", "stations": list(range(n)), "circular": True,
+                   "service": {"run_seconds": 120, "dwell_seconds": 30,
+                               "headway_seconds": headway, "first_departure": first,
+                               "last_departure": last}}],
+    }
+    return network_from_dict(doc)
+
+
+def slot_starts(w):
+    """Record every run the world starts as (line, direction, slot) -> how
+    long after its slot time the run was dispatched."""
+    starts = {}
+    start_run = w._start_run
+
+    def spy(tid, line_name, direction, slot, now):
+        starts[(line_name, direction, slot)] = now - slot
+        start_run(tid, line_name, direction, slot, now)
+
+    w._start_run = spy
+    return starts
+
+
+def due_slots(w):
+    """Every (line, direction, slot) whose dispatch falls within the horizon."""
+    return {(name, d, slot) for name, line in w.network.lines.items()
+            for day in range(w.horizon // 86400 + 1)
+            for slot in w.manager.scheduled_slots(name, day)
+            if slot - line.service.dwell_seconds <= w.horizon for d in (+1, -1)}
+
+
 def empty_graph(n):
     return SocialGraph([[] for _ in range(n)], [[] for _ in range(n)])
 
@@ -46,16 +84,32 @@ def make_world(net, humans, graph, events, seed=1, horizon=6, **kw):
 
 
 def test_every_slot_runs_and_sweeps_stay_clean():
-    net = line4()
-    w = make_world(net, [], empty_graph(0), [])
+    # 25 slots per direction; a one-way run docks at 4 stations, a loop's
+    # at the anchor, the 4 other stations and the anchor again
+    for net, dockings in ((line4(), 4), (ring(5), 6)):
+        w = make_world(net, [], empty_graph(0), [])
+        starts = slot_starts(w)
+        w.run()
+        slots = len(w.manager.scheduled_slots(next(iter(net.lines)), 0))
+        assert slots == 25
+        assert set(starts) == due_slots(w)
+        assert max(starts.values()) <= 0
+        assert len(w.metrics.visits) == 2 * slots * dockings
+        # hour ticks 0..6 plus the closing sweep, none raised
+        assert w.sweeps >= 7
+        assert w.manager.total_compartments() == len(w.manager.trains)
+
+
+def test_singapore_like_slots_start_on_time():
+    # trains alone for a day on the shipped network, circular CC included
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "singapore-like.yaml"
+    net = network_from_dict(load_scenario(str(path)).network)
+    w = make_world(net, [], empty_graph(0), [], horizon=24)
+    starts = slot_starts(w)
     w.run()
-    # 25 slots per direction, 4 dockings per one-way run
-    slots = len(w.manager.scheduled_slots("L", 0))
-    assert slots == 25
-    assert len(w.metrics.visits) == 2 * slots * 4
-    # hour ticks 0..6 plus the closing sweep, none raised
-    assert w.sweeps >= 7
-    assert w.manager.total_compartments() == len(w.manager.trains)
+    assert set(starts) == due_slots(w)
+    assert max(starts.values()) <= 60
+    assert not any(w.pending_slots.values())
 
 
 def test_runs_identical_before_broadcast_with_and_without_event():
@@ -140,34 +194,32 @@ def test_simulated_cascade_posts_each_attendee_once(monkeypatch):
     assert sorted(poster for _, poster in draws) == sorted(w.attendees[0])
 
 
-def test_riders_aboard_at_end_of_service_rejoin_the_platform():
-    """The last loop of a circular line retires at its anchor with a rider
-    aboard: the rider waits there on the rest of the leg and rides on."""
-    doc = {
-        "stations": [{"id": i, "name": f"s{i}", "lat": 1.0, "lon": 103.0 + 0.01 * i}
-                     for i in range(5)],
-        "lines": [{"name": "R", "stations": [0, 1, 2, 3, 4], "circular": True,
-                   "service": {"run_seconds": 120, "dwell_seconds": 30,
-                               "headway_seconds": 600, "first_departure": 3600,
-                               "last_departure": 7200}}],
-    }
-    net = network_from_dict(doc)
-    at4, at1 = net.stations[4].point, net.stations[1].point
-    w = make_world(net, [Human(0, "senior-citizen", 6, at4)], empty_graph(1), [], horizon=3)
-    w.scheduler.schedule(7700, "human", "trip-start", Trip(0, "home", "other", 0, 0, 7700, at4, at1))
-    resumed = []
-    resume = w._resume_from_platform
+def test_trip_across_the_anchor_changes_trains_there():
+    """A run ends at the loop's anchor, so a ride from 6 over the anchor 0
+    to 1 is two legs: the rider alights at 0 and takes the next run."""
+    net = ring(8, first=3600, last=7200, headway=300)
+    at6, at1 = net.stations[6].point, net.stations[1].point
+    w = make_world(net, [Human(0, "senior-citizen", 6, at6)], empty_graph(1), [], horizon=3)
+    assert w.planner.plan(at6, at1, 4000).legs == (
+        TrainLeg("R", +1, 6, 0), TrainLeg("R", +1, 0, 1))
+    w.scheduler.schedule(4000, "human", "trip-start", Trip(0, "home", "other", 0, 0, 4000, at6, at1))
+    runs = []
+    board = w._board
 
-    def spy(human, station, now):
-        resume(human, station, now)
-        resumed.append((station, now, w.state[human].trip.current_leg()))
+    def spy(train, station, now):
+        aboard = len(train.onboard)
+        board(train, station, now)
+        if len(train.onboard) > aboard:
+            runs.append((train.slot_time, station, now))
 
-    w._resume_from_platform = spy
+    w._board = spy
     w.run()
-    assert resumed == [(0, 7920, TrainLeg("R", +1, 0, 1))]
+    # the 3600 run passes 6 at 4500 and ends at 0 at 4770; the 4800 run
+    # leaves 0 on time
+    assert runs == [(3600, 6, 4500), (4800, 0, 4800)]
     assert [(r.station, r.start, r.end) for r in w.metrics.waits] == [
-        (4, 7700, 7800), (0, 7920, 7950)]
-    assert [(r.start, r.end) for r in w.metrics.trips] == [(7700, 8070)]
+        (6, 4000, 4500), (0, 4770, 4800)]
+    assert [(r.start, r.end) for r in w.metrics.trips] == [(4000, 4920)]
     assert w.state[0].point == at1 and w.state[0].trip is None
     # hour ticks 0..3 plus the closing sweep, none raised
     assert w.sweeps == 5
@@ -202,6 +254,19 @@ def test_full_train_spills_to_road_when_margin_met():
     # everyone made it to the venue within the lateness tolerance
     arrived = {t.human for t in w.metrics.trips if t.end <= late}
     assert arrived == set(range(40))
+
+
+def test_return_after_the_last_pass_drives():
+    # the event ends at 05:00, the line's last pass at the venue's station:
+    # every return trip drives and nobody is left queueing at the horizon
+    w = seniors_at_a_full_train()
+    ev = w.events[0]
+    w.run()
+    road = w.planner.road.travel_seconds(ev.location, w.humans[0].home)
+    returns = [t for t in w.metrics.trips if t.start == ev.end]
+    assert len(returns) == 40
+    assert all(t.end == ev.end + road for t in returns)
+    assert not any(master.waiting for master in w.manager.masters.values())
 
 
 def greedy_town():

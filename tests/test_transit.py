@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from transitsim.city import (
     TransitNetwork,
     network_from_dict,
 )
+from transitsim.config import load_scenario
 from transitsim.engine import RngStreams
 from transitsim.population import (
     HOME_MAKER,
@@ -42,6 +44,8 @@ from transitsim.transit import (
     attendee_source_point,
     initial_capacity,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def linear_net(n=4, run=120, dwell=30, headway=300, platforms=2,
@@ -209,19 +213,23 @@ def test_next_departure_prefers_live_delayed_train():
     assert m.next_departure("A", 1, +1, t=18100) == 18450
 
 
-def test_next_departure_circular_wraps_by_period():
+def test_next_departure_circular_counts_hops_from_the_anchor():
+    # a -1 run leaves the anchor 0 for 5, 4, 3, ... and ends back at 0
     net = linear_net(n=6, circular=True)
     m = TransportManager(net, 2)
+    assert m.next_departure("A", 0, -1, t=18000) == 18000
+    assert m.next_departure("A", 5, -1, t=18000) == 18000 + 150
+    assert m.next_departure("A", 1, -1, t=18000) == 18000 + 5 * 150
     tr = m.trains[0]
+    tr.direction = -1
     tr.slot_time = 18000
-    tr.path_pos = 3
-    m.active[("A", +1)].add(0)
-    m.dispatched_upto[("A", +1)] = m.scheduled_slots("A", 0)[-1]
-    period = 6 * 150
-    t = 18000 + 150 + 2 * period + 40
-    pred = m.next_departure("A", 1, +1, t=t)
-    assert pred == 18000 + 150 + 3 * period
-    assert pred >= t
+    tr.delay = 60
+    tr.path_pos = 2
+    m.active[("A", -1)].add(0)
+    m.dispatched_upto[("A", -1)] = 18000
+    # two hops out the live train is past 5, not yet past 4
+    assert m.next_departure("A", 4, -1, t=18100) == 18000 + 2 * 150 + 60
+    assert m.next_departure("A", 5, -1, t=18100) == 18300 + 150
 
 
 def scan_next_departure(m, line_name, station_id, direction, t, exclude_train=None):
@@ -231,23 +239,17 @@ def scan_next_departure(m, line_name, station_id, direction, t, exclude_train=No
     svc = line.service
     path = line.path(direction)
     p = path.index(station_id)
-    if not line.circular and p == len(path) - 1:
+    if p == len(path) - 1:
         return None
-    step = svc.run_seconds + svc.dwell_seconds
-    offset, period = p * step, line.n * step
+    offset = p * (svc.run_seconds + svc.dwell_seconds)
     best = None
     for tid in sorted(m.active[(line_name, direction)]):
         if tid == exclude_train:
             continue
         train = m.trains[tid]
-        pred = train.slot_time + offset + train.delay
-        if line.circular:
-            while pred < t:
-                pred += period
-        elif train.path_pos > p:
+        if train.path_pos > p:
             continue
-        else:
-            pred = max(pred, t)
+        pred = max(train.slot_time + offset + train.delay, t)
         if best is None or pred < best:
             best = pred
     upto = m.dispatched_upto[(line_name, direction)]
@@ -324,6 +326,37 @@ def departures_seen_by_a_run(net, hours):
 
     w.scheduler.run_until(w.horizon, handle)
     return asked, missing
+
+
+def singapore_like_net():
+    return network_from_dict(load_scenario(str(SCENARIOS / "singapore-like.yaml")).network)
+
+
+@pytest.mark.parametrize("build", [lambda: linear_net(n=6, circular=True),
+                                   lambda: linear_net(n=6), singapore_like_net],
+                         ids=["ring", "linear", "singapore-like"])
+def test_inquiry_names_every_departure_as_it_happens(build):
+    # trains alone for a day: each time a train leaves a station, the
+    # inquiry for that route and station answers now
+    net = build()
+    w = World(net, [], SocialGraph([], []), [], RngStreams(1), horizon_hours=24,
+              compartments_per_train=1, pool_compartments=0, strategy=make_strategy("none"))
+    departures, missed = 0, []
+
+    def handle(action):
+        nonlocal departures
+        if action.kind == "train-depart":
+            now = w.scheduler.now
+            train = w.manager.trains[action.payload]
+            got = w.manager.next_departure(train.line, train.at_station, train.direction, now)
+            departures += 1
+            if got != now:
+                missed.append((now, train.line, train.at_station, train.direction, got))
+        w._handle(action)
+
+    w.scheduler.run_until(w.horizon, handle)
+    assert departures > 2000
+    assert missed == []
 
 
 @st.composite
