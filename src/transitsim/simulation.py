@@ -30,7 +30,7 @@ from .engine import (
 from .events import BroadcastFeed, EventEndedError, SocialEvent, decide_attendance, wants_to_seed
 from .metrics import MetricsLedger, TripRecord
 from .population import Human, Trip, daily_trips
-from .routing import Route, RoutePlanner, TrainLeg
+from .routing import RoutePlanner, TrainLeg
 from .social import SocialGraph, spread
 from .strategies import Strategy, snapshot
 from .transit import Train, TransportManager
@@ -199,11 +199,7 @@ class World:
         if self._wait_turn(human, "trip-start", trip, now):
             self.deferrals += 1
             return
-        origin = self.state[human].point
-        if origin != trip.dest:
-            route = self.planner.plan(origin, trip.dest, now)
-            self._begin_trip(human, trip.dest, route, now)
-        self._release_pending(human, now)
+        self._go(human, trip.dest, now)
 
     def _wait_turn(self, human: int, kind: str, payload, now: SimTime) -> bool:
         """Whether a trip-start or attend-depart has to wait: while its human
@@ -247,15 +243,21 @@ class World:
             del queue[0]
         self.pending.pop(human, None)
 
-    def _begin_trip(self, human: int, dest: GeoPoint, route: Route, now: SimTime,
-                    event_id: Optional[int] = None) -> None:
-        self.state[human].trip = ActiveTrip(dest, list(route.legs), route.egress_seconds,
-                                            now, event_id)
-        self.trips_started += 1
-        if route.road_only:
-            self.scheduler.schedule(now + route.total_seconds, "human", "trip-arrive", human)
-        else:
-            self.scheduler.schedule(now + route.access_seconds, "human", "walk-arrive", human)
+    def _go(self, human: int, dest: GeoPoint, now: SimTime,
+            event_id: Optional[int] = None) -> None:
+        """Set out from where the human is for ``dest``, unless it is already
+        there, then take up what it put off once it is free."""
+        state = self.state[human]
+        if state.point != dest:
+            route = self.planner.plan(state.point, dest, now)
+            state.trip = ActiveTrip(dest, list(route.legs), route.egress_seconds,
+                                    now, event_id)
+            self.trips_started += 1
+            if route.road_only:
+                self.scheduler.schedule(now + route.total_seconds, "human", "trip-arrive", human)
+            else:
+                self.scheduler.schedule(now + route.access_seconds, "human", "walk-arrive", human)
+        self._release_pending(human, now)
 
     def _on_walk_arrive(self, human: int, now: SimTime) -> None:
         trip = self.state[human].trip
@@ -268,17 +270,13 @@ class World:
         state.trip = None
         state.point = trip.dest
         self.metrics.record_trip(TripRecord(human, trip.started, now))
-        if trip.event_id is not None:
-            ev = self.events[trip.event_id]
-            if now < ev.end:
-                state.at_event = ev.id
-                return
+        if trip.event_id is None:
+            self._release_pending(human, now)
+        elif now < self.events[trip.event_id].end:
+            state.at_event = trip.event_id
+        else:
             # arrived after it wrapped up; turn straight back
-            home = self.humans[human].home
-            if state.point != home:
-                route = self.planner.plan(state.point, home, now)
-                self._begin_trip(human, home, route, now)
-        self._release_pending(human, now)
+            self._go(human, self.humans[human].home, now)
 
     # events and diffusion
 
@@ -338,26 +336,19 @@ class World:
     def _on_attend_depart(self, human: int, ev_id: int, now: SimTime) -> None:
         if self._wait_turn(human, "attend-depart", (human, ev_id), now):
             return
-        state = self.state[human]
         ev = self.events[ev_id]
-        if now < ev.end and state.point != ev.location:
-            route = self.planner.plan(state.point, ev.location, now)
-            self._begin_trip(human, ev.location, route, now, event_id=ev_id)
-        self._release_pending(human, now)
+        if now < ev.end:
+            self._go(human, ev.location, now, event_id=ev_id)
+        else:
+            self._release_pending(human, now)
 
     def _on_event_return(self, ev_id: int, now: SimTime) -> None:
-        ev = self.events[ev_id]
         for human in sorted(self.attendees[ev_id]):
             state = self.state[human]
             if state.at_event != ev_id:
                 continue
             state.at_event = None
-            home = self.humans[human].home
-            if state.point == home:
-                self._release_pending(human, now)
-                continue
-            route = self.planner.plan(state.point, home, now)
-            self._begin_trip(human, home, route, now)
+            self._go(human, self.humans[human].home, now)
 
     # trains
 
@@ -493,11 +484,12 @@ class World:
         if alt.total_seconds + self.alt_margin >= stay:
             return
         self.metrics.alt_adopted += 1
+        trip.legs = trip.legs[:trip.leg_index] + list(alt.legs)
         if alt.road_only:
+            # drive the rest of the way
             self._retire_token(human, station, now)
-            self._finish_by_road(human, alt.total_seconds, now)
+            self.scheduler.schedule(now + alt.total_seconds, "human", "trip-arrive", human)
         else:
-            trip.legs = trip.legs[:trip.leg_index] + list(alt.legs)
             trip.egress_seconds = alt.egress_seconds
 
     def _retire_token(self, human: int, station: int, now: SimTime) -> None:
@@ -505,12 +497,6 @@ class World:
         covered in the ledger."""
         waited = self.manager.return_token(station, human, now)
         self.metrics.record_wait(human, station, now - waited, now)
-
-    def _finish_by_road(self, human: int, seconds: int, now: SimTime) -> None:
-        """Drop the trip's remaining legs and drive the rest of the way."""
-        trip = self.state[human].trip
-        trip.legs = trip.legs[:trip.leg_index]
-        self.scheduler.schedule(now + seconds, "human", "trip-arrive", human)
 
     def _stay_cost(self, trip: ActiveTrip, station: int, now: SimTime,
                    exclude_train: Optional[int]) -> float:
@@ -544,28 +530,12 @@ class World:
                 self.manager.queue_moves(decision.moves)
                 if self.log is not None:
                     self.log.append(now, "strategy", "decision", moves=len(decision.moves))
-        self._rescue_stranded(now)
-
-    def _rescue_stranded(self, now: SimTime) -> None:
-        for sid, master in self.manager.masters.items():
-            for human in list(master.waiting):
-                trip = self.state[human].trip
-                leg = trip.current_leg() if trip else None
-                if leg is None:
-                    continue
-                nd = self.manager.next_departure(leg.line, sid, leg.direction, now)
-                if nd is not None:
-                    continue
-                self._retire_token(human, sid, now)
-                here = self.network.station(sid).point
-                road = self.planner.road.travel_seconds(here, trip.dest)
-                self._finish_by_road(human, road, now)
 
     def _sweep(self, now: SimTime) -> None:
         """Besides the platform, ledger, seat and compartment bounds, every
         token and seat belongs to one human's current leg: a token at the
-        leg's board station, a seat on a train of its line and direction,
-        bound for its alight station."""
+        leg's board station, on a route that leaves that station, and a seat
+        on a train of its line and direction, bound for its alight station."""
         seen: set[int] = set()
 
         def place(human: int) -> Optional[TrainLeg]:
@@ -581,10 +551,14 @@ class World:
                 raise ConservationError(f"platform bound broken at station {sid}")
             if master.issue_count - master.return_count != len(master.waiting):
                 raise ConservationError(f"token ledger unbalanced at station {sid}")
+            routes = self.network.routes_at(sid)
             for human in master.waiting:
                 leg = place(human)
                 if leg is None or leg.board != sid:
                     raise ConservationError(f"human {human} waits at station {sid} off its leg")
+                if (leg.line, leg.direction) not in routes:
+                    raise ConservationError(f"human {human} waits at station {sid} "
+                                            f"for a route that does not leave it")
         for tid, train in self.manager.trains.items():
             if len(train.onboard) > train.capacity:
                 raise ConservationError(f"train {tid} over capacity")

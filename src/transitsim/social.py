@@ -16,6 +16,7 @@ cascade and the simulator, which runs one round per feed cycle.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -99,31 +100,38 @@ class _Columns(NamedTuple):
 
 
 class SocialGraph:
-    """Immutable follower graph with per-edge activation probabilities.
+    """Immutable follower graph with per-edge activation probabilities, held
+    as CSR arrays.
 
-    ``following[x]`` lists the nodes x follows (sorted), and the constructor's
-    ``probs[x][i]`` is the probability that following[x][i] activates x. The
-    graph keeps the reverse adjacency a post travels along as CSR arrays: the
-    followers of poster y are ``follower_ids[indptr[y]:indptr[y + 1]]`` in
-    ascending id, with their activation probabilities at the same positions
-    of ``edge_probs``.
+    Follower x follows the posters ``posters[out_ptr[x]:out_ptr[x + 1]]``
+    (ascending id), and the constructor's ``probs`` at the same positions is
+    the probability that each of them activates x. The graph keeps the
+    reverse adjacency a post travels along: the followers of poster y are
+    ``follower_ids[indptr[y]:indptr[y + 1]]`` in ascending id, with their
+    activation probabilities at the same positions of ``edge_probs``.
     """
 
-    def __init__(self, following: list[list[int]], probs: list[list[float]],
-                 lpc: Optional[list[float]] = None):
-        self.n = len(following)
-        self.following = following
+    def __init__(self, out_ptr: np.ndarray, posters: np.ndarray, probs: np.ndarray,
+                 lpc: Optional[np.ndarray] = None):
+        self.n = len(out_ptr) - 1
+        self.out_ptr = out_ptr
+        self.posters = posters
         self._lpc = lpc
-        degree = np.fromiter(map(len, following), dtype=np.int64, count=self.n)
-        edges = int(degree.sum())
-        posters = np.fromiter(chain.from_iterable(following), dtype=np.int64, count=edges)
         # a stable sort keeps each poster's followers in ascending id
         order = np.argsort(posters, kind="stable")
         self.indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(posters, minlength=self.n), out=self.indptr[1:])
-        self.follower_ids = np.repeat(np.arange(self.n, dtype=np.int64), degree)[order]
-        self.edge_probs = np.fromiter(chain.from_iterable(probs), dtype=np.float64,
-                                      count=edges)[order]
+        self.follower_ids = np.repeat(np.arange(self.n, dtype=np.int64),
+                                      np.diff(out_ptr))[order]
+        self.edge_probs = np.asarray(probs, dtype=np.float64)[order]
+
+    @cached_property
+    def following(self) -> list[list[int]]:
+        """``following[x]`` lists the nodes x follows (sorted), built on
+        first read."""
+        flat = self.posters.tolist()
+        bounds = self.out_ptr.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def followers_of(self, poster: int) -> tuple[np.ndarray, np.ndarray]:
         """The followers of ``poster`` and their activation probabilities."""
@@ -133,7 +141,7 @@ class SocialGraph:
     def least_proximate(self, node: int) -> float:
         if self._lpc is None:
             raise ValueError("graph was built without proximity data")
-        return self._lpc[node]
+        return float(self._lpc[node])
 
     def edge_count(self) -> int:
         return int(self.indptr[-1])
@@ -174,11 +182,14 @@ def generate_graph(population: Sequence[Human], streams: RngStreams,
         raise InfeasibleDegreeError(f"mean degree {dmean} outside [{dmin}, {dmax}]")
     gen = streams.generator("graph")
     degrees = _sample_degrees(n, dmin, dmax, dmean, gen)
-    following = [_draw_targets(gen, n, x, want) for x, want in enumerate(degrees.tolist())]
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=out_ptr[1:])
+    targets = (_draw_targets(gen, n, x, want) for x, want in enumerate(degrees.tolist()))
+    posters = np.fromiter(chain.from_iterable(targets), dtype=np.int64, count=int(out_ptr[-1]))
     if constant_probability is not None:
-        probs = [[constant_probability] * len(t) for t in following]
-        return SocialGraph(following, probs)
-    return SocialGraph(following, *_influence_edges(population, following))
+        probs = np.full(len(posters), constant_probability, dtype=np.float64)
+        return SocialGraph(out_ptr, posters, probs)
+    return SocialGraph(out_ptr, posters, *_influence_edges(population, out_ptr, posters))
 
 
 def _draw_targets(gen, n: int, x: int, want: int) -> list[int]:
@@ -191,9 +202,9 @@ def _draw_targets(gen, n: int, x: int, want: int) -> list[int]:
     return sorted(islice(kept, want))
 
 
-def _influence_edges(population: Sequence[Human], following: list[list[int]]
-                     ) -> tuple[list[list[float]], list[float]]:
-    """Each edge's influence probability, per follower as in ``following``,
+def _influence_edges(population: Sequence[Human], out_ptr: np.ndarray, posters: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's influence probability, at its position in ``posters``,
     and each follower's least proximate connection.
 
     Proximity, its per-follower maximum and the influence model are array
@@ -210,25 +221,24 @@ def _influence_edges(population: Sequence[Human], following: list[list[int]]
     codes: dict[str, int] = {}
     people = _Columns(np.array([h.age_group for h in population]),
                       np.array([codes.setdefault(h.category, len(codes)) for h in population]))
-    probs: list[list[float]] = []
-    lpc: list[float] = []
-    for lo in range(0, len(following), _BLOCK):
-        block = following[lo:lo + _BLOCK]
-        degree = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
-        posters = np.fromiter(chain.from_iterable(block), dtype=np.int64, count=int(degree.sum()))
-        followers = np.repeat(np.arange(lo, lo + len(block)), degree)
-        prox = np.full(len(posters), math.inf)
+    n = len(out_ptr) - 1
+    probs = np.empty(len(posters))
+    lpc = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        a, b = out_ptr[lo], out_ptr[hi]
+        degree = np.diff(out_ptr[lo:hi + 1])
+        block = posters[a:b]
+        followers = np.repeat(np.arange(lo, hi), degree)
+        prox = np.full(len(block), math.inf)
         for has, polar in contacts:
-            both = np.flatnonzero(has[posters] & has[followers])
-            km = haversine_km_array(polar[:, posters[both]], polar[:, followers[both]])
+            both = np.flatnonzero(has[block] & has[followers])
+            km = haversine_km_array(polar[:, block[both]], polar[:, followers[both]])
             prox[both] = np.minimum(prox[both], km * 1000.0)
-        ends = np.cumsum(degree)
-        starts = ends - degree
-        farthest = np.maximum.reduceat(prox, starts)
-        p = influence(people.take(posters), people.take(followers), prox,
-                      np.repeat(farthest, degree)).tolist()
-        probs += [p[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-        lpc += farthest.tolist()
+        farthest = np.maximum.reduceat(prox, out_ptr[lo:hi] - a)
+        probs[a:b] = influence(people.take(block), people.take(followers), prox,
+                               np.repeat(farthest, degree))
+        lpc[lo:hi] = farthest
     return probs, lpc
 
 

@@ -156,6 +156,14 @@ def attendee_source_point(h: Human, hour_of_day: int) -> GeoPoint:
     return h.home
 
 
+def _run_reaches(line: TransitLine, source: int, dest: int, direction: int) -> bool:
+    """Whether one run in the direction passes ``source`` and then reaches
+    ``dest`` without passing its terminal: on a loop the anchor is a run's
+    last stop as well as its first."""
+    k = line.hops(source, dest, direction)
+    return bool(k) and line.position(source, direction) + k <= line.run_hops
+
+
 class TransportManager:
     """System-wide agent owning trains, schedules, the compartment pool, the
     token ledger and ridership history."""
@@ -318,10 +326,10 @@ class TransportManager:
         ``attendee_sets`` pairs each event with the ids of humans planning to
         attend. Per hour the event runs, each attendee contributes one rider
         from the station nearest its estimated source location to the station
-        nearest the event, counted on every route that passes the source
-        strictly before the destination. The baseline is the same hour of the
-        previous day's token issues, split evenly over the routes serving
-        each issuing station.
+        nearest the event, counted on every route one of whose runs passes
+        the source and then reaches the destination. The baseline is the
+        same hour of the previous day's token issues, split evenly over the
+        routes serving each issuing station.
         """
         est = RidershipEstimate(day)
         base_day = day * SECONDS_PER_DAY
@@ -356,9 +364,8 @@ class TransportManager:
                     if not line.serves(dest):
                         continue
                     for d in (+1, -1):
-                        dest_idx = line.position(dest, d)
                         count = sum(c for s, c in sources.items()
-                                    if line.serves(s) and line.position(s, d) < dest_idx)
+                                    if line.serves(s) and _run_reaches(line, s, dest, d))
                         if count:
                             key = (line_name, d, hour)
                             est.delta[key] = est.delta.get(key, 0) + count

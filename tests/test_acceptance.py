@@ -179,7 +179,9 @@ def _c02():
             targets = sorted(int(v) for v in rng.choice(others, size=k, replace=False))
             following.append(targets)
             probs.append([float(p) for p in rng.uniform(0.05, 0.95, size=k)])
-        graph = SocialGraph(following, probs)
+        graph = SocialGraph(np.cumsum([0] + [len(t) for t in following]),
+                            np.array([y for t in following for y in t], dtype=np.int64),
+                            np.array([p for ps in probs for p in ps]))
         n_seeds = 1 + (g % 2)
         seeds = sorted(int(v) for v in rng.choice(n, size=n_seeds, replace=False))
         in_prob = [dict(zip(following[x], probs[x])) for x in range(n)]

@@ -1,12 +1,14 @@
 """World-level behavior: schedule coverage and on-time slot starts,
 conservation sweeps, keyed-stream run pairing, diffusion pacing, the cascade
 as the world runs it, full-train rerouting, a change of trains at a loop's
-anchor, the road after the last pass, busy-human deferral, and the dead-route
-rescue fallback."""
+anchor, the road after the last pass, busy-human deferral, the turn back
+from an event that has ended, and the sweep's refusal of a token on a route
+that does not leave its station."""
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from transitsim.city import GeoPoint, bounding_box_around, network_from_dict
@@ -68,8 +70,15 @@ def due_slots(w):
             if slot - line.service.dwell_seconds <= w.horizon for d in (+1, -1)}
 
 
+def csr_graph(following, probs):
+    """A SocialGraph from per-follower lists of posters and probabilities."""
+    out_ptr = np.cumsum([0] + [len(t) for t in following])
+    posters = np.array([y for t in following for y in t], dtype=np.int64)
+    return SocialGraph(out_ptr, posters, np.array([p for ps in probs for p in ps]))
+
+
 def empty_graph(n):
-    return SocialGraph([[] for _ in range(n)], [[] for _ in range(n)])
+    return csr_graph([[] for _ in range(n)], [[] for _ in range(n)])
 
 
 def make_world(net, humans, graph, events, seed=1, horizon=6, **kw):
@@ -149,7 +158,7 @@ def test_diffusion_advances_one_round_per_poll_cycle():
               Human(1, "home-maker", 5, at0),
               Human(2, "home-maker", 5, at0)]
     # 1 follows 0, 2 follows 1, sure-thing edges
-    graph = SocialGraph([[], [0], [1]], [[], [1.0], [1.0]])
+    graph = csr_graph([[], [0], [1]], [[], [1.0], [1.0]])
     ev = SocialEvent(id=0, location=net.stations[3].point,
                      start=14400, end=18000,
                      age_range=frozenset({6}), broadcast_from=7200)
@@ -185,7 +194,7 @@ def test_simulated_cascade_posts_each_attendee_once(monkeypatch):
     at0 = net.stations[0].point
     humans = [Human(i, "senior-citizen", 6, at0) for i in range(4)]
     # a ring of sure-thing edges: i follows i - 1
-    graph = SocialGraph([[3], [0], [1], [2]], [[1.0]] * 4)
+    graph = csr_graph([[3], [0], [1], [2]], [[1.0]] * 4)
     ev = SocialEvent(id=0, location=net.stations[3].point, start=hms(8, 0), end=hms(9, 0),
                      age_range=frozenset({6}), broadcast_from=3600)
     w = make_world(net, humans, graph, [ev], horizon=10, poll_probability=0.5)
@@ -396,26 +405,54 @@ def test_pending_trip_past_the_horizon_never_starts(tmp_path):
         (2700, "trip-start"), (3100, "trip-start"), (3150, "attend-depart")]
 
 
-def test_dead_route_rescue_returns_token_and_drives():
+def test_sweep_refuses_a_token_on_a_route_that_does_not_leave_its_station():
     net = line4()
     humans = [Human(0, "senior-citizen", 6, GeoPoint(1.0, 103.0))]
     w = make_world(net, humans, empty_graph(1), [])
     w.scheduler.run_until(9000, w._handle)
     # a leg pointing past the end of the line can never board
-    dest = net.stations[0].point
-    trip = ActiveTrip(dest, [TrainLeg("L", +1, 3, 0)], 0, started=9000)
+    trip = ActiveTrip(net.stations[0].point, [TrainLeg("L", +1, 3, 0)], 0, started=9000)
     w.manager.issue_token(3, 0, 9000)
     w.state[0].trip = trip
-    w.run()
-    assert not w.manager.masters[3].waiting
-    # rescued at the 10800 sweep: wait closed, road drive finishes the trip
-    assert any(r.human == 0 and r.start == 9000 and r.end == 10800
-               for r in w.metrics.waits)
-    rec = [t for t in w.metrics.trips if t.human == 0]
-    assert len(rec) == 1
-    assert rec[0].end == 10800 + w.planner.road.travel_seconds(net.stations[3].point, dest)
-    assert w.state[0].trip is None
-    assert w.state[0].point == dest
+    with pytest.raises(ConservationError, match="human 0 waits at station 3 for a route "
+                                                "that does not leave it"):
+        w.run()
+    # the first sweep after the token was issued is the 10800 hour tick
+    assert w.scheduler.now == 10800
+
+
+def test_late_attendee_turns_back_at_once_and_then_takes_up_what_it_put_off():
+    net = line4()
+    home, venue = net.stations[0].point, net.stations[3].point
+    north = GeoPoint(1.009, 103.0)
+    humans = [Human(0, "senior-citizen", 6, home)]
+    # nobody seeds this event (age group 1 only); the attend-depart is ours,
+    # and the 9600 train reaches the venue at 10020, after the event's end
+    ev = SocialEvent(id=0, location=venue, start=9000, end=9600,
+                     age_range=frozenset({1}), broadcast_from=7200)
+    w = make_world(net, humans, empty_graph(1), [ev])
+    w.attendees[0].add(0)
+    w.scheduler.schedule(9300, "human", "attend-depart", (0, 0))
+    # set while the human is on the way: put off until it is home again
+    w.scheduler.schedule(9400, "human", "trip-start",
+                         Trip(0, "home", "other", 0, 0, 9400, home, north))
+    at_event = set()
+    handle = w._handle
+
+    def spy(action):
+        handle(action)
+        at_event.add(w.state[0].at_event)
+
+    w.scheduler.run_until(w.horizon, spy)
+    out, back, put_off = sorted(w.metrics.trips, key=lambda r: r.start)
+    assert (out.start, out.end) == (9300, 10020)
+    # home from the venue at the very second it arrived
+    assert back.start == out.end
+    assert at_event == {None}
+    # the put-off trip starts on its own grid once the human is home
+    assert (put_off.start - 9400) % RETRY_SECONDS == 0
+    assert back.end <= put_off.start < back.end + RETRY_SECONDS
+    assert w.deferrals == 1 and w.state[0].point == north
 
 
 def rider_from_1_to_3():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transitsim.city import BoundingBox, GeoPoint, haversine_km
+from transitsim.cli import build_world
+from transitsim.config import load_scenario
 from transitsim.engine import RngStreams
 from transitsim.population import Human, generate_population
 import transitsim.social as social
@@ -27,6 +30,7 @@ from transitsim.social import (
 )
 
 BBOX = BoundingBox(1.24, 103.6, 1.46, 103.99)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def human(i, cat="student", age=2, home=(1.30, 103.80), office=None, school=None):
@@ -67,9 +71,12 @@ def test_proximity_picks_closest_defined_pair():
 
 
 def hand_graph(following, lpc=None, probs=None):
+    """A SocialGraph from per-follower lists of posters and probabilities."""
     if probs is None:
         probs = [[0.0] * len(t) for t in following]
-    return SocialGraph(following, probs, lpc=lpc)
+    out_ptr = np.cumsum([0] + [len(t) for t in following])
+    posters = np.array([y for t in following for y in t], dtype=np.int64)
+    return SocialGraph(out_ptr, posters, np.array([p for ps in probs for p in ps]), lpc)
 
 
 # influence between two humans of one age group and category: the age and
@@ -222,6 +229,13 @@ def test_dense_graph_pinned():
     assert streams.generator("graph").random() == 0.6803981745682851
 
 
+def test_graph_holds_no_per_follower_lists():
+    # a run reads the CSR arrays only; the list view is built on demand
+    cfg = load_scenario(str(SCENARIOS / "desk.yaml"))
+    world = build_world(cfg)
+    assert "following" not in world.graph.__dict__
+
+
 def test_degree_mean_tracks_target_across_seeds():
     for seed in range(5):
         streams = RngStreams(100 + seed)
@@ -257,7 +271,7 @@ def path_graph(ps):
     for i, p in enumerate(ps):
         following[i + 1] = [i]
         probs[i + 1] = [p]
-    return SocialGraph(following, probs)
+    return hand_graph(following, probs=probs)
 
 
 def test_cascade_trivial_cases():
@@ -297,7 +311,7 @@ def test_cascade_single_attempt_per_edge(monkeypatch):
     monkeypatch.setattr(social, "keyed_uniform_batch", counting)
     following = [[1, 2], [0, 2], [0, 1]]
     probs = [[0.9, 0.9], [0.9, 0.9], [0.9, 0.9]]
-    g = SocialGraph(following, probs)
+    g = hand_graph(following, probs=probs)
     streams = RngStreams(1)
     active = cascade(g, [0], 5, streams)
     prefixes = [prefix for prefix, _ in draws]
@@ -319,7 +333,7 @@ def test_cascade_monotone_in_seeds(data):
         t = sorted(data.draw(st.sets(st.sampled_from(others), min_size=1, max_size=3)))
         following.append(t)
         probs.append([data.draw(st.floats(0, 1)) for _ in t])
-    g = SocialGraph(following, probs)
+    g = hand_graph(following, probs=probs)
     seeds_small = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
     extra = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
     streams = RngStreams(99)
@@ -399,7 +413,7 @@ def test_spread_matches_scalar_reference(data):
         t = sorted(data.draw(st.sets(st.sampled_from(others)))) if others else []
         following.append(t)
         probs.append([data.draw(st.floats(0, 1)) for _ in t])
-    g = SocialGraph(following, probs)
+    g = hand_graph(following, probs=probs)
     active = data.draw(st.sets(st.integers(0, n - 1)))
     posters = data.draw(st.lists(st.integers(0, n - 1), unique=True))
     admitted = data.draw(st.sets(st.integers(0, n - 1)))
@@ -424,7 +438,7 @@ def test_spread_matches_scalar_reference(data):
 
 def test_declined_follower_stays_reachable_through_a_later_poster():
     # 2 follows 0 and 1 on sure edges; the gate declines 2 the first time
-    g = SocialGraph([[], [], [0, 1]], [[], [], [1.0, 1.0]])
+    g = hand_graph([[], [], [0, 1]], probs=[[], [], [1.0, 1.0]])
     asked = []
 
     def accept(h):

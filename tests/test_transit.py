@@ -8,6 +8,7 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,11 @@ from transitsim.transit import (
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def empty_graph():
+    """A SocialGraph of nobody: CSR arrays with no nodes and no edges."""
+    return SocialGraph(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
 def linear_net(n=4, run=120, dwell=30, headway=300, platforms=2,
@@ -310,7 +316,7 @@ def departures_seen_by_a_run(net, hours):
     """Run the trains alone and, after every dispatched action, ask the
     inquiry about every route each station lists. Returns the number of
     questions and the answers that were None."""
-    w = World(net, [], SocialGraph([], []), [], RngStreams(1), horizon_hours=hours,
+    w = World(net, [], empty_graph(), [], RngStreams(1), horizon_hours=hours,
               compartments_per_train=1, pool_compartments=0, strategy=make_strategy("none"))
     asked, missing = 0, []
 
@@ -339,7 +345,7 @@ def test_inquiry_names_every_departure_as_it_happens(build):
     # trains alone for a day: each time a train leaves a station, the
     # inquiry for that route and station answers now
     net = build()
-    w = World(net, [], SocialGraph([], []), [], RngStreams(1), horizon_hours=24,
+    w = World(net, [], empty_graph(), [], RngStreams(1), horizon_hours=24,
               compartments_per_train=1, pool_compartments=0, strategy=make_strategy("none"))
     departures, missed = 0, []
 
@@ -629,6 +635,18 @@ def test_estimate_matches_independent_oracle():
     est1 = m.estimate_ridership(1, sets, humans)
     assert est1.delta == {}
     assert sum(est1.baseline.values()) == pytest.approx(11.0)
+
+
+def test_estimate_counts_a_loop_toward_its_anchor():
+    # a run leaves the anchor 0 and ends there, so from station 3 both
+    # directions reach an event at the anchor within one run
+    net = linear_net(n=6, circular=True)
+    m = TransportManager(net, 2)
+    humans = [Human(0, HOME_MAKER, 4, home=net.stations[3].point)]
+    ev = SocialEvent(0, net.stations[0].point, start=10 * 3600, end=12 * 3600,
+                     age_range=frozenset(range(1, 7)), broadcast_from=0)
+    est = m.estimate_ridership(0, [(ev, {0})], humans)
+    assert est.delta == {("A", d, hour): 1 for d in (1, -1) for hour in (10, 11)}
 
 
 def test_estimate_departure_counts_follow_headway():
