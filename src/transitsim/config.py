@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Optional
 
 import yaml
 

@@ -8,7 +8,7 @@ is targeted and the event is reachable before it starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -15,8 +15,9 @@ wait averages the in-window waits of the humans standing at its stations.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .city import TransitLine, TransitNetwork
@@ -99,19 +100,9 @@ class OccupancySeries:
 
 def line_sections(line: TransitLine) -> list[list[int]]:
     """Five consecutive station groups; earlier groups take any remainder."""
-    n = line.n
-    base, extra = divmod(n, SECTIONS_PER_LINE)
-    out = []
-    i = 0
-    for s in range(SECTIONS_PER_LINE):
-        size = base + (1 if s < extra else 0)
-        out.append(line.station_ids[i:i + size])
-        i += size
-    return out
-
-
-def station_section_map(line: TransitLine) -> dict[int, int]:
-    return {sid: s for s, group in enumerate(line_sections(line)) for sid in group}
+    base, extra = divmod(line.n, SECTIONS_PER_LINE)
+    cuts = [s * base + min(s, extra) for s in range(SECTIONS_PER_LINE + 1)]
+    return [line.station_ids[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 class MetricsLedger:
@@ -151,48 +142,60 @@ def avg_wait(ledger: MetricsLedger, t0: SimTime, t1: SimTime, population: int) -
     return total / population
 
 
-def section_usage(ledger: MetricsLedger, line: TransitLine,
-                  t0: SimTime, t1: SimTime) -> list[float]:
-    """Occupied seat-time fraction per section over [t0, t1).
+def _windows(edges: list[SimTime], a: SimTime, b: SimTime):
+    """(w, lo, hi): [a, b) clipped to each window [edges[w], edges[w + 1]) it overlaps."""
+    for w in range(max(0, bisect_right(edges, a) - 1),
+                   min(bisect_left(edges, b), len(edges) - 1)):
+        lo, hi = max(a, edges[w]), min(b, edges[w + 1])
+        if hi > lo:
+            yield w, lo, hi
 
-    The interval between consecutive dockings of a train is spent dwelling at
-    the first station and running to the second, so it is charged to the
-    first station's section. A pair of dockings at the same station is a
-    train idling between runs and charges nothing.
+
+def section_tables(ledger: MetricsLedger, lines: list[TransitLine],
+                   edges: list[SimTime]) -> tuple[list[float], list[float]]:
+    """Usage and mean wait of every (window, line, section) cell, in that
+    order, where window w is [edges[w], edges[w + 1]), from one walk of the
+    visits and one of the waits. A pair of dockings at the same station is a
+    train idling between runs and charges nothing. A wait counts in each
+    window it overlaps by a positive span, at every section of its station.
     """
-    sec_of = station_section_map(line)
-    seat = [0.0] * SECTIONS_PER_LINE
-    cap = [0.0] * SECTIONS_PER_LINE
-    by_train: dict[int, list[tuple[SimTime, int]]] = {}
+    width = len(lines) * SECTIONS_PER_LINE
+    seat, cap, total, count = ([0] * ((len(edges) - 1) * width) for _ in range(4))
+    cell = {(line.name, sid): i * SECTIONS_PER_LINE + s for i, line in enumerate(lines)
+            for s, group in enumerate(line_sections(line)) for sid in group}
+    runs: dict[tuple[int, str], list[tuple[SimTime, int]]] = {}
     for t, train, ln, sid in ledger.visits:
-        if ln == line.name:
-            by_train.setdefault(train, []).append((t, sid))
-    for train, seq in by_train.items():
-        series = ledger.occupancy.get(train)
-        if series is None:
-            continue
+        if (ln, sid) in cell and train in ledger.occupancy:
+            runs.setdefault((train, ln), []).append((t, sid))
+    for (train, ln), seq in runs.items():
+        series = ledger.occupancy[train]
         seq.sort()
         for (ta, sa), (tb, sb) in zip(seq, seq[1:]):
-            if sa == sb or tb <= t0 or ta >= t1:
-                continue
-            s, c = series.integrate(max(ta, t0), min(tb, t1))
-            k = sec_of[sa]
-            seat[k] += s
-            cap[k] += c
-    return [min(1.0, seat[k] / cap[k]) if cap[k] > 0 else 0.0
-            for k in range(SECTIONS_PER_LINE)]
+            if sa != sb:
+                for w, lo, hi in _windows(edges, ta, tb):
+                    s, c = series.integrate(lo, hi)
+                    seat[w * width + cell[ln, sa]] += s
+                    cap[w * width + cell[ln, sa]] += c
+    for rec in ledger.waits:
+        at = [cell[line.name, rec.station] for line in lines if (line.name, rec.station) in cell]
+        for w, lo, hi in _windows(edges, rec.start, rec.end):
+            for k in at:
+                total[w * width + k] += hi - lo
+                count[w * width + k] += 1
+    return ([min(1.0, s / c) if c > 0 else 0.0 for s, c in zip(seat, cap)],
+            [t / n if n else 0.0 for t, n in zip(total, count)])
+
+
+def section_usage(ledger: MetricsLedger, line: TransitLine,
+                  t0: SimTime, t1: SimTime) -> list[float]:
+    """Occupied seat-time fraction per section over [t0, t1)."""
+    return section_tables(ledger, [line], [t0, t1])[0]
 
 
 def section_wait(ledger: MetricsLedger, line: TransitLine,
                  t0: SimTime, t1: SimTime) -> list[float]:
-    out = []
-    for group in line_sections(line):
-        members = set(group)
-        durs = [overlap(w.start, w.end, t0, t1) for w in ledger.waits
-                if w.station in members]
-        durs = [d for d in durs if d > 0]
-        out.append(sum(durs) / len(durs) if durs else 0.0)
-    return out
+    """Mean in-window wait per section over [t0, t1)."""
+    return section_tables(ledger, [line], [t0, t1])[1]
 
 
 def avg_total_travel(ledger: MetricsLedger, t0: SimTime, t1: SimTime) -> Optional[float]:
@@ -210,21 +213,14 @@ def emit_report(ledger: MetricsLedger, network: TransitNetwork, out_dir: str,
                 hours: int, population: int) -> None:
     """usage.csv and wait.csv per hour/line/section, one-row summary.csv."""
     os.makedirs(out_dir, exist_ok=True)
-    lines = sorted(network.lines)
-    with open(os.path.join(out_dir, "usage.csv"), "w", encoding="utf-8") as f:
-        f.write("hour,line,section,usage\n")
-        for hour in range(hours):
-            t0, t1 = hour * SECONDS_PER_HOUR, (hour + 1) * SECONDS_PER_HOUR
-            for name in lines:
-                for s, u in enumerate(section_usage(ledger, network.lines[name], t0, t1)):
-                    f.write(f"{hour},{name},r{s},{_fmt(u)}\n")
-    with open(os.path.join(out_dir, "wait.csv"), "w", encoding="utf-8") as f:
-        f.write("hour,line,section,avg_wait_s\n")
-        for hour in range(hours):
-            t0, t1 = hour * SECONDS_PER_HOUR, (hour + 1) * SECONDS_PER_HOUR
-            for name in lines:
-                for s, w in enumerate(section_wait(ledger, network.lines[name], t0, t1)):
-                    f.write(f"{hour},{name},r{s},{_fmt(w)}\n")
+    lines = [network.lines[name] for name in sorted(network.lines)]
+    tables = section_tables(ledger, lines, [h * SECONDS_PER_HOUR for h in range(hours + 1)])
+    for fname, column, table in zip(("usage.csv", "wait.csv"), ("usage", "avg_wait_s"), tables):
+        cells = product(range(hours), lines, range(SECTIONS_PER_LINE))
+        with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as f:
+            f.write(f"hour,line,section,{column}\n")
+            for (hour, line, s), x in zip(cells, table):
+                f.write(f"{hour},{line.name},r{s},{_fmt(x)}\n")
     horizon = hours * SECONDS_PER_HOUR
     w_all = avg_wait(ledger, 0, horizon, population)
     travel = avg_total_travel(ledger, 0, horizon)

@@ -21,13 +21,7 @@ from typing import Iterable, Optional
 
 from .city import GeoPoint, Station, TransitLine, TransitNetwork, UnknownStationError
 from .engine import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimTime
-from .population import (
-    HOME_MAKER,
-    SENIOR_CITIZEN,
-    STUDENT,
-    WORKING_PROFESSIONAL,
-    Human,
-)
+from .population import STUDENT, WORKING_PROFESSIONAL, Human
 
 SEATS_PER_COMPARTMENT = 31
 

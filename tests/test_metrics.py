@@ -1,12 +1,18 @@
-"""Usage and wait metrics against hand-computed fixtures, section rules, and
-byte-determinism of the CSV reports."""
+"""Usage and wait metrics against hand-computed fixtures and a per-second
+reference, section rules, and byte-determinism of the CSV reports."""
 
 import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from transitsim.city import network_from_dict
+from transitsim.cli import build_world
+from transitsim.config import load_scenario
 from transitsim.metrics import (
     MetricsLedger,
     OccupancySeries,
@@ -17,9 +23,9 @@ from transitsim.metrics import (
     emit_report,
     line_sections,
     overlap,
+    section_tables,
     section_usage,
     section_wait,
-    station_section_map,
 )
 
 
@@ -134,8 +140,6 @@ def test_sections_partition_balanced():
     groups = line_sections(line)
     assert [len(g) for g in groups] == [2, 2, 2, 2, 2]
     assert [sid for g in groups for sid in g] == list(range(10))
-    smap = station_section_map(line)
-    assert smap[0] == 0 and smap[9] == 4
     # 26 stations: earlier sections absorb the remainder
     doc = {
         "stations": [{"id": i, "name": f"s{i}", "lat": 1.0 + 0.005 * i, "lon": 103.0}
@@ -250,3 +254,141 @@ def test_empty_run_emits_headers(tmp_path):
         assert body == [header]
     summary = (tmp_path / "r" / "summary.csv").read_text().strip().split("\n")
     assert summary[1] == "0.0000,,0.0000"
+
+
+# the hour x line x section tables against a per-second reference
+
+
+SERVICE = {"run_seconds": 120, "dwell_seconds": 30, "headway_seconds": 300,
+           "first_departure": 0, "last_departure": 86100}
+
+
+def two_line_net(n_a, n_b, hub):
+    """Line A over stations 0..n_a-1, and line B from A's station ``hub``
+    out over n_b - 1 stations of its own."""
+    others = list(range(n_a, n_a + n_b - 1))
+    doc = {
+        "stations": [{"id": i, "name": f"s{i}", "lat": 1.0 + 0.01 * i,
+                      "lon": 103.0 if i < n_a else 103.01}
+                     for i in range(n_a + n_b - 1)],
+        "lines": [{"name": "A", "stations": list(range(n_a)), "service": SERVICE},
+                  {"name": "B", "stations": [hub] + others, "service": SERVICE}],
+    }
+    return network_from_dict(doc)
+
+
+def reference_tables(led, lines, edges):
+    """Usage and mean wait per (window, line, section), one second at a time:
+    each second of a docking interval at a train's occupancy then, and each
+    second of a wait that falls inside the window."""
+    usage, wait = [], []
+    for t0, t1 in zip(edges, edges[1:]):
+        for line in lines:
+            for group in line_sections(line):
+                seat = cap = 0
+                for train, series in led.occupancy.items():
+                    seq = sorted((t, sid) for t, tr, ln, sid in led.visits
+                                 if tr == train and ln == line.name)
+                    for (ta, sa), (tb, sb) in zip(seq, seq[1:]):
+                        if sa != sb and sa in group:
+                            s, c = per_second_integral(series, max(ta, t0), min(tb, t1))
+                            seat, cap = seat + s, cap + c
+                usage.append(min(1.0, seat / cap) if cap > 0 else 0.0)
+                durs = [sum(1 for sec in range(w.start, w.end) if t0 <= sec < t1)
+                        for w in led.waits if w.station in group]
+                durs = [d for d in durs if d > 0]
+                wait.append(sum(durs) / len(durs) if durs else 0.0)
+    return usage, wait
+
+
+def mixed_case():
+    """Every case at once: an idle pair, an interval and a wait across the
+    hour, a zero-length wait, a wait at the interchange station 2 of lines A
+    and B, a 4-station line (an empty section) and a train that docks but
+    has no occupancy series."""
+    net = two_line_net(4, 3, hub=2)
+    led = MetricsLedger()
+    for t, train, line, sid in ((0, 0, "A", 0), (600, 0, "A", 0), (3000, 0, "A", 1),
+                                (4000, 0, "A", 2), (100, 1, "B", 2), (3700, 1, "B", 4),
+                                (200, 2, "B", 2), (3500, 2, "B", 4), (5000, 2, "B", 5)):
+        led.record_visit(t, train, line, sid)
+    for t, train, onboard in ((0, 0, 10), (3500, 0, 31), (200, 2, 62), (4000, 2, 5)):
+        led.record_occupancy(t, train, onboard, 62)
+    for human, (sid, start, end) in enumerate(((2, 3500, 3700), (0, 1000, 1000), (5, 10, 7000))):
+        led.record_wait(human, sid, start, end)
+    return net, 2, led, [0, 1800, 3600, 7200], (3000, 4000)
+
+
+@st.composite
+def ledger_cases(draw):
+    n_a = draw(st.integers(2, 8))
+    net = two_line_net(n_a, draw(st.integers(2, 7)), hub=draw(st.integers(0, n_a - 1)))
+    hours = draw(st.integers(2, 3))
+    times = st.integers(0, hours * 3600)
+    led = MetricsLedger()
+    visits = []
+    trains = [line for line in net.lines.values() for _ in range(draw(st.integers(0, 3)))]
+    for train, line in enumerate(trains):
+        stops = draw(st.lists(st.tuples(times, st.sampled_from(line.station_ids)),
+                              max_size=6))
+        visits += [(t, train, line.name, sid) for t, sid in stops]
+        for t in sorted(draw(st.sets(times, max_size=4))):
+            cap = 31 * draw(st.integers(1, 3))
+            led.record_occupancy(t, train, draw(st.integers(0, cap)), cap)
+    for v in draw(st.permutations(visits)):
+        led.record_visit(*v)
+    waits = st.tuples(st.sampled_from(sorted(net.stations)), times, st.integers(0, 4000))
+    for human, (sid, start, dur) in enumerate(draw(st.lists(waits, max_size=8))):
+        led.record_wait(human, sid, start, start + dur)
+    edges = sorted(draw(st.sets(st.integers(-100, hours * 3600 + 100), min_size=1, max_size=5)))
+    window = (draw(st.integers(-100, hours * 3600 + 100)),
+              draw(st.integers(-100, hours * 3600 + 100)))
+    return net, hours, led, edges, window
+
+
+def csv_rows(path):
+    return Path(path).read_text(encoding="utf-8").splitlines()[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=ledger_cases())
+@example(case=mixed_case())
+def test_tables_match_per_second_reference(case):
+    net, hours, led, edges, (t0, t1) = case
+    lines = [net.lines[name] for name in sorted(net.lines)]
+    assert section_tables(led, lines, edges) == reference_tables(led, lines, edges)
+    for line in lines:
+        usage, wait = reference_tables(led, [line], [t0, t1])
+        assert section_usage(led, line, t0, t1) == usage
+        assert section_wait(led, line, t0, t1) == wait
+    usage, wait = reference_tables(led, lines, [h * 3600 for h in range(hours + 1)])
+    cells = [(h, line.name, s) for h in range(hours) for line in lines for s in range(5)]
+    with tempfile.TemporaryDirectory() as out:
+        emit_report(led, net, out, hours=hours, population=1)
+        for name, table in (("usage.csv", usage), ("wait.csv", wait)):
+            assert csv_rows(os.path.join(out, name)) == [
+                f"{h},{line},r{s},{x:.4f}" for (h, line, s), x in zip(cells, table)]
+
+
+def test_report_is_a_pure_read(tmp_path):
+    """Writing the report leaves the ledger as it found it, so a second
+    report of the same run writes the same bytes."""
+    cfg = load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml"))
+    world = build_world(cfg)
+    world.run()
+    led = world.metrics
+
+    def snapshot():
+        return (list(led.visits), list(led.waits),
+                {train: (list(s.times), list(s.onboard), list(s.capacity))
+                 for train, s in led.occupancy.items()})
+
+    before = snapshot()
+    files = []
+    for name in ("a", "b"):
+        emit_report(led, world.network, str(tmp_path / name),
+                    hours=cfg.horizon_hours, population=len(world.humans))
+        files.append({fn: (tmp_path / name / fn).read_bytes()
+                      for fn in ("usage.csv", "wait.csv", "summary.csv")})
+        assert snapshot() == before
+    assert files[0] == files[1]

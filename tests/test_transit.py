@@ -551,8 +551,8 @@ def cross_net():
 
 def oracle_estimate(net, day, attendee_sets, humans, issue_history, slots_in_hour):
     """Independent transcription of the estimation procedure: previous-day
-    issues split across serving routes, plus per-hour traversal counts of
-    attendee sources that precede the event's station."""
+    issues split across serving routes, plus per-hour counts of attendee
+    sources from which one run's stop list reaches the event's station."""
     baseline = {}
     for (sid, abs_hour), cnt in issue_history.items():
         if abs_hour // 24 != day - 1:
@@ -582,12 +582,14 @@ def oracle_estimate(net, day, attendee_sets, humans, issue_history, slots_in_hou
                     seq = line.path(d)
                     if dest_sid not in seq:
                         continue
-                    di = seq.index(dest_sid)
                     n = 0
                     for hid in attendees:
                         src = net.nearest_station(
                             attendee_source_point(humans[hid], hour)).id
-                        if src in seq and seq.index(src) < di:
+                        # the venue's station comes later in the same run's
+                        # stop list; a loop's anchor is its first and last stop
+                        after = seq[seq.index(src) + 1:] if src in seq else []
+                        if src != dest_sid and dest_sid in after:
                             n += 1
                     if n:
                         k = (name, d, hour)
@@ -635,6 +637,37 @@ def test_estimate_matches_independent_oracle():
     est1 = m.estimate_ridership(1, sets, humans)
     assert est1.delta == {}
     assert sum(est1.baseline.values()) == pytest.approx(11.0)
+
+
+@pytest.mark.parametrize("circular", [False, True], ids=["linear", "loop"])
+def test_estimate_on_one_line_matches_independent_oracle(circular):
+    net = linear_net(n=6, circular=circular)
+    m = TransportManager(net, 2)
+    at = [net.stations[i].point for i in range(6)]
+    humans = [Human(i, HOME_MAKER, 4, home=at[i]) for i in range(6)]
+    # at the anchor until 09:00, then at station 4 until 18:00
+    humans.append(Human(6, WORKING_PROFESSIONAL, 3, home=at[0], office=at[4]))
+    events = [SocialEvent(0, at[0], start=8 * 3600, end=11 * 3600,
+                          age_range=frozenset(range(1, 7)), broadcast_from=0),
+              SocialEvent(1, at[3], start=10 * 3600, end=12 * 3600,
+                          age_range=frozenset(range(1, 7)), broadcast_from=0)]
+    sets = [(events[0], {1, 2, 3, 5, 6}), (events[1], {0, 3, 4, 6})]
+    ids = itertools.count(1000)
+    for sid, hour in ((0, 8), (3, 9), (5, 9), (5, 10)):
+        m.issue_token(sid, human=next(ids), now=hour * 3600)
+    deltas = []
+    for day in (0, 1):
+        est = m.estimate_ridership(day, sets, humans)
+        base, delta = oracle_estimate(net, day, sets, humans, m.issue_history, None)
+        for key in set(base) | set(est.baseline):
+            assert est.baseline.get(key, 0.0) == pytest.approx(base.get(key, 0.0))
+        assert est.delta == delta
+        deltas.append(delta)
+    assert sum(base.values()) == pytest.approx(4.0)
+    # the anchor event draws every rider bound for it in both directions of
+    # a loop, but only from upstream on a linear line
+    a_riders = {d: deltas[0].get(("A", d, 8), 0) for d in (1, -1)}
+    assert a_riders == ({1: 4, -1: 4} if circular else {1: 0, -1: 4})
 
 
 def test_estimate_counts_a_loop_toward_its_anchor():
