@@ -16,10 +16,13 @@ import os
 import sys
 from typing import Optional
 
-from .city import InvariantViolationError, ParseError, bounding_box_around, network_from_dict
-from .config import ConfigError, RunManifest, ScenarioConfig, config_hash, load_scenario
+from .city import (BoundingBox, InvariantViolationError, ParseError, bounding_box_around,
+                   network_from_dict)
+from .config import (ConfigError, RunManifest, ScenarioConfig, check_settings, config_hash,
+                     load_scenario)
 from .engine import RngStreams, parse_clock
-from .events import BadConfigError, generate_events
+from .events import (DEFAULT_POLL_INTERVAL, DEFAULT_POLL_PROBABILITY, BadConfigError,
+                     generate_events)
 from .metrics import avg_total_travel, avg_wait, emit_report
 from .population import generate_population
 from .simulation import World
@@ -33,12 +36,11 @@ def build_world(cfg: ScenarioConfig, log_path: Optional[str] = None) -> World:
     streams = RngStreams(cfg.seed)
     pop_cfg = cfg.population
     if "bbox" in pop_cfg:
-        from .city import BoundingBox
         bbox = BoundingBox(*pop_cfg["bbox"])
     else:
         bbox = bounding_box_around([s.point for s in network.stations.values()],
-                                   margin_km=float(pop_cfg.get("margin_km", 1.5)))
-    humans = generate_population(int(pop_cfg["size"]), bbox, streams)
+                                   margin_km=float(pop_cfg["margin_km"]))
+    humans = generate_population(pop_cfg["size"], bbox, streams)
     soc = cfg.social
     graph = generate_graph(
         humans, streams,
@@ -47,7 +49,7 @@ def build_world(cfg: ScenarioConfig, log_path: Optional[str] = None) -> World:
         constant_probability=soc.get("constant_probability"))
     events = generate_events(cfg.events, streams)
     strat_cfg = cfg.strategy
-    strategy = make_strategy(strat_cfg["name"], bool(strat_cfg.get("alt_routing", False)))
+    strategy = make_strategy(strat_cfg["name"], strat_cfg["alt_routing"])
     transit_cfg = cfg.transit
     if "initial_capacity" in transit_cfg:
         spec = transit_cfg["initial_capacity"]
@@ -56,17 +58,17 @@ def build_world(cfg: ScenarioConfig, log_path: Optional[str] = None) -> World:
                                  float(spec["real_capacity"]))
         compartments = seats // SEATS_PER_COMPARTMENT
     else:
-        compartments = int(transit_cfg.get("compartments", 2))
+        compartments = transit_cfg["compartments"]
     return World(
         network, humans, graph, events, streams,
         horizon_hours=cfg.horizon_hours,
         compartments_per_train=compartments,
-        pool_compartments=int(strat_cfg.get("pool", 10)),
+        pool_compartments=strat_cfg["pool"],
         strategy=strategy,
-        poll_interval=int(cfg.events.get("poll_interval", 3600)),
-        poll_probability=float(cfg.events.get("poll_probability", 0.25)),
-        road_speed_kmh=float(transit_cfg.get("road_speed_kmh", 35.0)),
-        alt_margin_seconds=int(strat_cfg.get("alt_margin_seconds", 300)),
+        poll_interval=cfg.events.get("poll_interval", DEFAULT_POLL_INTERVAL),
+        poll_probability=float(cfg.events.get("poll_probability", DEFAULT_POLL_PROBABILITY)),
+        road_speed_kmh=float(transit_cfg["road_speed_kmh"]),
+        alt_margin_seconds=strat_cfg["alt_margin_seconds"],
         log_path=log_path)
 
 
@@ -101,7 +103,7 @@ def run_one(cfg: ScenarioConfig, out_dir: str, label: str) -> dict:
 def _read_series(run_dir: str, name: str) -> dict[tuple[str, str, str], float]:
     out = {}
     with open(os.path.join(run_dir, name), "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
+        f.readline()
         for line in f:
             cells = line.strip().split(",")
             out[(cells[0], cells[1], cells[2])] = float(cells[3])
@@ -175,21 +177,18 @@ def apply_flags(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.until is not None:
-        if args.until <= 0:
-            raise ConfigError("--until must be positive hours")
         cfg.horizon_hours = args.until
     if args.strategy is not None:
         cfg.strategy["name"] = args.strategy
     if args.alt_routing is not None:
         cfg.strategy["alt_routing"] = args.alt_routing == "on"
     if args.pool is not None:
-        if args.pool < 0:
-            raise ConfigError("--pool cannot be negative")
         cfg.strategy["pool"] = args.pool
     if args.event is not None:
         fixed = list(cfg.events.get("events", []))
         fixed.append(_parse_event_flag(args.event))
         cfg.events["events"] = fixed
+    check_settings(cfg)
     return cfg
 
 

@@ -81,12 +81,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         raise ConfigError(f"seed must be an integer, got {doc['seed']!r}")
     if "network" not in doc or not isinstance(doc["network"], dict):
         raise ConfigError("network section is required")
-    horizon = int(doc.get("horizon_hours", DEFAULTS["horizon_hours"]))
-    if horizon <= 0:
-        raise ConfigError("horizon_hours must be positive")
     cfg = ScenarioConfig(
         seed=seed,
-        horizon_hours=horizon,
+        horizon_hours=doc.get("horizon_hours", DEFAULTS["horizon_hours"]),
         network=doc["network"],
         population=_merged("population", doc),
         social=_merged("social", doc),
@@ -94,14 +91,53 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         transit=_merged("transit", doc),
         strategy=_merged("strategy", doc),
     )
-    if cfg.population.get("size", 0) <= 0:
-        raise ConfigError("population.size must be positive")
-    if cfg.strategy.get("name") not in ("none", "greedy"):
-        raise ConfigError(f"unknown strategy {cfg.strategy.get('name')!r}")
-    p = cfg.social.get("constant_probability")
-    if p is not None and not (isinstance(p, (int, float)) and 0 <= p <= 1):
-        raise ConfigError(f"social.constant_probability must be within [0, 1], got {p!r}")
+    check_settings(cfg)
     return cfg
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (section or None for the top level, key, what it must be, test); a key
+# absent from its section is left to the code that reads it
+_SETTINGS = (
+    (None, "horizon_hours", "a positive integer", lambda v: _is_int(v) and v > 0),
+    ("population", "size", "a positive integer", lambda v: _is_int(v) and v > 0),
+    ("population", "margin_km", "a non-negative number", lambda v: _is_number(v) and v >= 0),
+    ("population", "bbox", "[min_lat, min_lon, max_lat, max_lon]",
+     lambda v: isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_number, v))),
+    ("social", "degree_min", "an integer", _is_int),
+    ("social", "degree_max", "an integer", _is_int),
+    ("social", "degree_mean", "a number", _is_number),
+    ("social", "constant_probability", "null or within [0, 1]",
+     lambda v: v is None or (_is_number(v) and 0 <= v <= 1)),
+    ("events", "poll_interval", "a positive integer", lambda v: _is_int(v) and v > 0),
+    ("events", "poll_probability", "within [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1),
+    ("transit", "compartments", "a positive integer", lambda v: _is_int(v) and v > 0),
+    ("transit", "road_speed_kmh", "a positive number", lambda v: _is_number(v) and v > 0),
+    ("strategy", "name", "'none' or 'greedy'", lambda v: v in ("none", "greedy")),
+    ("strategy", "alt_routing", "true or false", lambda v: isinstance(v, bool)),
+    ("strategy", "pool", "a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    ("strategy", "alt_margin_seconds", "a non-negative integer",
+     lambda v: _is_int(v) and v >= 0),
+)
+
+
+def check_settings(cfg: ScenarioConfig) -> None:
+    """Refuse a scalar setting of the wrong type or range with a
+    ``ConfigError`` naming it. Values are checked, never rewritten, so a
+    valid config keeps its hash. Run again after command line overrides."""
+    resolved = cfg.effective()
+    for section, key, want, ok in _SETTINGS:
+        block = resolved if section is None else resolved[section]
+        if key in block and not ok(block[key]):
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigError(f"{name} must be {want}, got {block[key]!r}")
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
 
-from .city import GeoPoint, RoadRouter, Station, TransitNetwork
+from .city import GeoPoint, RoadRouter, Station, TransitLine, TransitNetwork
 from .engine import SECONDS_PER_DAY, SimTime
 
 @dataclass(frozen=True)
@@ -76,24 +76,17 @@ class RoutePlanner:
         """
         return self._fastest(origin, dest, self.network.nearest_station(origin), t)
 
-    def alternative(self, station_id: int, dest: GeoPoint, current_first: tuple[str, int],
-                    inquiry, t: SimTime, exclude_train: Optional[int] = None) -> Route:
-        """Best onward route for a human stuck at a station.
+    def alternative(self, station_id: int, dest: GeoPoint,
+                    first_waits: dict[tuple[str, int], int], t: SimTime) -> Route:
+        """Best onward route for a human a full train left at a station.
 
-        The train serving ``current_first`` arrived full; waiting for the one
-        after it is a valid option and is priced with its real departure
-        time, as is the first boarding on every other line here. Road travel
-        straight from the station is the fallback, so something feasible
-        always comes back. The rail search is cached per (station, first
-        waits) and its answers per (station, alight station, first waits):
-        riders left behind by the same train see the same live waits.
+        ``first_waits`` is ``TransportManager.live_waits`` here: waiting for
+        the train after the full one is a valid option, and a route not
+        listed cannot be boarded. Road travel straight from the station is
+        the fallback, so something feasible always comes back. The rail
+        search is cached per (station, first waits) and its answers per
+        (station, alight station, first waits).
         """
-        first_waits: dict[tuple[str, int], int] = {}
-        for route in self.network.routes_at(station_id):
-            skip = exclude_train if route == current_first else None
-            dep = inquiry.next_departure(route[0], station_id, route[1], t, exclude_train=skip)
-            if dep is not None:
-                first_waits[route] = dep - t
         board = self.network.station(station_id)
         return self._fastest(board.point, dest, board, t, first_waits)
 
@@ -128,16 +121,14 @@ class RoutePlanner:
             return _road_route(road_total)
         # the road if a board station is reached at or after its last pass that day
         at = t + access
-        for k, leg in enumerate(legs):
+        for leg, (wait, ride) in zip(legs, leg_times(self.network.lines, legs, first_waits)):
             line = self.network.lines[leg.line]
             svc = line.service
             if at >= (at // SECONDS_PER_DAY * SECONDS_PER_DAY + svc.last_departure
                       + line.position(leg.board, leg.direction)
                       * (svc.run_seconds + svc.dwell_seconds)):
                 return _road_route(road_total)
-            first = k == 0 and first_waits is not None
-            wait = first_waits[(leg.line, leg.direction)] if first else svc.headway_seconds / 2.0
-            at += wait + line.ride_seconds(leg.board, leg.alight, leg.direction)
+            at += wait + ride
         return Route(legs, access, wait_s, ride_s, egress, total)
 
     def _rail_path(self, src: int, dst: int,
@@ -148,8 +139,8 @@ class RoutePlanner:
         Read back from the shortest-path tree of src, which ``_search``
         builds on the first query from src (per first waits when given) and
         ``_trees`` keeps. The tree holds per station only the hub it was
-        boarded from and the route taken; each leg's wait is rebuilt as the
-        given first wait for a boarding at src, else half the headway.
+        boarded from and the route taken; the legs are priced by
+        ``leg_times``.
         """
         key = src if first_waits is None else (src, tuple(sorted(first_waits.items())))
         tree = self._trees.get(key)
@@ -159,22 +150,14 @@ class RoutePlanner:
         root, i = self._ordinal[src], self._ordinal[dst]
         if i != root and via[i] is None:
             return None
-        lines = self.network.lines
         legs: list[TrainLeg] = []
-        wait_s = 0.0
         while i != root:
             b = came_from[i]
-            route = via[i]
-            legs.append(TrainLeg(route[0], route[1], self._ids[b], self._ids[i]))
-            if b == root and first_waits is not None:
-                wait_s += first_waits[route]
-            else:
-                wait_s += lines[route[0]].service.headway_seconds / 2.0
+            legs.append(TrainLeg(*via[i], self._ids[b], self._ids[i]))
             i = b
         legs.reverse()
-        ride_s = sum(lines[leg.line].ride_seconds(leg.board, leg.alight, leg.direction)
-                     for leg in legs)
-        return tuple(legs), int(round(wait_s)), ride_s
+        times = list(leg_times(self.network.lines, legs, first_waits))
+        return tuple(legs), int(round(sum(w for w, _ in times))), sum(r for _, r in times)
 
     def _search(self, src: int, first_waits: Optional[dict[tuple[str, int], int]] = None):
         """Dijkstra from station src over the whole state graph.
@@ -230,6 +213,19 @@ class RoutePlanner:
                     came_from[nxt] = came_from[s]
                     heappush(heap, (ncost, next(tiebreak), nxt))
         return came_from[:n], via
+
+
+def leg_times(lines: dict[str, TransitLine], legs,
+              first_waits: Optional[dict[tuple[str, int], int]] = None):
+    """(wait, ride) of each leg in turn: the wait is ``first_waits``' figure
+    for the first leg's route when given, else half the headway, and the
+    ride is scheduled. Waits are whole or half seconds, so their sums are
+    exact in any order."""
+    for k, leg in enumerate(legs):
+        line = lines[leg.line]
+        wait = (first_waits[(leg.line, leg.direction)] if k == 0 and first_waits is not None
+                else line.service.headway_seconds / 2.0)
+        yield wait, line.ride_seconds(leg.board, leg.alight, leg.direction)
 
 
 def _state_graph(network: TransitNetwork, ordinal: dict[int, int]):

@@ -30,7 +30,7 @@ from .engine import (
 from .events import BroadcastFeed, EventEndedError, SocialEvent, decide_attendance, wants_to_seed
 from .metrics import MetricsLedger, TripRecord
 from .population import Human, Trip, daily_trips
-from .routing import RoutePlanner, TrainLeg
+from .routing import RoutePlanner, TrainLeg, leg_times
 from .social import SocialGraph, spread
 from .strategies import Strategy, snapshot
 from .transit import Train, TransportManager
@@ -466,20 +466,20 @@ class World:
                 self.boardings += 1
             else:
                 denied.append(human)
-        for human in denied:
-            self.full_train_denials += 1
-            self._handle_full(human, station, train, now)
+        self.full_train_denials += len(denied)
+        if denied and self.strategy.alt_routing:
+            waits = self.manager.live_waits(station, now, train.id)
+            for human in denied:
+                self._handle_full(human, station, waits, now)
 
-    def _handle_full(self, human: int, station: int, train: Train,
-                     now: SimTime) -> None:
-        if not self.strategy.on_human_wait(human, station, train.id):
-            return
+    def _handle_full(self, human: int, station: int,
+                     waits: dict[tuple[str, int], int], now: SimTime) -> None:
+        """Offer a rider the full train left behind a detour; the detour and
+        staying are both priced on the live ``waits`` at the station."""
         self.metrics.alt_considered += 1
         trip = self.state[human].trip
-        leg = trip.current_leg()
-        alt = self.planner.alternative(station, trip.dest, (leg.line, leg.direction),
-                                       self.manager, now, exclude_train=train.id)
-        stay = self._stay_cost(trip, station, now, exclude_train=train.id)
+        alt = self.planner.alternative(station, trip.dest, waits, now)
+        stay = self._stay_cost(trip, waits)
         # switching has friction: the detour must beat staying by a margin
         if alt.total_seconds + self.alt_margin >= stay:
             return
@@ -498,22 +498,14 @@ class World:
         waited = self.manager.return_token(station, human, now)
         self.metrics.record_wait(human, station, now - waited, now)
 
-    def _stay_cost(self, trip: ActiveTrip, station: int, now: SimTime,
-                   exclude_train: Optional[int]) -> float:
-        """Seconds to destination if the human keeps waiting here."""
-        leg = trip.current_leg()
-        nd = self.manager.next_departure(leg.line, station, leg.direction, now,
-                                         exclude_train=exclude_train)
-        if nd is None:
+    def _stay_cost(self, trip: ActiveTrip, waits: dict[tuple[str, int], int]) -> float:
+        """Seconds to destination if the human keeps waiting here: the live
+        wait on its own route, the rest of its legs, and egress."""
+        legs = trip.legs[trip.leg_index:]
+        if (legs[0].line, legs[0].direction) not in waits:
             return float("inf")
-        total = float(nd - now)
-        for i in range(trip.leg_index, len(trip.legs)):
-            lg = trip.legs[i]
-            line = self.network.lines[lg.line]
-            total += line.ride_seconds(lg.board, lg.alight, lg.direction)
-            if i > trip.leg_index:
-                total += line.service.headway_seconds / 2.0
-        return total + trip.egress_seconds
+        rest = sum(w + r for w, r in leg_times(self.network.lines, legs, waits))
+        return rest + trip.egress_seconds
 
     # hourly work
 

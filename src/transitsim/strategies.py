@@ -6,15 +6,14 @@ The baseline never moves anything. The greedy strategy tops up trains whose
 per-departure demand estimate exceeds their capacity, drawing first on the
 pool and then on trains whose demand is falling and that have seats to spare.
 
-Alternative routing is a separate human-side behavior: when a full train
-leaves someone on the platform, an enabled strategy tells the world to offer
-that human a fresh route from where they stand.
+Alternative routing is a separate human-side behavior: with ``alt_routing``
+on, when a full train leaves riders on the platform, the world offers each
+of them a fresh route from where they stand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .transit import SEATS_PER_COMPARTMENT, RidershipEstimate, TransportManager
 
@@ -105,8 +104,8 @@ def greedy_reallocate(view: ManagerView) -> StrategyDecision:
 
 
 class Strategy:
-    """Hourly hook plus the full-train hook; the base class is the baseline
-    and never moves anything."""
+    """Hourly hook plus the alternative-routing switch; the base class is
+    the baseline and never moves anything."""
 
     name = "none"
 
@@ -115,12 +114,6 @@ class Strategy:
 
     def on_hour(self, view: ManagerView) -> StrategyDecision:
         return StrategyDecision(())
-
-    def on_human_wait(self, human: int, station: int,
-                      full_train: Optional[int]) -> bool:
-        """Called when a train leaves a would-be rider behind: should the
-        world offer them an alternative route?"""
-        return self.alt_routing and full_train is not None
 
 
 class GreedyReallocation(Strategy):

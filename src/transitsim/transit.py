@@ -249,6 +249,21 @@ class TransportManager:
                 break
         return best
 
+    def live_waits(self, station_id: int, t: SimTime,
+                   full_train: int) -> dict[tuple[str, int], int]:
+        """Seconds from t to the next departure of each route at the
+        station, not counting ``full_train`` on its own route; a route with
+        no next departure is left out. No rider's detour changes it."""
+        train = self.trains[full_train]
+        own = (train.line, train.direction)
+        waits = {}
+        for route in self.network.routes_at(station_id):
+            dep = self.next_departure(route[0], station_id, route[1], t,
+                                      exclude_train=full_train if route == own else None)
+            if dep is not None:
+                waits[route] = dep - t
+        return waits
+
     # tokens
 
     def issue_token(self, station_id: int, human: int, now: SimTime) -> None:

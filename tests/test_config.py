@@ -218,6 +218,53 @@ def test_cli_reports_bad_social_config_as_config_error(tmp_path, capsys, social)
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+def set_horizon(value):
+    return lambda doc: doc.update(horizon_hours=value)
+
+
+def set_in(section, key, value):
+    return lambda doc: doc[section].update({key: value})
+
+
+@pytest.mark.parametrize("breaks,flags", [
+    (set_horizon("abc"), []),
+    (set_horizon(1.5), []),
+    (set_in("population", "size", "abc"), []),
+    (set_in("transit", "compartments", 0), []),
+    (set_in("transit", "road_speed_kmh", 0), []),
+    (set_in("strategy", "alt_margin_seconds", "x"), []),
+    (set_in("strategy", "pool", -3), []),
+    (set_in("strategy", "alt_routing", "yes"), []),
+    (set_in("events", "poll_interval", "hourly"), []),
+    (set_in("social", "degree_min", "abc"), []),
+    (set_in("population", "bbox", "abc"), []),
+    (None, ["--pool", "-3"]),
+    (None, ["--until", "0"]),
+], ids=["horizon_text", "horizon_fraction", "size_text", "no_compartments", "no_road_speed",
+        "margin_text", "negative_pool", "alt_routing_text", "poll_interval_text",
+        "degree_text", "bbox_text", "negative_pool_flag", "zero_until_flag"])
+def test_cli_reports_bad_scalar_config_as_config_error(tmp_path, capsys, breaks, flags):
+    doc = doc4()
+    if breaks is not None:
+        breaks(doc)
+    scn = tmp_path / "scn.yaml"
+    scn.write_text(yaml.safe_dump(doc))
+    rc = main(["--scenario", str(scn), "--out", str(tmp_path / "o"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,want", [
+    ("desk.yaml", "4b8c4406c8fe439d9ae81b742d648b8a97e87389f199ef5349df2e65f15d1081"),
+    ("singapore-like.yaml", "87a62f6eaff9d8d9395ebe60e604432555e843de0dc994e6f5d71ff56d1097dc"),
+])
+def test_settings_check_rewrites_no_value(name, want):
+    # the shipped scenarios keep the config hash their manifests carry
+    root = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    assert config_hash(load_scenario(os.path.join(root, name))) == want
+
+
 def test_bundled_scenarios_load_and_build():
     from transitsim.city import network_from_dict
     root = os.path.join(os.path.dirname(__file__), "..", "scenarios")

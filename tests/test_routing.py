@@ -120,6 +120,17 @@ def test_planner_matches_exhaustive_enumeration():
                 assert prev.alight == nxt.board
 
 
+@pytest.mark.parametrize("headway,wait", [(301, 150), (303, 152)])
+def test_rail_path_rounds_a_half_second_wait_to_even(headway, wait):
+    # an odd headway makes the estimated wait x.5 s; the total is rounded
+    # half to even, as Python's round does
+    stations = [Station(i, f"s{i}", GeoPoint(1.30, 103.70 + 0.05 * i)) for i in range(3)]
+    net = TransitNetwork(stations, [TransitLine("L", [0, 1, 2], svc(headway=headway))])
+    p = RoutePlanner(net, ROAD)
+    assert p._rail_path(0, 2) == ((TrainLeg("L", +1, 0, 2),), wait, 2 * 120 + 30)
+    assert p._rail_path(0, 0) == ((), 0, 0)
+
+
 def test_transfer_route():
     net = cross_network(svc(run=60, dwell=15, headway=180))
     p = RoutePlanner(net, ROAD)
@@ -396,17 +407,6 @@ def test_warm_planner_matches_fresh_planner():
     assert rail > 20
 
 
-class FakeInquiry:
-    def __init__(self, deps):
-        self.deps = deps  # (line, station, dir) -> [(time, train_id)]
-
-    def next_departure(self, line, station, direction, t, exclude_train=None):
-        for tt, tid in sorted(self.deps.get((line, station, direction), [])):
-            if tt >= t and tid != exclude_train:
-                return tt
-        return None
-
-
 def alt_fixture(p2_run):
     stations = [
         Station(50, "S", GeoPoint(1.30, 103.70)),
@@ -425,12 +425,9 @@ def test_alternative_switches_when_parallel_line_wins():
     net = alt_fixture(p2_run=435)
     p = RoutePlanner(net, ROAD)
     t = 10_000
-    inquiry = FakeInquiry({
-        ("P1", 50, +1): [(t + 30, 7), (t + 900, 8)],
-        ("P2", 50, +1): [(t + 180, 9)],
-    })
+    # the full train on P1 leaves at once; the next one in 900
     dest = net.station(51).point
-    r = p.alternative(50, dest, ("P1", +1), inquiry, t, exclude_train=7)
+    r = p.alternative(50, dest, {("P1", +1): 900, ("P2", +1): 180}, t)
     assert [l.line for l in r.legs] == ["P2"]
     assert r.wait_seconds == 180
     assert r.total_seconds == 180 + 435 * 2 + 30
@@ -441,12 +438,8 @@ def test_alternative_stays_when_waiting_is_cheapest():
     net = alt_fixture(p2_run=750)
     p = RoutePlanner(net, ROAD)
     t = 10_000
-    inquiry = FakeInquiry({
-        ("P1", 50, +1): [(t + 30, 7), (t + 600, 8)],
-        ("P2", 50, +1): [(t + 180, 9)],
-    })
     dest = net.station(51).point
-    r = p.alternative(50, dest, ("P1", +1), inquiry, t, exclude_train=7)
+    r = p.alternative(50, dest, {("P1", +1): 600, ("P2", +1): 180}, t)
     assert [(l.line, l.direction) for l in r.legs] == [("P1", +1)]
     assert r.wait_seconds == 600
     assert r.total_seconds == 1200
@@ -457,8 +450,7 @@ def test_alternative_sole_option_waits():
     net = TransitNetwork(stations, [TransitLine("P1", [50, 51], svc(run=600, headway=1200))])
     p = RoutePlanner(net, ROAD)
     t = 5000
-    inquiry = FakeInquiry({("P1", 50, +1): [(t + 10, 7), (t + 700, 8)]})
-    r = p.alternative(50, net.station(51).point, ("P1", +1), inquiry, t, exclude_train=7)
+    r = p.alternative(50, net.station(51).point, {("P1", +1): 700}, t)
     assert [(l.line, l.direction) for l in r.legs] == [("P1", +1)]
     assert r.wait_seconds == 700
 
@@ -467,17 +459,16 @@ def test_alternative_falls_back_to_road_without_service():
     stations = [Station(50, "S", GeoPoint(1.30, 103.70)), Station(51, "D", GeoPoint(1.32, 103.70))]
     net = TransitNetwork(stations, [TransitLine("P1", [50, 51], svc())])
     p = RoutePlanner(net, ROAD)
-    inquiry = FakeInquiry({})
     dest = net.station(51).point
-    r = p.alternative(50, dest, ("P1", +1), inquiry, 1000, exclude_train=None)
+    r = p.alternative(50, dest, {}, 1000)
     assert r.road_only
     assert r.total_seconds == ROAD.travel_seconds(net.station(50).point, dest)
 
 
 def test_warm_alternative_matches_fresh_planner():
-    # every query draws its own departures at the station from a few wait
-    # values, with some routes without a departure, so the same (station,
-    # alight) pair meets different first waits, often with the same values
+    # every query draws its own waits at the station from a few values, with
+    # some routes without a departure, so the same (station, alight) pair
+    # meets different first waits, often with the same values
     net = cross_network(svc(run=60, dwell=15, headway=180))
     warm = RoutePlanner(net, ROAD)
     rng = np.random.default_rng(404)
@@ -487,22 +478,12 @@ def test_warm_alternative_matches_fresh_planner():
     rail = 0
     for _ in range(800):
         sid = int(rng.choice([0, 3, 5, 5, 5, 8, 12, 17]))
-        routes = net.routes_at(sid)
-        deps = {}
-        for k, (line, d) in enumerate(routes):
-            if rng.random() < 0.4:
-                continue
-            waits = sorted(rng.choice([0, 30, 60, 240], size=2, replace=False))
-            deps[(line, sid, d)] = [(t + int(w), 10 * k + j) for j, w in enumerate(waits)]
-        inquiry = FakeInquiry(deps)
-        first = routes[int(rng.integers(len(routes)))]
-        listed = deps.get((first[0], sid, first[1]), [])
-        exclude = listed[0][1] if listed and rng.random() < 0.7 else None
+        waits = {route: int(rng.choice([0, 30, 60, 240])) for route in net.routes_at(sid)
+                 if rng.random() >= 0.4}
         dest = dests[int(rng.integers(len(dests)))]
         if rng.random() < 0.3:
             warm.plan(net.station(sid).point, dest, T)
-        fresh = RoutePlanner(net, ROAD).alternative(sid, dest, first, inquiry, t,
-                                                    exclude_train=exclude)
-        assert warm.alternative(sid, dest, first, inquiry, t, exclude_train=exclude) == fresh
+        fresh = RoutePlanner(net, ROAD).alternative(sid, dest, waits, t)
+        assert warm.alternative(sid, dest, waits, t) == fresh
         rail += not fresh.road_only
     assert rail > 200

@@ -265,6 +265,20 @@ def test_full_train_spills_to_road_when_margin_met():
     assert arrived == set(range(40))
 
 
+def test_full_train_asks_the_schedule_once_per_denying_departure(monkeypatch):
+    # the nine riders one train leaves behind are all priced on one live
+    # inquiry: one next_departure per route leaving the station
+    w = seniors_at_a_full_train()
+    calls = []
+    real = w.manager.next_departure
+    monkeypatch.setattr(w.manager, "next_departure",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    w.run()
+    assert w.full_train_denials == 9
+    assert w.metrics.alt_considered == w.full_train_denials
+    assert len(calls) == len(w.network.routes_at(0)) == 1
+
+
 def test_return_after_the_last_pass_drives():
     # the event ends at 05:00, the line's last pass at the venue's station:
     # every return trip drives and nobody is left queueing at the horizon

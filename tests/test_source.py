@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every local name a function assigns is read."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,38 @@ def test_scan_sees_annotations_and_flags_dead_names():
     names = imported_names(tree)
     assert set(names) == {"Optional", "Any", "os", "Y"}
     assert sorted(set(names) - referenced_names(tree)) == ["Any"]
+
+
+def unread_locals(tree: ast.Module) -> list[str]:
+    """``function:name (line N)`` for each plain local name a function
+    assigns and neither it nor a function nested in it reads; ``_`` and
+    names declared ``global`` or ``nonlocal`` are skipped."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read, written, declared = set(), {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                written.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        out += [f"{fn.name}:{name} (line {line})" for name, line in written.items()
+                if name not in read and name not in declared and name != "_"]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    unread = unread_locals(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unread, f"{path.name} assigns names it never reads: {', '.join(unread)}"
+
+
+def test_scan_flags_an_assigned_name_nobody_reads():
+    tree = ast.parse("def f(xs):\n    total = 0\n    header = xs[0]\n"
+                     "    for x, _ in xs:\n        total += x\n"
+                     "    def g():\n        return seen\n    seen = 1\n"
+                     "    return total, g\n")
+    assert unread_locals(tree) == ["f:header (line 3)"]

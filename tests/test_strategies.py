@@ -1,4 +1,4 @@
-"""Greedy reallocation rules, queued compartment moves, and the full-train hook."""
+"""Greedy reallocation rules, queued compartment moves, and the strategy factory."""
 
 import pytest
 
@@ -155,15 +155,6 @@ def test_snapshot_reflects_manager_state():
     assert v.pool == 4
     assert len(v.trains) == len(m.trains)
     assert all(tv.compartments == 2 and tv.onboard == 0 for tv in v.trains)
-
-
-def test_full_train_hook_gates_on_alt_routing():
-    off = make_strategy("none", alt_routing=False)
-    on = make_strategy("none", alt_routing=True)
-    assert off.on_human_wait(5, 2, full_train=7) is False
-    assert on.on_human_wait(5, 2, full_train=7) is True
-    # a train with space never triggers a reroute
-    assert on.on_human_wait(5, 2, full_train=None) is False
 
 
 def test_strategy_factory():

@@ -238,6 +238,54 @@ def test_next_departure_circular_counts_hops_from_the_anchor():
     assert m.next_departure("A", 5, -1, t=18100) == 18300 + 150
 
 
+def test_live_waits_exclude_the_full_train_on_its_own_route_only():
+    net = linear_net()
+    m = TransportManager(net, 2)
+    # train 0 is full at station 1 on +1; train 1 runs -1 toward station 1,
+    # 90 s late, and is due there at 18000 + 2 * 150 + 90
+    for tid, d, pos, delay in ((0, +1, 1, 0), (1, -1, 1, 90)):
+        tr = m.trains[tid]
+        tr.direction, tr.slot_time, tr.path_pos, tr.delay = d, 18000, pos, delay
+        m.active[("A", d)].add(tid)
+        m.dispatched_upto[("A", d)] = 18000
+    t = 18150
+    waits = m.live_waits(1, t, full_train=0)
+    assert waits == {("A", +1): 18450 - t, ("A", -1): 18390 - t}
+    for (line, d), wait in waits.items():
+        exclude = 0 if d == +1 else None
+        assert wait == m.next_departure(line, 1, d, t, exclude_train=exclude) - t
+    # the same train's own departure is what the route would offer without it
+    assert m.next_departure("A", 1, +1, t) == t
+
+
+def test_live_waits_leave_out_a_route_without_a_next_departure():
+    # two lines cross at station 0; line B's timetable runs no slot at all
+    stations = [Station(i, f"s{i}", GeoPoint(1.0 + 0.01 * i, 103.0)) for i in range(3)]
+    service = LineService(120, 30, 300, 18000, 82800)
+    dead = LineService(120, 30, 300, 82800, 18000)
+    net = TransitNetwork(stations, [TransitLine("A", [0, 1], service),
+                                    TransitLine("B", [0, 2], dead)])
+    m = TransportManager(net, 2)
+    assert ("B", +1) in net.routes_at(0)
+    assert m.live_waits(0, 18000, full_train=0) == {("A", +1): 0}
+
+
+def test_live_waits_at_a_loop_anchor():
+    # the anchor 0 is where a run starts and where it ends: train 0 is full
+    # at the start of its +1 run; train 1 has just ended its +1 run there
+    # and does not leave again, so the next +1 departure is the next slot
+    net = linear_net(n=6, circular=True)
+    m = TransportManager(net, 2)
+    for tid, slot, pos in ((0, 18300, 0), (1, 18300 - 6 * 150, 6)):
+        tr = m.trains[tid]
+        tr.direction, tr.slot_time, tr.path_pos = +1, slot, pos
+        m.active[("A", +1)].add(tid)
+    m.dispatched_upto[("A", +1)] = 18300
+    m.dispatched_upto[("A", -1)] = 18000
+    assert sorted(net.routes_at(0)) == [("A", -1), ("A", +1)]
+    assert m.live_waits(0, 18300, full_train=0) == {("A", +1): 300, ("A", -1): 0}
+
+
 def scan_next_departure(m, line_name, station_id, direction, t, exclude_train=None):
     """The inquiry by list scans: the station's index in the direction's
     path, then every slot of today and tomorrow listed in order."""
