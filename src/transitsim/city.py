@@ -12,7 +12,6 @@ from typing import Optional
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
-ROAD_SPEED_KMH = 35.0
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ class BoundingBox:
         )
 
 
-def bounding_box_around(points: list[GeoPoint], margin_km: float = 2.0) -> BoundingBox:
+def bounding_box_around(points: list[GeoPoint], margin_km: float) -> BoundingBox:
     lat_deg = margin_km / (EARTH_RADIUS_KM * math.pi / 180.0)
     mid_lat = sum(p.lat for p in points) / len(points)
     lon_deg = lat_deg / max(0.1, math.cos(math.radians(mid_lat)))
@@ -103,7 +102,7 @@ def random_point_within(rng, center: GeoPoint, radius_km: float) -> GeoPoint:
 class RoadRouter:
     """Point-to-point road travel at a flat speed over the crow-flies path."""
 
-    def __init__(self, speed_kmh: float = ROAD_SPEED_KMH):
+    def __init__(self, speed_kmh: float):
         if speed_kmh <= 0:
             raise ValueError(f"road speed must be positive: {speed_kmh}")
         self.speed_kmh = speed_kmh
@@ -325,6 +324,8 @@ def network_from_dict(doc: dict) -> TransitNetwork:
         line_docs = doc["lines"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"network config needs 'stations' and 'lines' sections: {e}") from None
+    if not station_docs:
+        raise ParseError("network config needs at least one station")
     try:
         stations = [
             Station(
@@ -352,7 +353,7 @@ def network_from_dict(doc: dict) -> TransitNetwork:
                     ),
                 )
             )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         if isinstance(e, (InvariantViolationError, DanglingReferenceError)):
             raise
         raise ParseError(f"bad network config entry: {e}") from None

@@ -50,26 +50,33 @@ def build_world(cfg: ScenarioConfig, log_path: Optional[str] = None) -> World:
     events = generate_events(cfg.events, streams)
     strat_cfg = cfg.strategy
     strategy = make_strategy(strat_cfg["name"], strat_cfg["alt_routing"])
-    transit_cfg = cfg.transit
-    if "initial_capacity" in transit_cfg:
-        spec = transit_cfg["initial_capacity"]
-        seats = initial_capacity(float(spec["sim_daily_ridership"]),
-                                 float(spec["real_daily_ridership"]),
-                                 float(spec["real_capacity"]))
-        compartments = seats // SEATS_PER_COMPARTMENT
-    else:
-        compartments = transit_cfg["compartments"]
     return World(
         network, humans, graph, events, streams,
         horizon_hours=cfg.horizon_hours,
-        compartments_per_train=compartments,
+        compartments_per_train=compartments_per_train(cfg.transit),
         pool_compartments=strat_cfg["pool"],
         strategy=strategy,
         poll_interval=cfg.events.get("poll_interval", DEFAULT_POLL_INTERVAL),
         poll_probability=float(cfg.events.get("poll_probability", DEFAULT_POLL_PROBABILITY)),
-        road_speed_kmh=float(transit_cfg["road_speed_kmh"]),
+        road_speed_kmh=float(cfg.transit["road_speed_kmh"]),
         alt_margin_seconds=strat_cfg["alt_margin_seconds"],
         log_path=log_path)
+
+
+def compartments_per_train(transit_cfg: dict) -> int:
+    """Given outright, or scaled from the ``initial_capacity`` ridership
+    figures."""
+    if "initial_capacity" not in transit_cfg:
+        return transit_cfg["compartments"]
+    spec = transit_cfg["initial_capacity"]
+    try:
+        seats = initial_capacity(float(spec["sim_daily_ridership"]),
+                                 float(spec["real_daily_ridership"]),
+                                 float(spec["real_capacity"]))
+    except (KeyError, OverflowError, TypeError, ValueError) as e:
+        raise ConfigError("transit.initial_capacity needs positive sim_daily_ridership, "
+                          f"real_daily_ridership and real_capacity: {e}") from None
+    return seats // SEATS_PER_COMPARTMENT
 
 
 def run_one(cfg: ScenarioConfig, out_dir: str, label: str) -> dict:
@@ -189,6 +196,11 @@ def apply_flags(cfg: ScenarioConfig, args) -> ScenarioConfig:
         fixed.append(_parse_event_flag(args.event))
         cfg.events["events"] = fixed
     check_settings(cfg)
+    # read every block build_world reads, so that a bad one is refused
+    # before a run writes anything
+    network_from_dict(cfg.network)
+    generate_events(cfg.events, RngStreams(cfg.seed))
+    compartments_per_train(cfg.transit)
     return cfg
 
 

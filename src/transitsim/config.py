@@ -75,14 +75,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         raise ConfigError("scenario document must be a mapping")
     if "seed" not in doc:
         raise ConfigError("seed is required (no implicit entropy)")
-    try:
-        seed = int(doc["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed must be an integer, got {doc['seed']!r}")
     if "network" not in doc or not isinstance(doc["network"], dict):
         raise ConfigError("network section is required")
     cfg = ScenarioConfig(
-        seed=seed,
+        seed=doc["seed"],
         horizon_hours=doc.get("horizon_hours", DEFAULTS["horizon_hours"]),
         network=doc["network"],
         population=_merged("population", doc),
@@ -103,14 +99,20 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_box(v) -> bool:
+    """[min_lat, min_lon, max_lat, max_lon], each minimum at most its maximum."""
+    return (isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_number, v))
+            and v[0] <= v[2] and v[1] <= v[3])
+
+
 # (section or None for the top level, key, what it must be, test); a key
 # absent from its section is left to the code that reads it
 _SETTINGS = (
+    (None, "seed", "a non-negative integer", lambda v: _is_int(v) and v >= 0),
     (None, "horizon_hours", "a positive integer", lambda v: _is_int(v) and v > 0),
     ("population", "size", "a positive integer", lambda v: _is_int(v) and v > 0),
     ("population", "margin_km", "a non-negative number", lambda v: _is_number(v) and v >= 0),
-    ("population", "bbox", "[min_lat, min_lon, max_lat, max_lon]",
-     lambda v: isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_number, v))),
+    ("population", "bbox", "[min_lat, min_lon, max_lat, max_lon] with min <= max", _is_box),
     ("social", "degree_min", "an integer", _is_int),
     ("social", "degree_max", "an integer", _is_int),
     ("social", "degree_mean", "a number", _is_number),

@@ -9,7 +9,6 @@ is targeted and the event is reachable before it starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -78,22 +77,23 @@ def generate_events(config: dict, streams: RngStreams) -> list[SocialEvent]:
                 age_range=age,
                 broadcast_from=start - int(e.get("lead_seconds", 2 * 3600)),
             ))
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         if isinstance(err, BadConfigError):
             raise
         raise BadConfigError(f"bad event entry: {err}") from None
     if gen_cfg:
         try:
             count = int(gen_cfg["count"])
-            b = gen_cfg["bounds"]
-            bounds = BoundingBox(float(b[0]), float(b[1]), float(b[2]), float(b[3]))
+            bounds = BoundingBox(*map(float, gen_cfg["bounds"]))
             dur_lo, dur_hi = int(gen_cfg["duration_min"]), int(gen_cfg["duration_max"])
             lead_lo, lead_hi = int(gen_cfg["lead_min"]), int(gen_cfg["lead_max"])
             start_lo = int(gen_cfg.get("start_min", 8 * 3600))
             start_hi = int(gen_cfg.get("start_max", 20 * 3600))
         except (KeyError, TypeError, ValueError) as err:
             raise BadConfigError(f"bad event generator block: {err}") from None
-        if count < 0 or dur_lo <= 0 or dur_lo > dur_hi or lead_lo < 0 or lead_lo > lead_hi:
+        if (count < 0 or dur_lo <= 0 or dur_lo > dur_hi or lead_lo < 0 or lead_lo > lead_hi
+                or start_lo > start_hi or bounds.min_lat > bounds.max_lat
+                or bounds.min_lon > bounds.max_lon):
             raise BadConfigError("event generator ranges out of order")
         rng = streams.generator("events")
         for k in range(count):
@@ -123,9 +123,8 @@ class BroadcastFeed:
     the same coins.
     """
 
-    def __init__(self, events: list[SocialEvent],
-                 poll_interval: int = DEFAULT_POLL_INTERVAL,
-                 poll_probability: float = DEFAULT_POLL_PROBABILITY):
+    def __init__(self, events: list[SocialEvent], poll_interval: int,
+                 poll_probability: float):
         if poll_interval <= 0:
             raise BadConfigError("poll interval must be positive")
         if not (0.0 <= poll_probability <= 1.0):
@@ -160,30 +159,31 @@ class BroadcastFeed:
 
 
 def wants_to_seed(h: Human, ev: SocialEvent, planner, t: SimTime,
-                  origin: Optional[GeoPoint] = None) -> bool:
+                  origin: GeoPoint) -> bool:
     """Does a freshly informed human adopt the event and start posting?
 
-    Requires a targeted age group and the ability to arrive by the start;
-    note this is stricter than the post-cascade attendance rule, which
-    tolerates arriving up to tau late.
+    Requires a targeted age group and the ability to get from ``origin``
+    to the event by the start; note this is stricter than the post-cascade
+    attendance rule, which tolerates arriving up to tau late.
     """
     if h.age_group not in ev.age_range:
         return False
-    route = planner.plan(origin or h.home, ev.location, t)
+    route = planner.plan(origin, ev.location, t)
     return t + route.total_seconds <= ev.start
 
 
 def decide_attendance(h: Human, ev: SocialEvent, planner, t: SimTime,
-                      origin: Optional[GeoPoint] = None):
+                      origin: GeoPoint):
     """Attendance choice for an activated human.
 
-    Returns the planned route when the earliest arrival (decision time plus
-    travel) lands within tau of the start, else None. Raises EventEndedError
-    when the decision happens after the event finished.
+    Returns the route planned from ``origin`` when the earliest arrival
+    (decision time plus travel) lands within tau of the start, else None.
+    Raises EventEndedError when the decision happens after the event
+    finished.
     """
     if t >= ev.end:
         raise EventEndedError(f"event {ev.id} already over at t={t}")
-    route = planner.plan(origin or h.home, ev.location, t)
+    route = planner.plan(origin, ev.location, t)
     if t + route.total_seconds <= ev.start + ev.tau:
         return route
     return None

@@ -67,19 +67,11 @@ class Trip:
     dest: GeoPoint
 
 
-def generate_population(
-    n: int,
-    bbox: BoundingBox,
-    streams: RngStreams,
-    category_weights: Optional[dict[str, float]] = None,
-) -> list[Human]:
+def generate_population(n: int, bbox: BoundingBox, streams: RngStreams) -> list[Human]:
     """Draw ``n`` humans with seeded category, age and contact points."""
     if n < 0:
         raise ValueError(f"population size must be non-negative: {n}")
-    weights = dict(CATEGORY_WEIGHTS)
-    if category_weights:
-        weights.update(category_weights)
-    w = [weights[c] for c in CATEGORIES]
+    w = [CATEGORY_WEIGHTS[c] for c in CATEGORIES]
     rng = streams.generator("population")
     humans = []
     for i in range(n):

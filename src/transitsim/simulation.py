@@ -3,15 +3,14 @@ into one dispatch loop.
 
 Daily activity plans become timed trips; event broadcasts spread over the
 social graph, gated by each human's attendance decision, and attendees travel
-to the venue and back. Trains follow their slots, station masters arbitrate
-platforms and hold the boarding queues, and the transport manager re-estimates
-demand every hour for whichever strategy is plugged in. Conservation checks
-run at every hourly checkpoint and raise immediately on violation.
+to the venue and back. The transport manager runs each train from slot to
+pool and re-estimates demand every hour for whichever strategy is plugged in;
+station masters arbitrate platforms and hold the boarding queues.
+Conservation checks run at every hourly checkpoint and raise on violation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,13 +32,9 @@ from .population import Human, Trip, daily_trips
 from .routing import RoutePlanner, TrainLeg, leg_times
 from .social import SocialGraph, spread
 from .strategies import Strategy, snapshot
-from .transit import Train, TransportManager
+from .transit import ConservationError, Train, TransportManager
 
 RETRY_SECONDS = 300  # put-off plans start on this grid once their human is free
-
-
-class ConservationError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -73,9 +68,8 @@ class World:
                  graph: SocialGraph, events: list[SocialEvent],
                  streams: RngStreams, horizon_hours: int,
                  compartments_per_train: int, pool_compartments: int,
-                 strategy: Strategy, poll_interval: int = 3600,
-                 poll_probability: float = 0.25, road_speed_kmh: float = 35.0,
-                 alt_margin_seconds: int = 300,
+                 strategy: Strategy, poll_interval: int, poll_probability: float,
+                 road_speed_kmh: float, alt_margin_seconds: int,
                  log_path: Optional[str] = None):
         self.network = network
         self.humans = humans
@@ -98,8 +92,6 @@ class World:
         self._hourly_view = type(strategy).on_hour is not Strategy.on_hour
         self.attendees: dict[int, set[int]] = {ev.id: set() for ev in self.events}
         self.spread_frontier: dict[int, list[int]] = {ev.id: [] for ev in self.events}
-        self.pending_slots: dict[tuple[str, int], deque[tuple[SimTime, int]]] = {
-            key: deque() for key in self.manager.pools}
         self._initial_compartments = self.manager.total_compartments()
         # human -> trip-starts and attend-departs it put off, in that order,
         # as (time last put off, kind, payload); a human is in ``released``
@@ -111,6 +103,21 @@ class World:
         self.trips_started = 0
         self.boardings = 0
         self.full_train_denials = 0
+        # action kind -> its handler, each taking (payload, now)
+        self._handlers = {
+            "trip-start": self._on_trip_start,
+            "walk-arrive": self._on_walk_arrive,
+            "trip-arrive": self._on_trip_arrive,
+            "train-arrive": self._on_train_arrive,
+            "train-depart": self._on_train_depart,
+            "slot": self._on_slot,
+            "poll": self._on_poll,
+            "diffuse": self._on_diffuse,
+            "attend-depart": self._on_attend_depart,
+            "event-return": self._on_event_return,
+            "new-day": self._on_new_day,
+            "hour": self._on_hour,
+        }
         self._bootstrap()
 
     # setup
@@ -158,41 +165,16 @@ class World:
             self.log.close()
 
     def _handle(self, action: TimedAction) -> None:
-        kind = action.kind
-        now = self.scheduler.now
-        if kind == "trip-start":
-            self._on_trip_start(action.payload, now)
-        elif kind == "walk-arrive":
-            self._on_walk_arrive(action.payload, now)
-        elif kind == "trip-arrive":
-            self._on_trip_arrive(action.payload, now)
-        elif kind == "train-arrive":
-            self._on_train_arrive(*action.payload, now=now)
-        elif kind == "train-depart":
-            self._on_train_depart(action.payload, now)
-        elif kind == "slot":
-            self._on_slot(*action.payload, now=now)
-        elif kind == "poll":
-            self._on_poll(now)
-        elif kind == "diffuse":
-            self._on_diffuse(action.payload, now)
-        elif kind == "attend-depart":
-            self._on_attend_depart(*action.payload, now=now)
-        elif kind == "event-return":
-            self._on_event_return(action.payload, now)
-        elif kind == "new-day":
-            self._on_new_day(action.payload)
-        elif kind == "hour":
-            self._on_hour(now)
-        else:
-            raise ValueError(f"unknown action kind {kind!r}")
+        handler = self._handlers.get(action.kind)
+        if handler is None:
+            raise ValueError(f"unknown action kind {action.kind!r}")
+        handler(action.payload, self.scheduler.now)
 
     # humans
 
-    def _on_new_day(self, day: int) -> None:
-        base = day * SECONDS_PER_DAY
+    def _on_new_day(self, day: int, now: SimTime) -> None:
         for trip in daily_trips(self.humans, day, self.streams, until=self.horizon):
-            self.scheduler.schedule(max(trip.chosen_start, base), "human", "trip-start", trip)
+            self.scheduler.schedule(max(trip.chosen_start, now), "human", "trip-start", trip)
 
     def _on_trip_start(self, trip: Trip, now: SimTime) -> None:
         human = trip.human_id
@@ -280,7 +262,7 @@ class World:
 
     # events and diffusion
 
-    def _on_poll(self, now: SimTime) -> None:
+    def _on_poll(self, _payload: None, now: SimTime) -> None:
         fresh: dict[int, list[int]] = {}
         # with nothing on air every poll comes back empty; the poll coins are
         # keyed and stateless, so skipping them shifts no other draw
@@ -333,8 +315,9 @@ class World:
             self.scheduler.schedule(depart, "human", "attend-depart", (human, ev.id))
         return True
 
-    def _on_attend_depart(self, human: int, ev_id: int, now: SimTime) -> None:
-        if self._wait_turn(human, "attend-depart", (human, ev_id), now):
+    def _on_attend_depart(self, payload: tuple[int, int], now: SimTime) -> None:
+        human, ev_id = payload
+        if self._wait_turn(human, "attend-depart", payload, now):
             return
         ev = self.events[ev_id]
         if now < ev.end:
@@ -352,38 +335,21 @@ class World:
 
     # trains
 
-    def _on_slot(self, line_name: str, direction: int, slot: SimTime, *,
-                 now: SimTime) -> None:
-        line = self.network.lines[line_name]
-        key = (line_name, line.terminal(direction))
-        pool = self.manager.pools[key]
-        if pool:
-            self._start_run(pool.popleft(), line_name, direction, slot, now)
-        else:
-            self.pending_slots[key].append((slot, direction))
+    def _on_slot(self, payload: tuple[str, int, SimTime], now: SimTime) -> None:
+        started = self.manager.slot_due(*payload)
+        if started is not None:
+            self._request_platform(started, now)
 
-    def _start_run(self, tid: int, line_name: str, direction: int,
-                   slot: SimTime, now: SimTime) -> None:
-        line = self.network.lines[line_name]
-        train = self.manager.trains[tid]
-        train.direction = direction
-        train.slot_time = slot
-        train.delay = 0
-        train.path_pos = 0
-        train.at_station = line.terminal(direction)
-        self.manager.active[(line_name, direction)].add(tid)
-        key = (line_name, direction)
-        self.manager.dispatched_upto[key] = max(self.manager.dispatched_upto[key], slot)
-        master = self.manager.masters[train.at_station]
-        if master.request_arrival(tid, now):
-            self._train_docked(tid, now)
-
-    def _on_train_arrive(self, tid: int, station: int, *, now: SimTime) -> None:
+    def _on_train_arrive(self, payload: tuple[int, int], now: SimTime) -> None:
+        tid, station = payload
         train = self.manager.trains[tid]
         train.at_station = station
         train.path_pos += 1
-        master = self.manager.masters[station]
-        if master.request_arrival(tid, now):
+        self._request_platform(tid, now)
+
+    def _request_platform(self, tid: int, now: SimTime) -> None:
+        """Ask for a platform where the train stands; dock if admitted, else it holds."""
+        if self.manager.masters[self.manager.trains[tid].at_station].request_arrival(tid, now):
             self._train_docked(tid, now)
 
     def _train_docked(self, tid: int, now: SimTime) -> None:
@@ -418,25 +384,22 @@ class World:
             self._train_docked(admitted, now)
 
     def _turnaround(self, tid: int, now: SimTime) -> None:
+        """End the run, let a held follower dock (it may end its own run here
+        and take a waiting slot first, or draw on compartments this train
+        just detached), then pool this train."""
         train = self.manager.trains[tid]
         s = train.at_station
         if train.onboard:
             raise ConservationError(f"train {tid} ends its run at station {s} with riders aboard")
-        self.manager.active[(train.line, train.direction)].discard(tid)
-        before = train.capacity
-        self.manager.terminal_service(train)
-        if train.capacity != before:
+        detached, attached = self.manager.end_run(train)
+        if detached != attached:
             self.metrics.record_occupancy(now, tid, len(train.onboard), train.capacity)
         follow = self.manager.masters[s].release_platform(tid)
         if follow is not None:
             self._train_docked(follow, now)
-        key = (train.line, s)
-        pending = self.pending_slots.get(key)
-        if pending:
-            slot, direction = pending.popleft()
-            self._start_run(tid, train.line, direction, slot, now)
-        else:
-            self.manager.pools[key].append(tid)
+        started = self.manager.pool(train)
+        if started is not None:
+            self._request_platform(started, now)
 
     def _alight(self, train: Train, station: int, now: SimTime) -> None:
         leaving = [h for h, alight in train.onboard.items() if alight == station]
@@ -509,7 +472,7 @@ class World:
 
     # hourly work
 
-    def _on_hour(self, now: SimTime) -> None:
+    def _on_hour(self, _hour: int, now: SimTime) -> None:
         self._sweep(now)
         if self._hourly_view:
             day = now // SECONDS_PER_DAY
@@ -561,4 +524,5 @@ class World:
                     raise ConservationError(f"human {human} rides train {tid} off its leg")
         if self.manager.total_compartments() != self._initial_compartments:
             raise ConservationError("compartments not conserved")
+        self.manager.audit_runs()
         self.sweeps += 1

@@ -26,9 +26,6 @@ from .city import haversine_km, haversine_km_array, radians_and_cos
 from .engine import RngStreams, keyed_uniform_batch
 from .population import Human
 
-# social-media follower-count shape: (min, max, mean)
-DEFAULT_DEGREE_PARAMS = (1, 5000, 500)
-
 MEAN_TOLERANCE = 0.05
 
 # followers per array pass in generate_graph: bounds the per-edge temporaries,
@@ -161,7 +158,7 @@ def _sample_degrees(n: int, dmin: int, dmax: int, dmean: float, gen,
 
 
 def generate_graph(population: Sequence[Human], streams: RngStreams,
-                   degree_params: tuple[int, int, int] = DEFAULT_DEGREE_PARAMS,
+                   degree_params: tuple[int, int, float],
                    constant_probability: Optional[float] = None) -> SocialGraph:
     """Build the follower graph for a population.
 

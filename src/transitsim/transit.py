@@ -7,8 +7,8 @@ A route here means one direction of one line. Scheduled terminal departures
 from a terminal pool to the end of the line, once round on a loop, and into
 the pool there. The fleet per line is sized so the schedule is coverable,
 and a slot whose terminal pool is empty waits for the next returning train,
-which starts it late. No log record marks such a wait; the late start shows
-only in that train's delay.
+oldest slot first, which starts it late. No log record marks such a wait;
+the late start shows only in that train's delay.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ from .engine import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimTime
 from .population import STUDENT, WORKING_PROFESSIONAL, Human
 
 SEATS_PER_COMPARTMENT = 31
+
+
+class ConservationError(RuntimeError):
+    pass
 
 
 class DuplicatePresenceError(RuntimeError):
@@ -159,8 +163,8 @@ def _run_reaches(line: TransitLine, source: int, dest: int, direction: int) -> b
 
 
 class TransportManager:
-    """System-wide agent owning trains, schedules, the compartment pool, the
-    token ledger and ridership history."""
+    """System-wide agent owning trains and their runs from slot to pool,
+    schedules, the compartment pool, the token ledger and ridership history."""
 
     def __init__(self, network: TransitNetwork, compartments_per_train: int,
                  pool_compartments: int = 0):
@@ -170,6 +174,8 @@ class TransportManager:
         self.masters = {sid: StationMaster(st) for sid, st in network.stations.items()}
         self.trains: dict[int, Train] = {}
         self.pools: dict[tuple[str, int], deque[int]] = {}   # (line, terminal) -> idle trains
+        # (line, terminal) -> (slot, direction) waiting there for a train
+        self.waiting_slots: dict[tuple[str, int], deque[tuple[SimTime, int]]] = {}
         self.active: dict[tuple[str, int], set[int]] = {}    # (line, direction) -> running trains
         self.dispatched_upto: dict[tuple[str, int], SimTime] = {}
         self.unattached = pool_compartments
@@ -178,7 +184,8 @@ class TransportManager:
             fleet = self.fleet_size(line)
             ends = [line.terminal(+1)] if line.circular else [line.terminal(+1), line.terminal(-1)]
             for end in ends:
-                self.pools.setdefault((line.name, end), deque())
+                self.pools[(line.name, end)] = deque()
+                self.waiting_slots[(line.name, end)] = deque()
             for d in (+1, -1):
                 self.active[(line.name, d)] = set()
                 self.dispatched_upto[(line.name, d)] = -1
@@ -263,6 +270,66 @@ class TransportManager:
             if dep is not None:
                 waits[route] = dep - t
         return waits
+
+    # runs
+
+    def slot_due(self, line_name: str, direction: int, slot: SimTime) -> Optional[int]:
+        """Queue the slot at its terminal; returns the train that starts a run, if any."""
+        key = (line_name, self.network.lines[line_name].terminal(direction))
+        self.waiting_slots[key].append((slot, direction))
+        return self._pair(key)
+
+    def end_run(self, train: Train) -> tuple[int, int]:
+        """The train's run is over at its terminal: it leaves its route's
+        running trains and gets its terminal service, whose (detached,
+        attached) it returns."""
+        self.active[(train.line, train.direction)].discard(train.id)
+        return self.terminal_service(train)
+
+    def pool(self, train: Train) -> Optional[int]:
+        """Idle the train where its run ended; returns the train that starts a run, if any."""
+        key = (train.line, train.at_station)
+        self.pools[key].append(train.id)
+        return self._pair(key)
+
+    def _pair(self, key: tuple[str, int]) -> Optional[int]:
+        """Start the terminal's oldest waiting slot with its first idle
+        train. Each caller adds one slot or one train, so at most one run
+        starts and one of the two queues is empty afterwards."""
+        idle, slots = self.pools[key], self.waiting_slots[key]
+        if not (idle and slots):
+            return None
+        slot, direction = slots.popleft()
+        train = self.trains[idle.popleft()]
+        train.direction = direction
+        train.slot_time = slot
+        train.delay = 0
+        train.path_pos = 0
+        train.at_station = key[1]
+        route = (train.line, direction)
+        self.active[route].add(train.id)
+        self.dispatched_upto[route] = max(self.dispatched_upto[route], slot)
+        return train.id
+
+    def audit_runs(self) -> None:
+        """Every train is listed once: running on its own route or idle at a
+        terminal of its own line. No terminal holds an idle train and a
+        waiting slot at once."""
+        listed: dict[int, list] = {tid: [] for tid in self.trains}
+        for route, running in self.active.items():
+            for tid in running:
+                listed[tid].append(("running", route))
+        for key, idle in self.pools.items():
+            if idle and self.waiting_slots[key]:
+                raise ConservationError(f"terminal {key[1]} of line {key[0]} holds "
+                                        f"an idle train and a waiting slot")
+            for tid in idle:
+                listed[tid].append(("idle", key[0]))
+        for tid, train in self.trains.items():
+            if listed[tid] not in ([("running", (train.line, train.direction))],
+                                   [("idle", train.line)]):
+                raise ConservationError(f"train {tid} is not once either running on "
+                                        f"its route or idle on its line: {listed[tid]}")
 
     # tokens
 

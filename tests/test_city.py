@@ -133,7 +133,8 @@ def test_nearest_station_matches_full_scan_on_singapore_like():
     assert len(stations) == 87
     net = TransitNetwork(stations, [])
     rng = np.random.default_rng(87)
-    points = [bounding_box_around([s.point for s in stations]).sample(rng) for _ in range(3000)]
+    bbox = bounding_box_around([s.point for s in stations], margin_km=2.0)
+    points = [bbox.sample(rng) for _ in range(3000)]
     points += [s.point for s in stations[::10]]   # on a station
     for p in points:
         assert net.nearest_station(p).id == brute_nearest(net, p)

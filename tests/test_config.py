@@ -226,6 +226,20 @@ def set_in(section, key, value):
     return lambda doc: doc[section].update({key: value})
 
 
+def set_top(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+def event_generator(**over):
+    block = {"count": 2, "bounds": [1.0, 103.0, 1.01, 103.03], "duration_min": 600,
+             "duration_max": 1200, "lead_min": 0, "lead_max": 600, **over}
+    return set_in("events", "generator", block)
+
+
+def capacity(spec):
+    return set_in("transit", "initial_capacity", spec)
+
+
 @pytest.mark.parametrize("breaks,flags", [
     (set_horizon("abc"), []),
     (set_horizon(1.5), []),
@@ -240,9 +254,29 @@ def set_in(section, key, value):
     (set_in("population", "bbox", "abc"), []),
     (None, ["--pool", "-3"]),
     (None, ["--until", "0"]),
+    (set_top("network", {"stations": [], "lines": []}), []),
+    (lambda doc: doc["network"]["lines"].append("M"), []),
+    (lambda doc: doc["network"]["lines"][0].update(service=[120, 30]), []),
+    (lambda doc: doc["events"]["events"].append(5), []),
+    (set_top("seed", -5), []),
+    (set_top("seed", 1.5), []),
+    (set_top("seed", True), []),
+    (None, ["--seed", "-5"]),
+    (set_in("population", "bbox", [1.1, 103.0, 1.0, 103.1]), []),
+    (event_generator(bounds=[1.0]), []),
+    (event_generator(bounds=[1.01, 103.0, 1.0, 103.03]), []),
+    (event_generator(start_min=72000, start_max=28800), []),
+    (capacity(5), []),
+    (capacity({"sim_daily_ridership": 5000}), []),
+    (capacity({"sim_daily_ridership": 5000, "real_daily_ridership": -1,
+               "real_capacity": 1000}), []),
 ], ids=["horizon_text", "horizon_fraction", "size_text", "no_compartments", "no_road_speed",
         "margin_text", "negative_pool", "alt_routing_text", "poll_interval_text",
-        "degree_text", "bbox_text", "negative_pool_flag", "zero_until_flag"])
+        "degree_text", "bbox_text", "negative_pool_flag", "zero_until_flag",
+        "no_stations", "line_not_mapping", "service_not_mapping", "event_not_mapping",
+        "negative_seed", "seed_fraction", "seed_bool", "negative_seed_flag", "bbox_inverted",
+        "bounds_one_value", "bounds_inverted", "start_inverted", "capacity_not_mapping",
+        "capacity_missing_key", "capacity_negative"])
 def test_cli_reports_bad_scalar_config_as_config_error(tmp_path, capsys, breaks, flags):
     doc = doc4()
     if breaks is not None:

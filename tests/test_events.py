@@ -94,7 +94,7 @@ def test_poll_visibility_and_dedup():
 
 
 def test_poll_probability_frequency():
-    feed = BroadcastFeed([], poll_probability=0.3)
+    feed = BroadcastFeed([], poll_interval=3600, poll_probability=0.3)
     streams = RngStreams(8)
     h = student()
     hits = sum(
@@ -122,9 +122,9 @@ def test_batched_poll_matches_scalar_coin():
 
 def test_feed_validation():
     with pytest.raises(BadConfigError):
-        BroadcastFeed([], poll_interval=0)
+        BroadcastFeed([], poll_interval=0, poll_probability=0.25)
     with pytest.raises(BadConfigError):
-        BroadcastFeed([], poll_probability=1.5)
+        BroadcastFeed([], poll_interval=3600, poll_probability=1.5)
 
 
 def rail_fixture():
@@ -143,13 +143,13 @@ def test_seeding_filters():
     e = SocialEvent(0, net.station(2).point, hms(10), hms(13), frozenset([1, 2]), hms(6))
     h = student(home=(1.30, 103.70))
     # matching age, hours of lead, station adjacent to event
-    assert wants_to_seed(h, e, planner, hms(7))
+    assert wants_to_seed(h, e, planner, hms(7), h.home)
     # age group outside the target range
     older = Human(1, "working-professional", 4, GeoPoint(1.30, 103.70),
                   office=GeoPoint(1.31, 103.71))
-    assert not wants_to_seed(older, e, planner, hms(7))
+    assert not wants_to_seed(older, e, planner, hms(7), older.home)
     # 5 minutes to start, over an hour of travel
-    assert not wants_to_seed(h, e, planner, e.start - 300)
+    assert not wants_to_seed(h, e, planner, e.start - 300, h.home)
 
 
 def test_attendance_tau_boundaries():
@@ -163,13 +163,13 @@ def test_attendance_tau_boundaries():
     assert tau == 18 * 60
     # decision such that arrival = start + tau exactly -> attend
     t_edge = e.start + tau - total
-    assert decide_attendance(h, e, planner, t_edge) is not None
+    assert decide_attendance(h, e, planner, t_edge, h.home) is not None
     # one second later -> decline
-    assert decide_attendance(h, e, planner, t_edge + 1) is None
+    assert decide_attendance(h, e, planner, t_edge + 1, h.home) is None
     # arrival exactly at start -> attend
-    assert decide_attendance(h, e, planner, e.start - total) is not None
+    assert decide_attendance(h, e, planner, e.start - total, h.home) is not None
     with pytest.raises(EventEndedError):
-        decide_attendance(h, e, planner, e.end)
+        decide_attendance(h, e, planner, e.end, h.home)
 
 
 def test_attendance_monotone_in_decision_time():
@@ -178,7 +178,7 @@ def test_attendance_monotone_in_decision_time():
     e = SocialEvent(0, net.station(2).point, hms(10), hms(13), frozenset([2]), hms(6))
     route = planner.plan(h.home, e.location, e.start)
     t_latest = e.start + e.tau - route.total_seconds
-    attended = [decide_attendance(h, e, planner, t) is not None
+    attended = [decide_attendance(h, e, planner, t, h.home) is not None
                 for t in range(t_latest - 600, t_latest + 600, 60)]
     # once a decision time is too late, every later one is too late
     first_decline = attended.index(False) if False in attended else len(attended)

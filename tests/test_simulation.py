@@ -3,7 +3,7 @@ conservation sweeps, keyed-stream run pairing, diffusion pacing, the cascade
 as the world runs it, full-train rerouting, a change of trains at a loop's
 anchor, the road after the last pass, busy-human deferral, the turn back
 from an event that has ended, and the sweep's refusal of a token on a route
-that does not leave its station."""
+that does not leave its station or of a train out of place."""
 
 import json
 from pathlib import Path
@@ -52,13 +52,17 @@ def slot_starts(w):
     """Record every run the world starts as (line, direction, slot) -> how
     long after its slot time the run was dispatched."""
     starts = {}
-    start_run = w._start_run
+    pair = w.manager._pair
 
-    def spy(tid, line_name, direction, slot, now):
-        starts[(line_name, direction, slot)] = now - slot
-        start_run(tid, line_name, direction, slot, now)
+    def spy(key):
+        tid = pair(key)
+        if tid is not None:
+            train = w.manager.trains[tid]
+            starts[(train.line, train.direction, train.slot_time)] = (
+                w.scheduler.now - train.slot_time)
+        return tid
 
-    w._start_run = spy
+    w.manager._pair = spy
     return starts
 
 
@@ -88,6 +92,7 @@ def make_world(net, humans, graph, events, seed=1, horizon=6, **kw):
     kw.setdefault("poll_interval", 3600)
     kw.setdefault("poll_probability", 1.0)
     kw.setdefault("road_speed_kmh", 5.0)
+    kw.setdefault("alt_margin_seconds", 300)
     return World(net, humans, graph, events, RngStreams(seed),
                  horizon_hours=horizon, **kw)
 
@@ -118,7 +123,7 @@ def test_singapore_like_slots_start_on_time():
     w.run()
     assert set(starts) == due_slots(w)
     assert max(starts.values()) <= 60
-    assert not any(w.pending_slots.values())
+    assert not any(w.manager.waiting_slots.values())
 
 
 def test_runs_identical_before_broadcast_with_and_without_event():
@@ -135,8 +140,8 @@ def test_runs_identical_before_broadcast_with_and_without_event():
     for label, events in (("event", [ev]), ("plain", [])):
         w = World(net, humans, graph, events, RngStreams(5), horizon_hours=10,
                   compartments_per_train=2, pool_compartments=0,
-                  strategy=make_strategy("none"), poll_probability=1.0,
-                  road_speed_kmh=5.0)
+                  strategy=make_strategy("none"), poll_interval=3600,
+                  poll_probability=1.0, road_speed_kmh=5.0, alt_margin_seconds=300)
         w.run()
         results[label] = w
     cut = hms(8, 0)  # first poll tick that can see the 07:30 broadcast
@@ -304,8 +309,8 @@ def greedy_town():
                      age_range=frozenset(range(1, 7)), broadcast_from=hms(7, 30))
     return World(net, humans, graph, [ev], RngStreams(5), horizon_hours=12,
                  compartments_per_train=1, pool_compartments=2,
-                 strategy=make_strategy("greedy", alt_routing=True), poll_probability=1.0,
-                 road_speed_kmh=5.0, alt_margin_seconds=0)
+                 strategy=make_strategy("greedy", alt_routing=True), poll_interval=3600,
+                 poll_probability=1.0, road_speed_kmh=5.0, alt_margin_seconds=0)
 
 
 @pytest.mark.parametrize("build", [seniors_at_a_full_train, greedy_town])
@@ -506,6 +511,23 @@ def test_sweep_refuses_a_seat_off_the_riders_leg(direction, alight, clean):
             w._sweep(0)
 
 
+@pytest.mark.parametrize("breaks, msg", [
+    (lambda m: m.active[("L", +1)].add(m.pools[("L", 0)][0]),
+     r"not once .*: \[\('running', \('L', 1\)\), \('idle', 'L'\)\]"),
+    (lambda m: m.pools[("L", 0)].popleft(), r"not once .*: \[\]"),
+    (lambda m: m.active[("L", -1)].add(m.pools[("L", 0)].popleft()),
+     r"not once .*: \[\('running', \('L', -1\)\)\]"),
+    (lambda m: m.waiting_slots[("L", 0)].append((3600, +1)), "an idle train and a waiting slot"),
+], ids=["running_and_idle", "neither", "off_its_route", "idle_train_and_waiting_slot"])
+def test_sweep_refuses_a_train_out_of_place(breaks, msg):
+    # the trains at the 0 end are idle and face +1; the first sweep is at 0
+    w = make_world(line4(), [], empty_graph(0), [])
+    breaks(w.manager)
+    with pytest.raises(ConservationError, match=msg):
+        w.run()
+    assert w.sweeps == 0
+
+
 def test_attendee_arrives_within_tolerance_and_returns_after_end():
     net = line4(first=3600, last=82800)
     at0 = net.stations[0].point
@@ -540,8 +562,9 @@ def test_event_log_lines_equal_json_dumps(tmp_path):
     path = tmp_path / "event.log"
     w = World(net, humans, graph, [ev], RngStreams(5), horizon_hours=12,
               compartments_per_train=1, pool_compartments=2,
-              strategy=make_strategy("greedy", alt_routing=True), poll_probability=1.0,
-              road_speed_kmh=5.0, log_path=str(path))
+              strategy=make_strategy("greedy", alt_routing=True), poll_interval=3600,
+              poll_probability=1.0, road_speed_kmh=5.0, alt_margin_seconds=300,
+              log_path=str(path))
     w.run()
     kinds = set()
     for line in path.read_text().splitlines():

@@ -189,7 +189,7 @@ def test_generate_graph_errors_and_forced_two_node():
     streams = RngStreams(3)
     pop = generate_population(2, BBOX, streams)
     with pytest.raises(InfeasibleDegreeError):
-        generate_graph(pop, streams)  # default max 5000 >= 2
+        generate_graph(pop, streams, degree_params=(1, 30, 3.0))  # max 30 >= 2
     g = generate_graph(pop, streams, degree_params=(1, 1, 1))
     assert g.following == [[1], [0]]
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every local name a function assigns is read."""
+"""Source hygiene: every name a module imports is used in that module,
+every local name a function assigns is read, and only the transport manager
+names its run state."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,27 @@ def test_scan_flags_an_assigned_name_nobody_reads():
                      "    def g():\n        return seen\n    seen = 1\n"
                      "    return total, g\n")
     assert unread_locals(tree) == ["f:header (line 3)"]
+
+
+# the transport manager's run state: the per-terminal queues of idle trains
+# and waiting slots, the running trains per route, and the last slot started
+RUN_STATE = {"pools", "waiting_slots", "active", "dispatched_upto"}
+
+
+def run_state_names(tree: ast.Module) -> list[str]:
+    """``attribute (line N)`` for each attribute of the run state named."""
+    return [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in RUN_STATE]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "transit.py"],
+                         ids=lambda p: p.name)
+def test_only_the_transport_manager_names_its_run_state(path):
+    named = run_state_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not named, f"{path.name} reaches into the transport manager's runs: {', '.join(named)}"
+
+
+def test_scan_flags_run_state_named_as_an_attribute():
+    tree = ast.parse("def f(w, active):\n    w.manager.pools[k].append(1)\n"
+                     "    return active, w.active_trips\n")
+    assert run_state_names(tree) == ["pools (line 2)"]
