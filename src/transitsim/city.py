@@ -11,6 +11,8 @@ from typing import Optional
 
 import numpy as np
 
+from .config import LINE, NETWORK, SERVICE, STATION, ConfigError, read_block
+
 EARTH_RADIUS_KM = 6371.0
 
 
@@ -111,15 +113,11 @@ class RoadRouter:
         return int(round(haversine_km(a, b) / self.speed_kmh * 3600.0))
 
 
-class ParseError(ValueError):
-    """Scenario config does not parse or misses required fields."""
-
-
-class DanglingReferenceError(ParseError):
+class DanglingReferenceError(ConfigError):
     """Config references an entity that does not exist."""
 
 
-class InvariantViolationError(ValueError):
+class InvariantViolationError(ConfigError):
     """A structural network invariant fails; message names the element."""
 
 
@@ -318,71 +316,28 @@ class TransitNetwork:
 
 
 def network_from_dict(doc: dict) -> TransitNetwork:
-    """Build a network from the parsed scenario mapping."""
-    try:
-        station_docs = doc["stations"]
-        line_docs = doc["lines"]
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"network config needs 'stations' and 'lines' sections: {e}") from None
-    if not station_docs:
-        raise ParseError("network config needs at least one station")
-    try:
-        stations = [
-            Station(
-                id=int(s["id"]),
-                name=str(s.get("name", f"S{s['id']}")),
-                point=GeoPoint(float(s["lat"]), float(s["lon"])),
-                platform_count=int(s.get("platforms", 2)),
-            )
-            for s in station_docs
-        ]
-        lines = []
-        for l in line_docs:
-            svc = l.get("service", {})
-            lines.append(
-                TransitLine(
-                    name=str(l["name"]),
-                    station_ids=[int(x) for x in l["stations"]],
-                    circular=bool(l.get("circular", False)),
-                    service=LineService(
-                        run_seconds=int(svc.get("run_seconds", 120)),
-                        dwell_seconds=int(svc.get("dwell_seconds", 30)),
-                        headway_seconds=int(svc.get("headway_seconds", 300)),
-                        first_departure=int(svc.get("first_departure", 5 * 3600)),
-                        last_departure=int(svc.get("last_departure", 23 * 3600)),
-                    ),
-                )
-            )
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        if isinstance(e, (InvariantViolationError, DanglingReferenceError)):
-            raise
-        raise ParseError(f"bad network config entry: {e}") from None
-    for line in lines:
-        _check_timetable(line)
+    """Build a network from the parsed scenario mapping, each block checked,
+    and its defaults filled in, by its table in ``config``."""
+    doc = read_block("network", doc, NETWORK)
+    stations = []
+    for i, s in enumerate(doc["stations"]):
+        s = read_block(f"network.stations[{i}]", s, STATION)
+        stations.append(Station(id=s["id"], name=s.get("name", f"S{s['id']}"),
+                                point=GeoPoint(s["lat"], s["lon"]),
+                                platform_count=s["platforms"]))
+    lines = []
+    for i, l in enumerate(doc["lines"]):
+        l = read_block(f"network.lines[{i}]", l, LINE)
+        svc = read_block(f"line {l['name']!r} service", l["service"], SERVICE)
+        if svc["last_departure"] < svc["first_departure"]:
+            raise ConfigError(f"line {l['name']!r}: no departure between first_departure "
+                              f"{svc['first_departure']} and last_departure "
+                              f"{svc['last_departure']}")
+        lines.append(TransitLine(
+            name=l["name"], station_ids=list(l["stations"]), circular=l["circular"],
+            service=LineService(run_seconds=svc["run_seconds"],
+                                dwell_seconds=svc["dwell_seconds"],
+                                headway_seconds=svc["headway_seconds"],
+                                first_departure=svc["first_departure"],
+                                last_departure=svc["last_departure"])))
     return TransitNetwork(stations, lines)
-
-
-def _check_timetable(line: TransitLine) -> None:
-    """Reject a timetable under which a route could run out of departures.
-
-    The train inquiry looks at today's and tomorrow's slots. A day with no
-    slot leaves every route without a departure, and a slot before midnight
-    (a negative first departure) can be dispatched and gone past a station
-    while today is still running, so both are refused. From a first
-    departure at or after midnight on, tomorrow's first slot is either
-    undispatched or its train has not yet passed any station before today
-    ends, so every listed route has a next departure. A negative run or
-    dwell time is refused too: trains would arrive before they leave, and
-    the route planner's search needs costs that are never negative.
-    """
-    svc = line.service
-    for field in ("run_seconds", "dwell_seconds"):
-        if getattr(svc, field) < 0:
-            raise ParseError(f"line {line.name!r}: {field} must not be negative")
-    if svc.headway_seconds < 1:
-        raise ParseError(f"line {line.name!r}: headway_seconds must be positive")
-    if svc.first_departure < 0:
-        raise ParseError(f"line {line.name!r}: first_departure must not be negative")
-    if svc.last_departure < svc.first_departure:
-        raise ParseError(f"line {line.name!r}: no departure between first_departure "
-                         f"{svc.first_departure} and last_departure {svc.last_departure}")

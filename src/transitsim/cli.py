@@ -16,17 +16,15 @@ import os
 import sys
 from typing import Optional
 
-from .city import (BoundingBox, InvariantViolationError, ParseError, bounding_box_around,
-                   network_from_dict)
-from .config import (ConfigError, RunManifest, ScenarioConfig, check_settings, config_hash,
-                     load_scenario)
+from .city import BoundingBox, bounding_box_around, network_from_dict
+from .config import (EVENTS, INITIAL_CAPACITY, ConfigError, RunManifest, ScenarioConfig,
+                     check_settings, config_hash, load_scenario, read_block)
 from .engine import RngStreams, parse_clock
-from .events import (DEFAULT_POLL_INTERVAL, DEFAULT_POLL_PROBABILITY, BadConfigError,
-                     generate_events)
+from .events import generate_events
 from .metrics import avg_total_travel, avg_wait, emit_report
 from .population import generate_population
 from .simulation import World
-from .social import InfeasibleDegreeError, generate_graph
+from .social import generate_graph
 from .strategies import make_strategy
 from .transit import initial_capacity, SEATS_PER_COMPARTMENT
 
@@ -39,15 +37,15 @@ def build_world(cfg: ScenarioConfig, log_path: Optional[str] = None) -> World:
         bbox = BoundingBox(*pop_cfg["bbox"])
     else:
         bbox = bounding_box_around([s.point for s in network.stations.values()],
-                                   margin_km=float(pop_cfg["margin_km"]))
+                                   margin_km=pop_cfg["margin_km"])
     humans = generate_population(pop_cfg["size"], bbox, streams)
     soc = cfg.social
     graph = generate_graph(
         humans, streams,
-        degree_params=(int(soc["degree_min"]), int(soc["degree_max"]),
-                       float(soc["degree_mean"])),
-        constant_probability=soc.get("constant_probability"))
+        degree_params=(soc["degree_min"], soc["degree_max"], soc["degree_mean"]),
+        constant_probability=soc["constant_probability"])
     events = generate_events(cfg.events, streams)
+    feed_cfg = read_block("events", cfg.events, EVENTS)
     strat_cfg = cfg.strategy
     strategy = make_strategy(strat_cfg["name"], strat_cfg["alt_routing"])
     return World(
@@ -56,9 +54,9 @@ def build_world(cfg: ScenarioConfig, log_path: Optional[str] = None) -> World:
         compartments_per_train=compartments_per_train(cfg.transit),
         pool_compartments=strat_cfg["pool"],
         strategy=strategy,
-        poll_interval=cfg.events.get("poll_interval", DEFAULT_POLL_INTERVAL),
-        poll_probability=float(cfg.events.get("poll_probability", DEFAULT_POLL_PROBABILITY)),
-        road_speed_kmh=float(cfg.transit["road_speed_kmh"]),
+        poll_interval=feed_cfg["poll_interval"],
+        poll_probability=feed_cfg["poll_probability"],
+        road_speed_kmh=cfg.transit["road_speed_kmh"],
         alt_margin_seconds=strat_cfg["alt_margin_seconds"],
         log_path=log_path)
 
@@ -68,14 +66,10 @@ def compartments_per_train(transit_cfg: dict) -> int:
     figures."""
     if "initial_capacity" not in transit_cfg:
         return transit_cfg["compartments"]
-    spec = transit_cfg["initial_capacity"]
-    try:
-        seats = initial_capacity(float(spec["sim_daily_ridership"]),
-                                 float(spec["real_daily_ridership"]),
-                                 float(spec["real_capacity"]))
-    except (KeyError, OverflowError, TypeError, ValueError) as e:
-        raise ConfigError("transit.initial_capacity needs positive sim_daily_ridership, "
-                          f"real_daily_ridership and real_capacity: {e}") from None
+    spec = read_block("transit.initial_capacity", transit_cfg["initial_capacity"],
+                      INITIAL_CAPACITY)
+    seats = initial_capacity(spec["sim_daily_ridership"], spec["real_daily_ridership"],
+                             spec["real_capacity"])
     return seats // SEATS_PER_COMPARTMENT
 
 
@@ -174,9 +168,11 @@ def _parse_event_flag(text: str) -> dict:
     parts = text.split(",")
     if len(parts) != 4:
         raise ConfigError("--event needs lat,lon,start,end")
-    lat, lon = float(parts[0]), float(parts[1])
-    start, end = parse_clock(parts[2]), parse_clock(parts[3])
-    return {"lat": lat, "lon": lon, "start": start, "end": end}
+    try:
+        return {"lat": float(parts[0]), "lon": float(parts[1]),
+                "start": parse_clock(parts[2]), "end": parse_clock(parts[3])}
+    except ValueError as e:
+        raise ConfigError(f"--event {text!r}: {e}") from None
 
 
 def apply_flags(cfg: ScenarioConfig, args) -> ScenarioConfig:
@@ -235,8 +231,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"delta: {os.path.join(first['dir'], 'delta.csv')}")
         else:
             print(_result_line(run_one(cfg, args.out, "run")))
-    except (ConfigError, BadConfigError, ParseError, InvariantViolationError,
-            InfeasibleDegreeError) as e:
+    except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -5,7 +5,9 @@ network, population size, social-graph degree targets, the event list or
 generator, rolling-stock settings, and the strategy block. The seed must be
 explicit; there is no wall-clock fallback. The manifest written next to each
 run's reports carries a hash of the parsed config, so any whitespace-only
-reformatting of the YAML keeps the hash stable.
+reformatting of the YAML keeps the hash stable. Every block of the document
+is checked, and its missing keys defaulted, by one table here; the code that
+builds from a block reads it through ``read_block`` and coerces nothing.
 """
 
 from __future__ import annotations
@@ -13,24 +15,214 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import yaml
 
 
 class ConfigError(ValueError):
-    pass
+    """Scenario input the run cannot use; the message names the value."""
+
+
+# every age group the population has
+AGE_GROUPS = (1, 2, 3, 4, 5, 6)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """An int or float within the finite floats; a bool is not a number
+    here."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _is_lat(v) -> bool:
+    return _is_number(v) and -90 <= v <= 90
+
+
+def _is_lon(v) -> bool:
+    return _is_number(v) and -180 <= v <= 180
+
+
+def _is_probability(v) -> bool:
+    return _is_number(v) and 0 <= v <= 1
+
+
+def _is_list(v) -> bool:
+    return isinstance(v, (list, tuple))
+
+
+def _is_box(v) -> bool:
+    """[min_lat, min_lon, max_lat, max_lon], each minimum at most its maximum."""
+    return (_is_list(v) and len(v) == 4 and _is_lat(v[0]) and _is_lon(v[1])
+            and _is_lat(v[2]) and _is_lon(v[3]) and v[0] <= v[2] and v[1] <= v[3])
+
+
+# (what a value must be, test) pairs the tables share
+_INTEGER = ("an integer", _is_int)
+_POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v > 0)
+_NON_NEGATIVE_INT = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_POSITIVE_NUMBER = ("a positive number", lambda v: _is_number(v) and v > 0)
+_PROBABILITY = ("within [0, 1]", _is_probability)
+_MAPPING = ("a mapping", lambda v: isinstance(v, dict))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_LATITUDE = ("a latitude in [-90, 90]", _is_lat)
+_LONGITUDE = ("a longitude in [-180, 180]", _is_lon)
+_BOX = ("[min_lat, min_lon, max_lat, max_lon] with min <= max", _is_box)
+
+# a default that marks a key the block must give, or one it may leave out
+REQUIRED = object()
+OPTIONAL = object()
+
+# One table per block of scenario input. A row is (key, what it must be,
+# test, default); read_block checks a block against its table.
+
+SCENARIO = (
+    ("seed", *_NON_NEGATIVE_INT, REQUIRED),
+    ("horizon_hours", *_POSITIVE_INT, 24),
+)
+
+POPULATION = (
+    ("size", *_POSITIVE_INT, 1000),
+    ("margin_km", "a non-negative number", lambda v: _is_number(v) and v >= 0, 1.5),
+    ("bbox", *_BOX, OPTIONAL),
+)
+
+SOCIAL = (
+    ("degree_min", *_POSITIVE_INT, 1),
+    ("degree_max", *_POSITIVE_INT, 30),
+    ("degree_mean", *_POSITIVE_NUMBER, 3.0),
+    ("constant_probability", "null or within [0, 1]",
+     lambda v: v is None or _is_probability(v), None),
+)
+
+TRANSIT = (
+    ("compartments", *_POSITIVE_INT, 2),
+    ("road_speed_kmh", *_POSITIVE_NUMBER, 35.0),
+    ("initial_capacity", *_MAPPING, OPTIONAL),
+)
+
+INITIAL_CAPACITY = (
+    ("sim_daily_ridership", *_POSITIVE_NUMBER, REQUIRED),
+    ("real_daily_ridership", *_POSITIVE_NUMBER, REQUIRED),
+    ("real_capacity", *_POSITIVE_NUMBER, REQUIRED),
+)
+
+STRATEGY = (
+    ("name", "'none' or 'greedy'", lambda v: v in ("none", "greedy"), "none"),
+    ("alt_routing", *_BOOL, False),
+    ("pool", *_NON_NEGATIVE_INT, 10),
+    ("alt_margin_seconds", *_NON_NEGATIVE_INT, 300),
+)
+
+NETWORK = (
+    ("stations", "a non-empty list", lambda v: _is_list(v) and len(v) > 0, REQUIRED),
+    ("lines", "a list", _is_list, REQUIRED),
+)
+
+STATION = (
+    ("id", *_INTEGER, REQUIRED),
+    ("name", *_STRING, OPTIONAL),
+    ("lat", *_LATITUDE, REQUIRED),
+    ("lon", *_LONGITUDE, REQUIRED),
+    ("platforms", *_POSITIVE_INT, 2),
+)
+
+LINE = (
+    ("name", *_STRING, REQUIRED),
+    ("stations", "a list of station ids", lambda v: _is_list(v) and all(map(_is_int, v)),
+     REQUIRED),
+    ("circular", *_BOOL, False),
+    ("service", *_MAPPING, {}),
+)
+
+# The train inquiry looks at today's and tomorrow's slots. A day with no slot
+# leaves every route without a departure, and a slot before midnight (a
+# negative first departure) can be dispatched and gone past a station while
+# today is still running, so both are refused (the first by the reader, as
+# last_departure >= first_departure). From a first departure at or after
+# midnight on, tomorrow's first slot is either undispatched or its train has
+# not yet passed any station before today ends, so every listed route has a
+# next departure; RoutePlanner.plan relies on that. A negative run or dwell
+# time is refused too: trains would arrive before they leave, and the route
+# planner's search needs costs that are never negative.
+SERVICE = (
+    ("run_seconds", *_NON_NEGATIVE_INT, 120),
+    ("dwell_seconds", *_NON_NEGATIVE_INT, 30),
+    ("headway_seconds", *_POSITIVE_INT, 300),
+    ("first_departure", *_NON_NEGATIVE_INT, 5 * 3600),
+    ("last_departure", *_NON_NEGATIVE_INT, 23 * 3600),
+)
+
+# The events block's defaults apply when it is read: DEFAULTS, and with it
+# the config hash, leaves them out.
+EVENTS = (
+    ("poll_interval", *_POSITIVE_INT, 3600),
+    ("poll_probability", *_PROBABILITY, 0.25),
+    ("events", "a list", _is_list, ()),
+    ("generator", "a mapping or null", lambda v: v is None or isinstance(v, dict), None),
+)
+
+EVENT = (
+    ("lat", *_LATITUDE, REQUIRED),
+    ("lon", *_LONGITUDE, REQUIRED),
+    ("start", *_NON_NEGATIVE_INT, REQUIRED),
+    ("end", *_INTEGER, REQUIRED),
+    ("age_groups", "a non-empty list of age groups from 1 to 6",
+     lambda v: _is_list(v) and len(v) > 0 and all(_is_int(g) and g in AGE_GROUPS for g in v),
+     AGE_GROUPS),
+    ("lead_seconds", *_NON_NEGATIVE_INT, 2 * 3600),
+)
+
+GENERATOR = (
+    ("count", *_NON_NEGATIVE_INT, REQUIRED),
+    ("bounds", *_BOX, REQUIRED),
+    ("duration_min", *_POSITIVE_INT, REQUIRED),
+    ("duration_max", *_INTEGER, REQUIRED),
+    ("lead_min", *_NON_NEGATIVE_INT, REQUIRED),
+    ("lead_max", *_INTEGER, REQUIRED),
+    ("start_min", *_NON_NEGATIVE_INT, 8 * 3600),
+    ("start_max", *_INTEGER, 20 * 3600),
+)
+
+# the sections a scenario merges with DEFAULTS before it is hashed
+_SETTINGS = {"population": POPULATION, "social": SOCIAL, "events": EVENTS,
+             "transit": TRANSIT, "strategy": STRATEGY}
+
+
+def read_block(where: str, doc, table) -> dict:
+    """Check the mapping ``doc`` against ``table`` and return a new dict
+    with each absent key's default filled in; a bad value is a
+    ``ConfigError`` naming it. ``doc`` is never written, so a checked config
+    keeps its hash. Keys the table does not name pass through unchecked."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a mapping, got {doc!r}")
+    out = dict(doc)
+    for key, want, ok, default in table:
+        if key in doc:
+            if not ok(doc[key]):
+                raise ConfigError(f"{where}: {key} must be {want}, got {doc[key]!r}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{where}: {key} is required")
+        elif default is not OPTIONAL:
+            out[key] = default
+    return out
+
+
+def _hashed_defaults(table) -> dict:
+    return {key: default for key, _, _, default in table
+            if default is not REQUIRED and default is not OPTIONAL}
 
 
 DEFAULTS = {
-    "horizon_hours": 24,
-    "population": {"size": 1000, "margin_km": 1.5},
-    "social": {"degree_min": 1, "degree_max": 30, "degree_mean": 3.0,
-               "constant_probability": None},
-    "events": {},
-    "transit": {"compartments": 2, "road_speed_kmh": 35.0},
-    "strategy": {"name": "none", "alt_routing": False, "pool": 10,
-                 "alt_margin_seconds": 300},
+    **_hashed_defaults(SCENARIO),
+    **{section: _hashed_defaults(table) for section, table in _SETTINGS.items()},
+    "events": {},  # see EVENTS
 }
 
 
@@ -91,55 +283,14 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     return cfg
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_box(v) -> bool:
-    """[min_lat, min_lon, max_lat, max_lon], each minimum at most its maximum."""
-    return (isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_number, v))
-            and v[0] <= v[2] and v[1] <= v[3])
-
-
-# (section or None for the top level, key, what it must be, test); a key
-# absent from its section is left to the code that reads it
-_SETTINGS = (
-    (None, "seed", "a non-negative integer", lambda v: _is_int(v) and v >= 0),
-    (None, "horizon_hours", "a positive integer", lambda v: _is_int(v) and v > 0),
-    ("population", "size", "a positive integer", lambda v: _is_int(v) and v > 0),
-    ("population", "margin_km", "a non-negative number", lambda v: _is_number(v) and v >= 0),
-    ("population", "bbox", "[min_lat, min_lon, max_lat, max_lon] with min <= max", _is_box),
-    ("social", "degree_min", "an integer", _is_int),
-    ("social", "degree_max", "an integer", _is_int),
-    ("social", "degree_mean", "a number", _is_number),
-    ("social", "constant_probability", "null or within [0, 1]",
-     lambda v: v is None or (_is_number(v) and 0 <= v <= 1)),
-    ("events", "poll_interval", "a positive integer", lambda v: _is_int(v) and v > 0),
-    ("events", "poll_probability", "within [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1),
-    ("transit", "compartments", "a positive integer", lambda v: _is_int(v) and v > 0),
-    ("transit", "road_speed_kmh", "a positive number", lambda v: _is_number(v) and v > 0),
-    ("strategy", "name", "'none' or 'greedy'", lambda v: v in ("none", "greedy")),
-    ("strategy", "alt_routing", "true or false", lambda v: isinstance(v, bool)),
-    ("strategy", "pool", "a non-negative integer", lambda v: _is_int(v) and v >= 0),
-    ("strategy", "alt_margin_seconds", "a non-negative integer",
-     lambda v: _is_int(v) and v >= 0),
-)
-
-
 def check_settings(cfg: ScenarioConfig) -> None:
-    """Refuse a scalar setting of the wrong type or range with a
-    ``ConfigError`` naming it. Values are checked, never rewritten, so a
-    valid config keeps its hash. Run again after command line overrides."""
+    """Refuse a setting of the wrong type or range with a ``ConfigError``
+    naming it. Values are checked, never rewritten, so a valid config keeps
+    its hash. Run again after command line overrides."""
     resolved = cfg.effective()
-    for section, key, want, ok in _SETTINGS:
-        block = resolved if section is None else resolved[section]
-        if key in block and not ok(block[key]):
-            name = key if section is None else f"{section}.{key}"
-            raise ConfigError(f"{name} must be {want}, got {block[key]!r}")
+    read_block("scenario", resolved, SCENARIO)
+    for section, table in _SETTINGS.items():
+        read_block(section, resolved[section], table)
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -13,17 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .city import BoundingBox, GeoPoint
+from .config import AGE_GROUPS, EVENT, EVENTS, GENERATOR, ConfigError, read_block
 from .engine import RngStreams, SimTime, keyed_uniform_batch
 from .population import Human
-
-DEFAULT_POLL_INTERVAL = 3600  # seconds
-DEFAULT_POLL_PROBABILITY = 0.25
-
-AGE_GROUPS = (1, 2, 3, 4, 5, 6)
-
-
-class BadConfigError(ValueError):
-    pass
 
 
 class EventEndedError(RuntimeError):
@@ -41,11 +33,11 @@ class SocialEvent:
 
     def __post_init__(self):
         if not (self.start < self.end):
-            raise BadConfigError(f"event {self.id}: start must precede end")
+            raise ConfigError(f"event {self.id}: start must precede end")
         if self.broadcast_from > self.start:
-            raise BadConfigError(f"event {self.id}: broadcast must not start after the event")
+            raise ConfigError(f"event {self.id}: broadcast must not start after the event")
         if not self.age_range or not set(self.age_range) <= set(AGE_GROUPS):
-            raise BadConfigError(f"event {self.id}: bad age range {set(self.age_range)}")
+            raise ConfigError(f"event {self.id}: bad age range {set(self.age_range)}")
 
     @property
     def tau(self) -> int:
@@ -60,43 +52,32 @@ def generate_events(config: dict, streams: RngStreams) -> list[SocialEvent]:
     age_groups, lead_seconds). ``config["generator"]`` draws `count` events
     with uniform locations in `bounds`, uniform starts in [start_min,
     start_max], durations and leads in their ranges, and a contiguous random
-    age-group block.
+    age-group block. Each block is checked, and its defaults filled in, by
+    its table in ``config``.
     """
-    fixed = config.get("events") or []
-    gen_cfg = config.get("generator")
+    config = read_block("events", config, EVENTS)
+    fixed = config["events"]
     events: list[SocialEvent] = []
-    try:
-        for i, e in enumerate(fixed):
-            age = frozenset(int(g) for g in e.get("age_groups", AGE_GROUPS))
-            start = int(e["start"])
-            events.append(SocialEvent(
-                id=i,
-                location=GeoPoint(float(e["lat"]), float(e["lon"])),
-                start=start,
-                end=int(e["end"]),
-                age_range=age,
-                broadcast_from=start - int(e.get("lead_seconds", 2 * 3600)),
-            ))
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        if isinstance(err, BadConfigError):
-            raise
-        raise BadConfigError(f"bad event entry: {err}") from None
-    if gen_cfg:
-        try:
-            count = int(gen_cfg["count"])
-            bounds = BoundingBox(*map(float, gen_cfg["bounds"]))
-            dur_lo, dur_hi = int(gen_cfg["duration_min"]), int(gen_cfg["duration_max"])
-            lead_lo, lead_hi = int(gen_cfg["lead_min"]), int(gen_cfg["lead_max"])
-            start_lo = int(gen_cfg.get("start_min", 8 * 3600))
-            start_hi = int(gen_cfg.get("start_max", 20 * 3600))
-        except (KeyError, TypeError, ValueError) as err:
-            raise BadConfigError(f"bad event generator block: {err}") from None
-        if (count < 0 or dur_lo <= 0 or dur_lo > dur_hi or lead_lo < 0 or lead_lo > lead_hi
-                or start_lo > start_hi or bounds.min_lat > bounds.max_lat
-                or bounds.min_lon > bounds.max_lon):
-            raise BadConfigError("event generator ranges out of order")
+    for i, e in enumerate(fixed):
+        e = read_block(f"events.events[{i}]", e, EVENT)
+        events.append(SocialEvent(
+            id=i,
+            location=GeoPoint(e["lat"], e["lon"]),
+            start=e["start"],
+            end=e["end"],
+            age_range=frozenset(e["age_groups"]),
+            broadcast_from=e["start"] - e["lead_seconds"],
+        ))
+    if config["generator"]:
+        gen_cfg = read_block("events.generator", config["generator"], GENERATOR)
+        dur_lo, dur_hi = gen_cfg["duration_min"], gen_cfg["duration_max"]
+        lead_lo, lead_hi = gen_cfg["lead_min"], gen_cfg["lead_max"]
+        start_lo, start_hi = gen_cfg["start_min"], gen_cfg["start_max"]
+        if dur_lo > dur_hi or lead_lo > lead_hi or start_lo > start_hi:
+            raise ConfigError("event generator ranges out of order")
+        bounds = BoundingBox(*gen_cfg["bounds"])
         rng = streams.generator("events")
-        for k in range(count):
+        for k in range(gen_cfg["count"]):
             loc = bounds.sample(rng)
             start = int(rng.integers(start_lo, start_hi + 1))
             dur = int(rng.integers(dur_lo, dur_hi + 1))
@@ -126,9 +107,9 @@ class BroadcastFeed:
     def __init__(self, events: list[SocialEvent], poll_interval: int,
                  poll_probability: float):
         if poll_interval <= 0:
-            raise BadConfigError("poll interval must be positive")
+            raise ConfigError("poll interval must be positive")
         if not (0.0 <= poll_probability <= 1.0):
-            raise BadConfigError("poll probability must be in [0, 1]")
+            raise ConfigError("poll probability must be in [0, 1]")
         self.events = list(events)
         self.poll_interval = poll_interval
         self.poll_probability = poll_probability

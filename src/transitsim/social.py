@@ -23,6 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .city import haversine_km, haversine_km_array, radians_and_cos
+from .config import ConfigError
 from .engine import RngStreams, keyed_uniform_batch
 from .population import Human
 
@@ -33,8 +34,8 @@ MEAN_TOLERANCE = 0.05
 _BLOCK = 2048
 
 
-class InfeasibleDegreeError(ValueError):
-    pass
+class InfeasibleDegreeError(ConfigError):
+    """Degree settings no follower graph of this population can meet."""
 
 
 # influence components: each reads two Humans or two _Columns alike

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .city import GeoPoint, Station, TransitLine, TransitNetwork, UnknownStationError
+from .config import ConfigError
 from .engine import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimTime
 from .population import STUDENT, WORKING_PROFESSIONAL, Human
 
@@ -47,8 +48,10 @@ def initial_capacity(sim_daily_ridership: float, real_daily_ridership: float,
     """Scale a real train capacity down to the simulated ridership, rounded
     up to whole compartments."""
     if sim_daily_ridership <= 0 or real_daily_ridership <= 0 or real_capacity <= 0:
-        raise ValueError("ridership and capacity inputs must be positive")
+        raise ConfigError("ridership and capacity inputs must be positive")
     raw = sim_daily_ridership * real_capacity / real_daily_ridership
+    if not math.isfinite(raw):
+        raise ConfigError(f"scaled capacity {raw} is not a finite number")
     compartments = max(1, math.ceil(raw / SEATS_PER_COMPARTMENT))
     return compartments * SEATS_PER_COMPARTMENT
 

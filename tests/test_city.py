@@ -12,7 +12,6 @@ from transitsim.city import (
     GeoPoint,
     InvariantViolationError,
     LineService,
-    ParseError,
     RoadRouter,
     Station,
     TransitLine,
@@ -24,6 +23,7 @@ from transitsim.city import (
     network_from_dict,
     radians_and_cos,
 )
+from transitsim.config import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -270,7 +270,7 @@ def test_network_from_dict_roundtrip():
     assert net.station(1).platform_count == 3
     assert net.lines["EW"].service.run_seconds == 100
     assert not net.lines["EW"].circular
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError):
         network_from_dict({"stations": []})
     bad = dict(doc, lines=[{"name": "EW", "stations": [0, 9]}])
     with pytest.raises(DanglingReferenceError):

@@ -1,6 +1,8 @@
 """Scenario loading, config hashing, and the command line surface."""
 
+import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -270,13 +272,22 @@ def capacity(spec):
     (capacity({"sim_daily_ridership": 5000}), []),
     (capacity({"sim_daily_ridership": 5000, "real_daily_ridership": -1,
                "real_capacity": 1000}), []),
+    (capacity({"sim_daily_ridership": 1e308, "real_daily_ridership": 1e-300,
+               "real_capacity": 1e308}), []),
+    (capacity({"sim_daily_ridership": 10 ** 400, "real_daily_ridership": 1,
+               "real_capacity": 1}), []),
+    (None, ["--event", "abc,103.0,08:00,09:00"]),
+    (None, ["--event", "1.0,103,8h,09:00"]),
+    (None, ["--event", "nan,103.0,08:00,09:00"]),
 ], ids=["horizon_text", "horizon_fraction", "size_text", "no_compartments", "no_road_speed",
         "margin_text", "negative_pool", "alt_routing_text", "poll_interval_text",
         "degree_text", "bbox_text", "negative_pool_flag", "zero_until_flag",
         "no_stations", "line_not_mapping", "service_not_mapping", "event_not_mapping",
         "negative_seed", "seed_fraction", "seed_bool", "negative_seed_flag", "bbox_inverted",
         "bounds_one_value", "bounds_inverted", "start_inverted", "capacity_not_mapping",
-        "capacity_missing_key", "capacity_negative"])
+        "capacity_missing_key", "capacity_negative", "capacity_overflow",
+        "capacity_huge_integer", "event_flag_text", "event_flag_clock",
+        "event_flag_nan"])
 def test_cli_reports_bad_scalar_config_as_config_error(tmp_path, capsys, breaks, flags):
     doc = doc4()
     if breaks is not None:
@@ -327,3 +338,71 @@ def test_cli_event_override_changes_the_run(tmp_path):
     assert base != extra
     rec = json.loads(extra.splitlines()[0])
     assert {"t", "actor", "kind"} <= set(rec)
+
+
+# what the one-leaf sweep writes in place of each leaf of doc4
+BAD_VALUES = (math.nan, math.inf, -math.inf, -7, 2.5, True, "x", None, [], {})
+
+# the one-leaf edits that are valid as written, so the run goes ahead:
+# (leaf, repr of the value)
+RUNS_AS_WRITTEN = {
+    ("network.stations[0].name", "'x'"),
+    ("network.stations[0].lat", "-7"), ("network.stations[0].lat", "2.5"),
+    ("network.stations[0].lon", "-7"), ("network.stations[0].lon", "2.5"),
+    ("network.lines[0].name", "'x'"),
+    ("population.margin_km", "2.5"),
+    ("social.degree_mean", "2.5"),
+    ("events.events[0].lat", "-7"), ("events.events[0].lat", "2.5"),
+    ("events.events[0].lon", "-7"), ("events.events[0].lon", "2.5"),
+    ("transit.road_speed_kmh", "2.5"),
+    ("strategy.alt_routing", "True"),
+}
+
+
+def leaf_paths(node, path=()):
+    """The key path of every leaf, taking the first entry of each list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        yield from leaf_paths(node[0], path + (0,))
+    else:
+        yield path
+
+
+def leaf_name(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def test_every_one_leaf_edit_runs_as_written_or_is_a_config_error(tmp_path, capsys):
+    # each leaf of doc4 set to each bad value in turn, run past the event's
+    # end: the run either goes ahead on a value valid as written, with every
+    # hourly audit clean (a broken one raises out of main), or is refused
+    # with error: config before anything is written
+    offenders = []
+    paths = list(leaf_paths(doc4()))
+    for n, (path, value) in enumerate(itertools.product(paths, BAD_VALUES)):
+        doc = doc4()
+        *parents, last = path
+        block = doc
+        for key in parents:
+            block = block[key]
+        block[last] = value
+        scn, out = tmp_path / f"scn{n}.yaml", tmp_path / f"o{n}"
+        scn.write_text(yaml.safe_dump(doc))
+        case = f"{leaf_name(path)} = {value!r}"
+        try:
+            rc = main(["--scenario", str(scn), "--out", str(out)])
+        except Exception as e:
+            offenders.append(f"{case}: traceback, {type(e).__name__}: {e}")
+            continue
+        err = capsys.readouterr().err
+        if (leaf_name(path), repr(value)) in RUNS_AS_WRITTEN:
+            if rc != 0:
+                offenders.append(f"{case}: refused though valid as written: {err.strip()}")
+        elif rc == 0:
+            offenders.append(f"{case}: ran on a value nobody wrote")
+        elif rc != 2 or not err.startswith("error: config:") or out.exists():
+            offenders.append(f"{case}: exit {rc}, {err.strip()!r}, wrote output: {out.exists()}")
+    assert len(paths) * len(BAD_VALUES) == 310
+    assert not offenders, f"{len(offenders)} one-leaf edits misbehave:\n" + "\n".join(offenders)

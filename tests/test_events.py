@@ -9,9 +9,9 @@ from transitsim.city import (
     TransitLine,
     TransitNetwork,
 )
+from transitsim.config import ConfigError
 from transitsim.engine import RngStreams, hms
 from transitsim.events import (
-    BadConfigError,
     BroadcastFeed,
     EventEndedError,
     SocialEvent,
@@ -31,13 +31,13 @@ def ev(start=hms(8, 30), end=hms(11, 30), lead=7200, ages=(1, 2, 3, 4, 5, 6)):
 def test_event_invariants():
     e = ev()
     assert e.tau == (e.end - e.start) // 10 == 1080
-    with pytest.raises(BadConfigError):
+    with pytest.raises(ConfigError):
         ev(start=hms(12), end=hms(11))
-    with pytest.raises(BadConfigError):
+    with pytest.raises(ConfigError):
         SocialEvent(0, GeoPoint(1, 103), 100, 200, frozenset([2]), 150)
-    with pytest.raises(BadConfigError):
+    with pytest.raises(ConfigError):
         ev(ages=())
-    with pytest.raises(BadConfigError):
+    with pytest.raises(ConfigError):
         ev(ages=(0, 1))
 
 
@@ -51,7 +51,7 @@ def test_generate_fixed_event():
     assert e.age_range == frozenset({1, 2})
     assert e.broadcast_from == hms(7, 30)
     assert generate_events({}, RngStreams(1)) == []
-    with pytest.raises(BadConfigError):
+    with pytest.raises(ConfigError):
         generate_events({"events": [{"lat": 1.0}]}, RngStreams(1))
 
 
@@ -121,9 +121,9 @@ def test_batched_poll_matches_scalar_coin():
 
 
 def test_feed_validation():
-    with pytest.raises(BadConfigError):
+    with pytest.raises(ConfigError):
         BroadcastFeed([], poll_interval=0, poll_probability=0.25)
-    with pytest.raises(BadConfigError):
+    with pytest.raises(ConfigError):
         BroadcastFeed([], poll_interval=3600, poll_probability=1.5)
 
 

@@ -116,3 +116,57 @@ def test_scan_flags_run_state_named_as_an_attribute():
     tree = ast.parse("def f(w, active):\n    w.manager.pools[k].append(1)\n"
                      "    return active, w.active_trips\n")
     assert run_state_names(tree) == ["pools (line 2)"]
+
+
+# the readers of scenario input build from values that config.py's tables
+# have checked and defaulted, so none of them coerces a value or catches
+# what a bad one raises
+READERS = [("city.py", "network_from_dict"), ("events.py", "generate_events"),
+           ("cli.py", "compartments_per_train"), ("cli.py", "build_world")]
+COERCIONS = {"int", "float", "bool", "str"}
+TRY = tuple(getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name))
+
+
+def reads_input(node: ast.expr) -> bool:
+    """A subscript or a ``.get(...)`` result."""
+    return isinstance(node, ast.Subscript) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get")
+
+
+def coercions(fn: ast.FunctionDef) -> list[str]:
+    """``what (line N)`` for each ``try`` block in the function and each
+    int, float, bool or str applied to a subscript or a ``.get(...)``
+    result, directly or through ``map``, in line order."""
+    out = []
+    for node in ast.walk(fn):
+        if isinstance(node, TRY):
+            out.append((node.lineno, "try"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args:
+            name, args = node.func.id, node.args
+            if name == "map" and isinstance(args[0], ast.Name) and len(args) > 1:
+                name, args = args[0].id, args[1:]
+            if name in COERCIONS and reads_input(args[0]):
+                out.append((node.lineno, f"{name}()"))
+    return [f"{what} (line {line})" for line, what in sorted(out)]
+
+
+def function(path: Path, name: str) -> ast.FunctionDef:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+@pytest.mark.parametrize("module,name", READERS, ids=[name for _, name in READERS])
+def test_scenario_readers_do_not_coerce(module, name):
+    found = coercions(function(SRC / module, name))
+    assert not found, f"{module}:{name} coerces scenario input: {', '.join(found)}"
+
+
+def test_scan_flags_coercion_and_try():
+    tree = ast.parse("def f(doc, xs):\n    try:\n        n = int(doc['n'])\n"
+                     "    except KeyError:\n        n = 0\n"
+                     "    s = str(doc.get('s', 'a'))\n    box = list(map(float, doc['b']))\n"
+                     "    return n, s, box, int(len(xs)), float(xs)\n")
+    assert coercions(tree.body[0]) == ["try (line 2)", "int() (line 3)", "str() (line 6)",
+                                       "float() (line 7)"]

@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 from transitsim.city import (
     GeoPoint,
     LineService,
-    ParseError,
     Station,
     TransitLine,
     TransitNetwork,
     network_from_dict,
 )
-from transitsim.config import load_scenario
+from transitsim.config import ConfigError, load_scenario
 from transitsim.engine import RngStreams
 from transitsim.population import (
     HOME_MAKER,
@@ -467,7 +466,7 @@ def test_timetables_without_departures_are_config_errors():
     network_from_dict(doc(first_departure=10, last_departure=10))  # inside the dwell
     for bad in ({"first_departure": 7300}, {"first_departure": -1000},
                 {"headway_seconds": 0}):
-        with pytest.raises(ParseError, match="line 'A'"):
+        with pytest.raises(ConfigError, match="line 'A'"):
             network_from_dict(doc(**bad))
 
 
