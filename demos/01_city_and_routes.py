@@ -40,7 +40,7 @@ def main() -> None:
     manager = TransportManager(net, compartments_per_train=int(cfg.transit["compartments"]))
     print("\n== fleet and first departures ==")
     for name in sorted(net.lines):
-        slots = manager.scheduled_slots(name, day=0)
+        slots = net.lines[name].slots(day=0)
         trains = [t for t in manager.trains.values() if t.line == name]
         print(f"  {name}: {len(trains)} trains, {len(slots)} departures per "
               f"direction per day, first three: "

@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .config import LINE, NETWORK, SERVICE, STATION, ConfigError, read_block
+from .engine import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimTime
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -225,6 +226,27 @@ class TransitLine:
         run per hop and a dwell at every stop in between."""
         k = self.hops(a, b, direction)
         return k * self.service.run_seconds + max(0, k - 1) * self.service.dwell_seconds
+
+    def slots(self, day: int) -> range:
+        """The day's terminal departures ``first + k * headway <= last``."""
+        svc = self.service
+        base = day * SECONDS_PER_DAY
+        return range(base + svc.first_departure, base + svc.last_departure + 1, svc.headway_seconds)
+
+    def hourly_slots(self) -> list[int]:
+        """Slots per clock hour, the same every day; one outside its day counts in none."""
+        hours = [slot // SECONDS_PER_HOUR for slot in self.slots(0) if 0 <= slot < SECONDS_PER_DAY]
+        return [hours.count(hour) for hour in range(24)]
+
+    def pass_offset(self, station_id: int, direction: int) -> int:
+        """Seconds from a run's slot to its departure from the station."""
+        svc = self.service
+        return self.position(station_id, direction) * (svc.run_seconds + svc.dwell_seconds)
+
+    def last_pass(self, station_id: int, direction: int, day: int) -> SimTime:
+        """Scheduled departure from the station of the day's last run."""
+        return (day * SECONDS_PER_DAY + self.service.last_departure
+                + self.pass_offset(station_id, direction))
 
     def one_way_seconds(self) -> int:
         """Terminal-to-terminal time (full loop time for circular lines)."""

@@ -74,11 +74,10 @@ def compartments_per_train(transit_cfg: dict) -> int:
 
 
 def run_one(cfg: ScenarioConfig, out_dir: str, label: str) -> dict:
-    """Simulate one scenario variant and write its report set."""
+    """Simulate one scenario variant and write its report set; a bad block is
+    refused while the world is built, before its log makes ``run_dir``."""
     run_dir = os.path.join(out_dir, label)
-    os.makedirs(run_dir, exist_ok=True)
-    log_path = os.path.join(run_dir, "event.log")
-    world = build_world(cfg, log_path=log_path)
+    world = build_world(cfg, log_path=os.path.join(run_dir, "event.log"))
     # the world's set-up objects live for the whole run: keep the cyclic
     # collector from walking them over and over while it runs
     gc.freeze()
@@ -192,11 +191,6 @@ def apply_flags(cfg: ScenarioConfig, args) -> ScenarioConfig:
         fixed.append(_parse_event_flag(args.event))
         cfg.events["events"] = fixed
     check_settings(cfg)
-    # read every block build_world reads, so that a bad one is refused
-    # before a run writes anything
-    network_from_dict(cfg.network)
-    generate_events(cfg.events, RngStreams(cfg.seed))
-    compartments_per_train(cfg.transit)
     return cfg
 
 

@@ -298,7 +298,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigError(f"scenario file not found: {path}")
     with open(path, "r", encoding="utf-8") as f:
         try:
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as e:
             raise ConfigError(f"invalid YAML in {path}: {e}")
     return scenario_from_dict(doc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -70,6 +71,7 @@ class EventLog:
     """
 
     def __init__(self, path: str):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         self._fh = open(path, "w")
         # (actor, kind) -> the encoded rest of a data-free record after "t"
         self._tails: dict[tuple[str, str], str] = {}

@@ -2,8 +2,9 @@
 fallback, and the re-route decision taken when a full train shows up.
 
 Planning rides on estimates: expected boarding wait is half the line headway
-(random incidence), rides use scheduled run and dwell times. The re-route
-path swaps in live waits from the train inquiry for the first boarding.
+(random incidence), rides use scheduled run and dwell times. A re-route is
+the same rail query as a plan, with live waits from the train inquiry for
+the first boarding in place of the timetable's.
 """
 
 from __future__ import annotations
@@ -43,19 +44,29 @@ def _road_route(seconds: int) -> Route:
     return Route((), seconds, 0, 0, 0, seconds)
 
 
+class _RailQuery:
+    """Rail answers from one board station under one table of first waits,
+    per alight station, read from the shortest-path tree the first builds."""
+
+    def __init__(self, first_waits: dict[tuple[str, int], float]):
+        self.first_waits, self.tree, self.answers = first_waits, None, {}
+
+
 class RoutePlanner:
     def __init__(self, network: TransitNetwork, road: RoadRouter):
         self.network = network
         self.road = road
-        # _rail_path results, keyed (board, alight) for plan and (board,
-        # alight, sorted first waits) for alternative
-        self._rail_paths: dict[tuple, Optional[tuple]] = {}
-        # shortest-path trees, keyed board for plan and (board, sorted first
-        # waits) for alternative
-        self._trees: dict = {}
         self._ids = sorted(network.stations)
         self._ordinal = {sid: i for i, sid in enumerate(self._ids)}
         self._boards, self._rides = _state_graph(network, self._ordinal)
+        # (board, sorted first waits) -> rail query; a plan asks the one with
+        # the timetable's first waits, half each listed route's headway
+        self._rail: dict[tuple, _RailQuery] = {}
+        self._timetable = {sid: self._query(sid, {route: w for route, _, w, _ in moves})
+                           for sid, moves in zip(self._ids, self._boards)}
+        # the last detour's board, first waits (a copy) and query: every
+        # rider one full train leaves behind brings the same waits
+        self._detour: tuple = (None, None, None)
 
     def plan(self, origin: GeoPoint, dest: GeoPoint, t: SimTime) -> Route:
         """Fastest route from origin to dest, rail if it beats the road.
@@ -69,12 +80,13 @@ class RoutePlanner:
 
         Planning uses scheduled figures only and asks no schedule inquiry:
         every route a station lists has a next departure on any timetable
-        ``network_from_dict`` accepts. The rail search is therefore
-        time-independent: one shortest-path tree per board station answers
-        every alight station, and each (board, alight) answer is memoised.
-        The network must not change after the planner is built.
+        ``network_from_dict`` accepts. A plan is a detour's rail query with
+        the timetable's first waits, so it is time-independent: one tree per
+        board station answers every alight station, and each answer is
+        kept. The network must not change after the planner is built.
         """
-        return self._fastest(origin, dest, self.network.nearest_station(origin), t)
+        board = self.network.nearest_station(origin)
+        return self._fastest(origin, dest, board, t, self._timetable[board.id])
 
     def alternative(self, station_id: int, dest: GeoPoint,
                     first_waits: dict[tuple[str, int], int], t: SimTime) -> Route:
@@ -84,36 +96,35 @@ class RoutePlanner:
         the train after the full one is a valid option, and a route not
         listed cannot be boarded. Road travel straight from the station is
         the fallback, so something feasible always comes back. The rail
-        search is cached per (station, first waits) and its answers per
-        (station, alight station, first waits).
+        query is kept per (station, first waits), as a plan's is.
         """
         board = self.network.station(station_id)
-        return self._fastest(board.point, dest, board, t, first_waits)
+        if (station_id, first_waits) != self._detour[:2]:
+            self._detour = (station_id, dict(first_waits), self._query(station_id, first_waits))
+        return self._fastest(board.point, dest, board, t, self._detour[2])
+
+    def _query(self, board: int, first_waits: dict[tuple[str, int], float]) -> _RailQuery:
+        """The rail query from ``board`` under ``first_waits``, kept from its first use."""
+        key = (board, tuple(sorted(first_waits.items())))
+        return self._rail.setdefault(key, _RailQuery(first_waits))
 
     def _fastest(self, here: GeoPoint, dest: GeoPoint, board: Station, t: SimTime,
-                 first_waits: Optional[dict[tuple[str, int], int]] = None) -> Route:
+                 query: _RailQuery) -> Route:
         """Rail from ``board`` to the station nearest ``dest``, reached from
         ``here`` by road, or the road all the way if that is strictly
         faster, no rail path exists or the rail trip misses a last pass (see
-        ``plan``). ``first_waits`` prices the first boarding as in
-        ``_rail_path``; left empty, it leaves only the road.
-
-        Rail answers are memoised in ``_rail_paths`` under (board, alight),
-        plus the sorted first waits when given; a miss calls ``_rail_path``.
-        """
+        ``plan``). A query's answer is kept from its ``_rail_path`` call."""
         road_total = self.road.travel_seconds(here, dest)
         alight = self.network.nearest_station(dest)
-        rail = None
-        if alight.id != board.id and first_waits != {}:
-            key = (board.id, alight.id)
-            if first_waits is not None:
-                key += (tuple(sorted(first_waits.items())),)
-            if key not in self._rail_paths:
-                self._rail_paths[key] = self._rail_path(board.id, alight.id, first_waits)
-            rail = self._rail_paths[key]
+        if alight.id == board.id:
+            return _road_route(road_total)
+        answers = query.answers
+        if alight.id not in answers:
+            answers[alight.id] = self._rail_path(board.id, alight.id, query)
+        rail = answers[alight.id]
         if rail is None:
             return _road_route(road_total)
-        legs, wait_s, ride_s = rail
+        legs, wait_s, ride_s, times = rail
         access = self.road.travel_seconds(here, board.point)
         egress = self.road.travel_seconds(alight.point, dest)
         total = access + wait_s + ride_s + egress
@@ -121,32 +132,25 @@ class RoutePlanner:
             return _road_route(road_total)
         # the road if a board station is reached at or after its last pass that day
         at = t + access
-        for leg, (wait, ride) in zip(legs, leg_times(self.network.lines, legs, first_waits)):
-            line = self.network.lines[leg.line]
-            svc = line.service
-            if at >= (at // SECONDS_PER_DAY * SECONDS_PER_DAY + svc.last_departure
-                      + line.position(leg.board, leg.direction)
-                      * (svc.run_seconds + svc.dwell_seconds)):
+        lines = self.network.lines
+        for leg, (wait, ride) in zip(legs, times):
+            if at >= lines[leg.line].last_pass(leg.board, leg.direction, at // SECONDS_PER_DAY):
                 return _road_route(road_total)
             at += wait + ride
         return Route(legs, access, wait_s, ride_s, egress, total)
 
-    def _rail_path(self, src: int, dst: int,
-                   first_waits: Optional[dict[tuple[str, int], int]] = None):
-        """Minimum-time train legs from station src to dst, as
-        (legs, wait_seconds, ride_seconds), or None if dst is out of reach.
+    def _rail_path(self, src: int, dst: int, query: _RailQuery):
+        """Minimum-time train legs from station src to dst, as (legs, wait_seconds,
+        ride_seconds, per-leg (wait, ride)), or None if dst is out of reach.
 
-        Read back from the shortest-path tree of src, which ``_search``
-        builds on the first query from src (per first waits when given) and
-        ``_trees`` keeps. The tree holds per station only the hub it was
-        boarded from and the route taken; the legs are priced by
-        ``leg_times``.
+        Read back from the query's shortest-path tree, which ``_search``
+        builds from src under the query's first waits on its first answer.
+        The tree holds per station only the hub it was boarded from and the
+        route taken; the legs are priced by ``leg_times``.
         """
-        key = src if first_waits is None else (src, tuple(sorted(first_waits.items())))
-        tree = self._trees.get(key)
-        if tree is None:
-            tree = self._trees[key] = self._search(src, first_waits)
-        came_from, via = tree
+        if query.tree is None:
+            query.tree = self._search(src, query.first_waits)
+        came_from, via = query.tree
         root, i = self._ordinal[src], self._ordinal[dst]
         if i != root and via[i] is None:
             return None
@@ -156,18 +160,18 @@ class RoutePlanner:
             legs.append(TrainLeg(*via[i], self._ids[b], self._ids[i]))
             i = b
         legs.reverse()
-        times = list(leg_times(self.network.lines, legs, first_waits))
-        return tuple(legs), int(round(sum(w for w, _ in times))), sum(r for _, r in times)
+        times = tuple(leg_times(self.network.lines, legs, query.first_waits))
+        return tuple(legs), round(sum(w for w, _ in times)), sum(r for _, r in times), times
 
-    def _search(self, src: int, first_waits: Optional[dict[tuple[str, int], int]] = None):
+    def _search(self, src: int, first_waits: dict[tuple[str, int], float]):
         """Dijkstra from station src over the whole state graph.
 
         States: a hub, standing at a station; onboard, on a (line,
         direction) with the doors just opened at a station. Boarding jumps
         straight to the next station (wait + run); continuing costs dwell +
-        run; alighting is free. The wait is half the headway, except that
-        with ``first_waits`` the boarding at src may only take the routes
-        listed there, at the given waits. Ties pop in insertion order.
+        run; alighting is free. The boarding at src may only take the routes
+        listed in ``first_waits``, at the given waits; every later one waits
+        half the headway. Ties pop in insertion order.
 
         Costs are never negative, so each station's path is the one a search
         stopped at that station would find. Returns, per station ordinal,
@@ -177,10 +181,8 @@ class RoutePlanner:
         n = len(self._ids)
         boards, rides = self._boards, self._rides
         root = self._ordinal[src]
-        first = boards[root]
-        if first_waits is not None:
-            first = [(route, nxt, first_waits[route], run)
-                     for route, nxt, _, run in first if route in first_waits]
+        first = [(route, nxt, first_waits[route], run)
+                 for route, nxt, _, run in boards[root] if route in first_waits]
         dist = [math.inf] * (n + len(rides))
         dist[root] = 0.0
         # hub: previous hub on its path; onboard state: the hub boarded at
@@ -215,15 +217,14 @@ class RoutePlanner:
         return came_from[:n], via
 
 
-def leg_times(lines: dict[str, TransitLine], legs,
-              first_waits: Optional[dict[tuple[str, int], int]] = None):
+def leg_times(lines: dict[str, TransitLine], legs, first_waits: dict[tuple[str, int], float]):
     """(wait, ride) of each leg in turn: the wait is ``first_waits``' figure
-    for the first leg's route when given, else half the headway, and the
-    ride is scheduled. Waits are whole or half seconds, so their sums are
-    exact in any order."""
+    for the first leg's route and half the headway after, and the ride is
+    scheduled. Waits are whole or half seconds, so their sums are exact in
+    any order."""
     for k, leg in enumerate(legs):
         line = lines[leg.line]
-        wait = (first_waits[(leg.line, leg.direction)] if k == 0 and first_waits is not None
+        wait = (first_waits[(leg.line, leg.direction)] if k == 0
                 else line.service.headway_seconds / 2.0)
         yield wait, line.ride_seconds(leg.board, leg.alight, leg.direction)
 

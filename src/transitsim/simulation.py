@@ -94,10 +94,9 @@ class World:
         self.spread_frontier: dict[int, list[int]] = {ev.id: [] for ev in self.events}
         self._initial_compartments = self.manager.total_compartments()
         # human -> trip-starts and attend-departs it put off, in that order,
-        # as (time last put off, kind, payload); a human is in ``released``
-        # while the first of them is scheduled
+        # as (time put off, kind, payload); while the human is free the first
+        # of them is scheduled
         self.pending: dict[int, list[tuple[SimTime, str, object]]] = {}
-        self.released: set[int] = set()
         self.sweeps = 0
         self.deferrals = 0  # trip-start dispatches that had to wait their turn
         self.trips_started = 0
@@ -139,7 +138,7 @@ class World:
         for line in self.network.lines.values():
             dwell = line.service.dwell_seconds
             for day in range(days):
-                for slot in self.manager.scheduled_slots(line.name, day):
+                for slot in line.slots(day):
                     at = slot - dwell
                     if at > self.horizon:
                         continue
@@ -186,14 +185,11 @@ class World:
     def _wait_turn(self, human: int, kind: str, payload, now: SimTime) -> bool:
         """Whether a trip-start or attend-depart has to wait: while its human
         is busy, or behind actions the human put off before it. A waiting
-        action joins the end of the human's queue, or keeps its place at the
-        head when it is the one released."""
+        action joins the end of the human's queue. One that matches the head
+        is the released head and goes ahead: from its release on, only its
+        human's own actions, which wait behind it, could make the human busy."""
         queue = self.pending.get(human)
-        if queue and human in self.released and queue[0][1] == kind and queue[0][2] == payload:
-            self.released.discard(human)
-            if self.state[human].busy:
-                queue[0] = (now, kind, payload)
-                return True
+        if queue and queue[0][1] == kind and queue[0][2] == payload:
             del queue[0]
             if not queue:
                 del self.pending[human]
@@ -206,12 +202,13 @@ class World:
     def _release_pending(self, human: int, now: SimTime) -> None:
         """Once the human is free, schedule the first action it put off at
         the first instant from now on of that action's own RETRY_SECONDS grid
-        (counted from when it was last put off). An action whose instant
+        (counted from when it was put off). An action whose instant
         falls past the horizon, or for an attend-depart not before the
         event's end, is dropped and the next one tried. The rest wait their
         turn, so a human works through put-off plans in order: an outbound
-        leg before its return."""
-        if human in self.released or self.state[human].busy:
+        leg before its return. Called only as the human comes free or takes
+        up its head, so no head is scheduled twice."""
+        if self.state[human].busy:
             return
         queue = self.pending.get(human)
         while queue:
@@ -220,7 +217,6 @@ class World:
             if at <= self.horizon and (kind != "attend-depart"
                                        or at < self.events[payload[1]].end):
                 self.scheduler.schedule(at, "human", kind, payload)
-                self.released.add(human)
                 return
             del queue[0]
         self.pending.pop(human, None)
@@ -373,9 +369,7 @@ class World:
         s = train.at_station
         svc = line.service
         self._board(train, s, now)
-        step = svc.run_seconds + svc.dwell_seconds
-        expected = train.slot_time + train.path_pos * step
-        train.delay = max(0, now - expected)
+        train.delay = max(0, now - train.slot_time - line.pass_offset(s, train.direction))
         self.metrics.record_occupancy(now, tid, len(train.onboard), train.capacity)
         ns = line.next_station(s, train.direction)
         self.scheduler.schedule(now + svc.run_seconds, "train", "train-arrive", (tid, ns))

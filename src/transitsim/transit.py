@@ -183,6 +183,9 @@ class TransportManager:
         self.dispatched_upto: dict[tuple[str, int], SimTime] = {}
         self.unattached = pool_compartments
         self.issue_history: dict[tuple[int, int], int] = {}  # (station, abs hour) -> count
+        # (line, direction, clock hour) -> slots, the same every day
+        self.departures = {(line.name, d, hour): count for line in network.lines.values()
+                           for hour, count in enumerate(line.hourly_slots()) for d in (+1, -1)}
         for line in network.lines.values():
             fleet = self.fleet_size(line)
             ends = [line.terminal(+1)] if line.circular else [line.terminal(+1), line.terminal(-1)]
@@ -210,20 +213,6 @@ class TransportManager:
         round_trip = 2 * (line.one_way_seconds() + svc.dwell_seconds)
         return math.ceil(round_trip / svc.headway_seconds)
 
-    def scheduled_slots(self, line_name: str, day: int) -> range:
-        """The day's slots ``first + k * headway <= last``, in order."""
-        svc = self.network.lines[line_name].service
-        base = day * SECONDS_PER_DAY
-        return range(base + svc.first_departure, base + svc.last_departure + 1,
-                     svc.headway_seconds)
-
-    def slots_in_hour(self, line_name: str, day: int, hour: int) -> int:
-        """How many of the day's slots leave in the clock hour; the count is
-        the same every day."""
-        slots = self.scheduled_slots(line_name, day)
-        lo = day * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR
-        return bisect_left(slots, lo + SECONDS_PER_HOUR) - bisect_left(slots, lo)
-
     def next_departure(self, line_name: str, station_id: int, direction: int,
                        t: SimTime, exclude_train: Optional[int] = None) -> Optional[SimTime]:
         """Earliest predicted departure of the route from a station at or
@@ -234,9 +223,8 @@ class TransportManager:
         line = self.network.lines[line_name]
         if line.next_station(station_id, direction) is None:
             return None
-        svc = line.service
         p = line.position(station_id, direction)
-        offset = p * (svc.run_seconds + svc.dwell_seconds)
+        offset = line.pass_offset(station_id, direction)
         best: Optional[SimTime] = None
         for tid in self.active[(line_name, direction)]:
             if tid == exclude_train:
@@ -251,7 +239,7 @@ class TransportManager:
         earliest = max(self.dispatched_upto[(line_name, direction)] + 1, t - offset)
         day = t // SECONDS_PER_DAY
         for d in (day, day + 1):
-            slots = self.scheduled_slots(line_name, d)
+            slots = line.slots(d)
             i = bisect_left(slots, earliest)
             if i < len(slots) and (best is None or slots[i] + offset < best):
                 best = slots[i] + offset
@@ -410,11 +398,8 @@ class TransportManager:
         same hour of the previous day's token issues, split evenly over the
         routes serving each issuing station.
         """
-        est = RidershipEstimate(day)
+        est = RidershipEstimate(day, departures=self.departures)
         base_day = day * SECONDS_PER_DAY
-        est.departures = {
-            (line_name, d, hour): self.slots_in_hour(line_name, day, hour)
-            for line_name in self.network.lines for d in (+1, -1) for hour in range(24)}
         # baseline from yesterday's issues
         if day > 0:
             for (sid, abs_hour), count in self.issue_history.items():

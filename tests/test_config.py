@@ -220,6 +220,22 @@ def test_cli_reports_bad_social_config_as_config_error(tmp_path, capsys, social)
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+@pytest.mark.parametrize("social", [{"degree_mean": 100}, {"degree_max": 60}],
+                         ids=["mean_above_max", "max_not_below_population"])
+def test_cli_refuses_misfit_degrees_before_writing(tmp_path, capsys, social):
+    # each degree is valid alone, but together they do not fit doc4's 60
+    # humans; the graph refuses them while the world is built, before the
+    # run writes anything
+    doc = doc4()
+    doc["social"].update(social)
+    scn = tmp_path / "scn.yaml"
+    scn.write_text(yaml.safe_dump(doc))
+    rc = main(["--scenario", str(scn), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not (tmp_path / "o" / "run").exists()
+
+
 def set_horizon(value):
     return lambda doc: doc.update(horizon_hours=value)
 

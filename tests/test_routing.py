@@ -43,6 +43,13 @@ def cross_network(service=None):
     return TransitNetwork(stations, lines)
 
 
+def rail_path(p, src, dst, first_waits=None):
+    """The planner's rail answer from src to dst: a plan's, under the
+    timetable's first waits, or a detour's under the given ones."""
+    query = p._timetable[src] if first_waits is None else p._query(src, first_waits)
+    return p._rail_path(src, dst, query)
+
+
 def enumerate_best_total(net, origin, dest, max_legs=3):
     """Brute-force minimum total: road, or every rail itinerary with up to
     max_legs boardings, each leg alighting anywhere downstream."""
@@ -127,8 +134,9 @@ def test_rail_path_rounds_a_half_second_wait_to_even(headway, wait):
     stations = [Station(i, f"s{i}", GeoPoint(1.30, 103.70 + 0.05 * i)) for i in range(3)]
     net = TransitNetwork(stations, [TransitLine("L", [0, 1, 2], svc(headway=headway))])
     p = RoutePlanner(net, ROAD)
-    assert p._rail_path(0, 2) == ((TrainLeg("L", +1, 0, 2),), wait, 2 * 120 + 30)
-    assert p._rail_path(0, 0) == ((), 0, 0)
+    assert rail_path(p, 0, 2) == ((TrainLeg("L", +1, 0, 2),), wait, 2 * 120 + 30,
+                                  ((headway / 2, 2 * 120 + 30),))
+    assert rail_path(p, 0, 0) == ((), 0, 0, ())
 
 
 def test_transfer_route():
@@ -195,12 +203,12 @@ def test_plan_makes_no_schedule_inquiry(monkeypatch):
     w = build_world(cfg)
     calls = []
     monkeypatch.setattr(w.planner, "_rail_path",
-                        lambda *a, real=w.planner._rail_path, **k: calls.append((a, k)) or real(*a, **k))
+                        lambda *a, real=w.planner._rail_path: calls.append(a) or real(*a))
     w.run()
     assert w.trips_started > 500 and w.attendees[0]
-    # one _rail_path call per station pair: a plan's memo key is (board,
-    # alight) alone; alternative calls carry their first waits
-    plan_keys = [a for a, k in calls if a[2] is None]
+    # one _rail_path call per station pair under the timetable's first
+    # waits; alternative calls carry their own
+    plan_keys = [a[:2] for a in calls if a[2] is w.planner._timetable[a[0]]]
     assert plan_keys and len(plan_keys) == len(set(plan_keys))
 
 
@@ -253,7 +261,7 @@ def reference_rail_path(net, src, dst, first_waits=None):
     if goal not in parent and goal != start:
         return None
     legs = []
-    wait_s = 0.0
+    waits = []
     state = goal
     alight_at = None
     while state != start:
@@ -263,12 +271,13 @@ def reference_rail_path(net, src, dst, first_waits=None):
         elif edge[0] == "board":
             _, line_name, d, board_at, w = edge
             legs.append(TrainLeg(line_name, d, board_at, alight_at))
-            wait_s += w
+            waits.append(w)
         state = prev
     legs.reverse()
-    ride_s = sum(net.lines[leg.line].ride_seconds(leg.board, leg.alight, leg.direction)
-                 for leg in legs)
-    return tuple(legs), int(round(wait_s)), ride_s
+    waits.reverse()
+    rides = [net.lines[leg.line].ride_seconds(leg.board, leg.alight, leg.direction)
+             for leg in legs]
+    return tuple(legs), int(round(sum(waits))), sum(rides), tuple(zip(waits, rides))
 
 
 @pytest.mark.parametrize("scenario", ["desk", "singapore-like"])
@@ -280,10 +289,10 @@ def test_tree_answers_match_per_pair_search(scenario):
     transfers = 0
     for src in ids:
         for dst in ids:
-            got = p._rail_path(src, dst)
+            got = rail_path(p, src, dst)
             assert got == reference_rail_path(net, src, dst), (src, dst)
             transfers += len(got[0]) > 1
-    assert len(p._trees) == len(ids) and transfers > 0
+    assert tree_boards(p) == ids and transfers > 0
 
 
 def island_cross_network(service):
@@ -314,9 +323,9 @@ def test_tree_answers_match_per_pair_search_with_first_waits(service):
                        for route in net.routes_at(src) if rng.random() < 0.7}
         for dst in ids:
             want = reference_rail_path(net, src, dst, first_waits)
-            assert p._rail_path(src, dst, first_waits) == want, (src, dst, first_waits)
+            assert rail_path(p, src, dst, first_waits) == want, (src, dst, first_waits)
             unreachable += want is None
-        assert p._rail_path(src, 30) == reference_rail_path(net, src, 30)
+        assert rail_path(p, src, 30) == reference_rail_path(net, src, 30)
     assert unreachable > 1000
 
 
@@ -344,7 +353,7 @@ def test_tree_answers_match_per_pair_search_on_random_networks():
                     {route: int(rng.choice([0, 30, 60]))
                      for route in net.routes_at(src) if rng.random() < 0.8} for _ in range(2)]:
                 for dst in net.stations:
-                    assert (p._rail_path(src, dst, first_waits)
+                    assert (rail_path(p, src, dst, first_waits)
                             == reference_rail_path(net, src, dst, first_waits))
 
 
@@ -360,10 +369,21 @@ def test_one_tree_search_per_board_station(monkeypatch):
                         lambda *a, real=planner._search: searches.append(a) or real(*a))
     w.run()
     assert len(misses) > 1000
-    # one _rail_path call per distinct (board, alight) key, one search per
-    # board station
-    assert len(misses) == len(set(misses)) == len(planner._rail_paths)
-    assert sorted(searches) == sorted({(src, None) for src, _ in misses})
+    # one _rail_path call per (board, alight) answer kept, one search per
+    # board station, under the timetable's first waits
+    assert len(misses) == len(set(misses)) == len(kept_answers(planner))
+    assert sorted(src for src, _ in searches) == sorted({src for src, _ in misses})
+    assert all(waits is planner._timetable[src].first_waits for src, waits in searches)
+
+
+def kept_answers(p):
+    """(board, alight) of every rail answer the planner keeps."""
+    return [(board, alight) for (board, _), query in p._rail.items() for alight in query.answers]
+
+
+def tree_boards(p):
+    """The board stations whose shortest-path tree the planner keeps."""
+    return [board for (board, _), query in p._rail.items() if query.tree is not None]
 
 
 def test_rail_path_memo_keyed_on_station_pair():
@@ -376,17 +396,17 @@ def test_rail_path_memo_keyed_on_station_pair():
     assert not first.road_only
     # nearby points board and alight at the same stations and reuse the search
     assert p.plan(GeoPoint(1.3001, 103.7001), b, T).legs == first.legs
-    assert list(p._rail_paths) == [(0, 1)]
-    assert list(p._trees) == [0]
+    assert kept_answers(p) == [(0, 1)]
+    assert tree_boards(p) == [0]
     # another alight station reads the same board station's tree
     assert p.plan(a, c, T).legs[0].alight == 2
-    assert list(p._rail_paths) == [(0, 1), (0, 2)]
-    assert list(p._trees) == [0]
+    assert kept_answers(p) == [(0, 1), (0, 2)]
+    assert tree_boards(p) == [0]
     assert p.plan(b, a, T).legs[0].direction == -1
-    assert list(p._rail_paths) == [(0, 1), (0, 2), (1, 0)]
-    assert list(p._trees) == [0, 1]
+    assert kept_answers(p) == [(0, 1), (0, 2), (1, 0)]
+    assert tree_boards(p) == [0, 1]
     # the tree keeps per station the hub it was boarded from and the route
-    came_from, via = p._trees[0]
+    came_from, via = p._timetable[0].tree
     assert came_from == [-1, 0, 0] and via == [None, ("L", 1), ("L", 1)]
 
 

@@ -70,7 +70,7 @@ def due_slots(w):
     """Every (line, direction, slot) whose dispatch falls within the horizon."""
     return {(name, d, slot) for name, line in w.network.lines.items()
             for day in range(w.horizon // 86400 + 1)
-            for slot in w.manager.scheduled_slots(name, day)
+            for slot in line.slots(day)
             if slot - line.service.dwell_seconds <= w.horizon for d in (+1, -1)}
 
 
@@ -104,7 +104,7 @@ def test_every_slot_runs_and_sweeps_stay_clean():
         w = make_world(net, [], empty_graph(0), [])
         starts = slot_starts(w)
         w.run()
-        slots = len(w.manager.scheduled_slots(next(iter(net.lines)), 0))
+        slots = len(next(iter(net.lines.values())).slots(0))
         assert slots == 25
         assert set(starts) == due_slots(w)
         assert max(starts.values()) <= 0

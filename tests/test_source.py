@@ -170,3 +170,51 @@ def test_scan_flags_coercion_and_try():
                      "    return n, s, box, int(len(xs)), float(xs)\n")
     assert coercions(tree.body[0]) == ["try (line 2)", "int() (line 3)", "str() (line 6)",
                                        "float() (line 7)"]
+
+
+# the timetable's formulas live on TransitLine: outside city.py and the
+# config tables, no module reads a line's first or last departure or adds
+# its run and dwell times
+TIMETABLE_HOME = {"city.py", "config.py"}
+
+
+def addends(node: ast.expr) -> list[ast.expr]:
+    """The terms of an addition chain."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return addends(node.left) + addends(node.right)
+    return [node]
+
+
+def timetable_formulas(tree: ast.Module) -> list[str]:
+    """``what (line N)`` for each read of ``first_departure`` or
+    ``last_departure`` as an attribute and each sum with ``run_seconds``
+    and ``dwell_seconds`` attributes among its terms, in line order."""
+    out = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in ("first_departure", "last_departure")):
+            out.add((node.lineno, node.attr))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            terms = {t.attr for t in addends(node) if isinstance(t, ast.Attribute)}
+            if {"run_seconds", "dwell_seconds"} <= terms:
+                out.add((node.lineno, "run_seconds + dwell_seconds"))
+    return [f"{what} (line {line})" for line, what in sorted(out)]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name not in TIMETABLE_HOME], ids=lambda p: p.name)
+def test_only_the_line_works_out_its_timetable(path):
+    found = timetable_formulas(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} works out the timetable itself: {', '.join(found)}"
+
+
+def test_scan_flags_terminal_times_and_pass_steps():
+    tree = ast.parse("def f(line, svc, k):\n    a = svc.last_departure + k\n"
+                     "    b = k * (svc.run_seconds + svc.dwell_seconds)\n"
+                     "    c = svc.run_seconds + k + line.service.dwell_seconds\n"
+                     "    d = svc.run_seconds * 2 + svc.dwell_seconds + svc.headway_seconds\n"
+                     "    svc.first_departure = 0\n"
+                     "    return a, b, c, d, svc['first_departure']\n")
+    assert timetable_formulas(tree) == ["last_departure (line 2)",
+                                        "run_seconds + dwell_seconds (line 3)",
+                                        "run_seconds + dwell_seconds (line 4)"]

@@ -483,7 +483,7 @@ def test_slot_before_midnight_can_leave_a_route_without_departures():
 @given(first=st.integers(0, 86399), span=st.integers(0, 86400),
        headway=st.one_of(st.integers(1, 120), st.integers(121, 100000)),
        day=st.integers(0, 2))
-def test_slots_in_hour_counts_the_listed_slots(first, span, headway, day):
+def test_departures_table_counts_the_listed_slots(first, span, headway, day):
     m = TransportManager(linear_net(n=2, run=60, dwell=30, headway=headway,
                                     first=first, last=first + span), 1)
     # the slots listed one by one; they leave at the same clock times each day
@@ -492,8 +492,11 @@ def test_slots_in_hour_counts_the_listed_slots(first, span, headway, day):
     while t <= first + span:
         listed[t // 3600] += 1
         t += headway
+    slots = m.network.lines["A"].slots(day)
+    assert Counter((slot - day * 86400) // 3600 for slot in slots) == listed
     for hour in range(24):
-        assert m.slots_in_hour("A", day, hour) == listed[hour], hour
+        for d in (+1, -1):
+            assert m.departures[("A", d, hour)] == listed[hour], hour
 
 
 # compartment moves
