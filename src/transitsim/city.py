@@ -152,8 +152,10 @@ class TransitLine:
     Direction ``+1`` walks ``stations`` forward (index 0 is the up terminal),
     ``-1`` walks it backward. Circular lines close the loop from the last
     station back to the first; each run on a loop goes once round from the
-    anchor at index 0 back to it. ``station_ids`` must not change after
-    construction: station positions are indexed once.
+    anchor at index 0 back to it. Each direction's run is laid out once, at
+    construction: its stops from the terminal, with a loop's anchor first and
+    last, and each station's position on it. ``station_ids`` must not change
+    after construction.
     """
 
     name: str
@@ -166,60 +168,60 @@ class TransitLine:
             raise InvariantViolationError(f"line {self.name!r} needs at least 2 stations")
         if len(set(self.station_ids)) != len(self.station_ids):
             raise InvariantViolationError(f"line {self.name!r} visits a station twice")
-        self._index = {sid: i for i, sid in enumerate(self.station_ids)}
+        ids = self.station_ids
+        # direction -> (the run's stops, station -> position on the run)
+        self._runs: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
+        for d in (+1, -1):
+            stops = ids[:1] + ids[1:][::d] + ids[:1] if self.circular else ids[::d]
+            self._runs[d] = tuple(stops), {sid: i for i, sid in enumerate(stops[:self.n])}
 
     @property
     def n(self) -> int:
         return len(self.station_ids)
 
     def serves(self, station_id: int) -> bool:
-        return station_id in self._index
-
-    def index_of(self, station_id: int) -> int:
-        try:
-            return self._index[station_id]
-        except KeyError:
-            raise ValueError(f"station {station_id} is not on line {self.name!r}") from None
+        return station_id in self._runs[+1][1]
 
     @property
     def run_hops(self) -> int:
         """Hops in one run: ``n - 1`` on a linear line, ``n`` on a loop."""
-        return self.n if self.circular else self.n - 1
+        return len(self._runs[+1][0]) - 1
 
     def position(self, station_id: int, direction: int) -> int:
         """Hops from ``terminal(direction)`` to the station on a run."""
-        return self.hops(self.terminal(direction), station_id, direction)
+        try:
+            return self._runs[direction][1][station_id]
+        except KeyError:
+            raise ValueError(f"station {station_id} is not on line {self.name!r}") from None
 
     def terminal(self, direction: int) -> int:
-        if self.circular:
-            return self.station_ids[0]
-        return self.station_ids[0] if direction == +1 else self.station_ids[-1]
+        return self._runs[direction][0][0]
 
     def next_station(self, station_id: int, direction: int) -> Optional[int]:
         """Following stop in the given direction, None past the end of the line."""
-        i = self.index_of(station_id) + direction
-        if self.circular:
-            return self.station_ids[i % self.n]
-        if 0 <= i < self.n:
-            return self.station_ids[i]
-        return None
+        stops = self._runs[direction][0]
+        i = self.position(station_id, direction) + 1
+        return stops[i] if i < len(stops) else None
 
     def hops(self, a: int, b: int, direction: int) -> Optional[int]:
         """Stops travelled from a to b in the given direction, None if unreachable."""
-        ia, ib = self.index_of(a), self.index_of(b)
-        if a == b:
-            return 0
+        k = self.position(b, direction) - self.position(a, direction)
         if self.circular:
-            return (ib - ia) % self.n if direction == +1 else (ia - ib) % self.n
-        k = (ib - ia) * direction
-        return k if k > 0 else None
+            return k % self.n
+        return k if k >= 0 else None
+
+    def reaches(self, source: int, dest: int, direction: int) -> bool:
+        """Whether one run in the direction leaves ``source`` and later
+        stops at ``dest``; on a loop the anchor is a run's last stop as well
+        as its first, but no run goes from a station back to it."""
+        stops, at = self._runs[direction]
+        start = at.get(source)
+        end = len(stops) - 1 if dest == stops[-1] else at.get(dest, -1)
+        return start is not None and source != dest and start < end
 
     def path(self, direction: int) -> list[int]:
         """One run's stops, from ``terminal(direction)``."""
-        stops = [self.terminal(direction)]
-        for _ in range(self.run_hops):
-            stops.append(self.next_station(stops[-1], direction))
-        return stops
+        return list(self._runs[direction][0])
 
     def ride_seconds(self, a: int, b: int, direction: int) -> int:
         """Scheduled seconds aboard from a to b in the given direction: one

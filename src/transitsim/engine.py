@@ -56,12 +56,6 @@ class TimedAction:
     seq: int
 
 
-@dataclass
-class RunSummary:
-    dispatched: int
-    t_end: SimTime
-
-
 class EventLog:
     """Line-delimited structured log of everything the scheduler dispatched.
 
@@ -116,7 +110,7 @@ class Scheduler:
     def pending(self) -> int:
         return len(self._heap)
 
-    def run_until(self, t_end: SimTime, handler: Callable[[TimedAction], None]) -> RunSummary:
+    def run_until(self, t_end: SimTime, handler: Callable[[TimedAction], None]) -> None:
         """Dispatch every action with ``fire_at <= t_end`` and land on ``t_end``."""
         if t_end < self.now:
             raise PastTimeError(f"cannot run backwards to t={t_end} (now t={self.now})")
@@ -130,7 +124,6 @@ class Scheduler:
             count += 1
         self.now = t_end
         self.dispatched += count
-        return RunSummary(dispatched=count, t_end=t_end)
 
 
 # 64-bit mixing (splitmix64) used for order-independent keyed draws. The

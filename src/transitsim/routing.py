@@ -124,7 +124,7 @@ class RoutePlanner:
         rail = answers[alight.id]
         if rail is None:
             return _road_route(road_total)
-        legs, wait_s, ride_s, times = rail
+        legs, wait_s, ride_s, steps = rail
         access = self.road.travel_seconds(here, board.point)
         egress = self.road.travel_seconds(alight.point, dest)
         total = access + wait_s + ride_s + egress
@@ -133,15 +133,15 @@ class RoutePlanner:
         # the road if a board station is reached at or after its last pass that day
         at = t + access
         lines = self.network.lines
-        for leg, (wait, ride) in zip(legs, times):
+        for leg, step in zip(legs, steps):
             if at >= lines[leg.line].last_pass(leg.board, leg.direction, at // SECONDS_PER_DAY):
                 return _road_route(road_total)
-            at += wait + ride
+            at += step
         return Route(legs, access, wait_s, ride_s, egress, total)
 
     def _rail_path(self, src: int, dst: int, query: _RailQuery):
         """Minimum-time train legs from station src to dst, as (legs, wait_seconds,
-        ride_seconds, per-leg (wait, ride)), or None if dst is out of reach.
+        ride_seconds, per-leg wait + ride), or None if dst is out of reach.
 
         Read back from the query's shortest-path tree, which ``_search``
         builds from src under the query's first waits on its first answer.
@@ -160,8 +160,9 @@ class RoutePlanner:
             legs.append(TrainLeg(*via[i], self._ids[b], self._ids[i]))
             i = b
         legs.reverse()
-        times = tuple(leg_times(self.network.lines, legs, query.first_waits))
-        return tuple(legs), round(sum(w for w, _ in times)), sum(r for _, r in times), times
+        times = list(leg_times(self.network.lines, legs, query.first_waits))
+        return (tuple(legs), round(sum(w for w, _ in times)), sum(r for _, r in times),
+                tuple(w + r for w, r in times))
 
     def _search(self, src: int, first_waits: dict[tuple[str, int], float]):
         """Dijkstra from station src over the whole state graph.
@@ -233,21 +234,24 @@ def _state_graph(network: TransitNetwork, ordinal: dict[int, int]):
     """Successor table of the planner's state graph, built once.
 
     Hubs are numbered by station ``ordinal``, followed by one onboard state
-    per (line, direction, station). Returns per hub its boardings in
-    ``routes_at`` order as (route, onboard state at the next stop, half the
-    headway, run), and per onboard state (hub, next onboard state or None,
-    route, dwell, run). A run ends at its terminal, so the onboard state
-    there has no next one: a trip across a loop's anchor changes trains.
+    per stop of each (line, direction) run after its first. Returns per hub
+    its boardings in ``routes_at`` order as (route, onboard state at the next
+    stop, half the headway, run), and per onboard state (hub, onboard state
+    at the run's next stop or None, route, dwell, run). A run's last stop
+    continues nowhere: a trip across a loop's anchor changes trains.
     """
-    keys = [(sid, name, d) for name, line in network.lines.items()
-            for d in (+1, -1) for sid in line.station_ids]
-    onboard = {key: len(ordinal) + k for k, key in enumerate(keys)}
+    runs = [(name, d, line.path(d)[1:]) for name, line in network.lines.items()
+            for d in (+1, -1)]
+    onboard = {}
+    for name, d, stops in runs:
+        for sid in stops:
+            onboard[(sid, name, d)] = len(ordinal) + len(onboard)
     rides = []
-    for sid, name, d in keys:
-        line = network.lines[name]
-        nxt = None if sid == line.terminal(d) else line.next_station(sid, d)
-        rides.append((ordinal[sid], onboard.get((nxt, name, d)),
-                      (name, d), line.service.dwell_seconds, line.service.run_seconds))
+    for name, d, stops in runs:
+        svc = network.lines[name].service
+        for sid, nxt in zip(stops, stops[1:] + [None]):
+            rides.append((ordinal[sid], onboard.get((nxt, name, d)),
+                          (name, d), svc.dwell_seconds, svc.run_seconds))
     boards = []
     for sid in ordinal:
         moves = []

@@ -148,10 +148,9 @@ class World:
 
     # main loop
 
-    def run(self):
-        summary = self.scheduler.run_until(self.horizon, self._handle)
+    def run(self) -> None:
+        self.scheduler.run_until(self.horizon, self._handle)
         self._finalize()
-        return summary
 
     def _finalize(self) -> None:
         now = self.horizon
@@ -452,8 +451,8 @@ class World:
     def _retire_token(self, human: int, station: int, now: SimTime) -> None:
         """Take the human's token back at the station and book the wait it
         covered in the ledger."""
-        waited = self.manager.return_token(station, human, now)
-        self.metrics.record_wait(human, station, now - waited, now)
+        issued = self.manager.return_token(station, human)
+        self.metrics.record_wait(human, station, issued, now)
 
     def _stay_cost(self, trip: ActiveTrip, waits: dict[tuple[str, int], int]) -> float:
         """Seconds to destination if the human keeps waiting here: the live

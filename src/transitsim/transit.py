@@ -157,14 +157,6 @@ def attendee_source_point(h: Human, hour_of_day: int) -> GeoPoint:
     return h.home
 
 
-def _run_reaches(line: TransitLine, source: int, dest: int, direction: int) -> bool:
-    """Whether one run in the direction passes ``source`` and then reaches
-    ``dest`` without passing its terminal: on a loop the anchor is a run's
-    last stop as well as its first."""
-    k = line.hops(source, dest, direction)
-    return bool(k) and line.position(source, direction) + k <= line.run_hops
-
-
 class TransportManager:
     """System-wide agent owning trains and their runs from slot to pool,
     schedules, the compartment pool, the token ledger and ridership history."""
@@ -188,7 +180,8 @@ class TransportManager:
                            for hour, count in enumerate(line.hourly_slots()) for d in (+1, -1)}
         for line in network.lines.values():
             fleet = self.fleet_size(line)
-            ends = [line.terminal(+1)] if line.circular else [line.terminal(+1), line.terminal(-1)]
+            # the first stops of its two runs, in order and without repeats
+            ends = list(dict.fromkeys(line.terminal(d) for d in (+1, -1)))
             for end in ends:
                 self.pools[(line.name, end)] = deque()
                 self.waiting_slots[(line.name, end)] = deque()
@@ -329,9 +322,9 @@ class TransportManager:
         hour = now // SECONDS_PER_HOUR
         self.issue_history[(station_id, hour)] = self.issue_history.get((station_id, hour), 0) + 1
 
-    def return_token(self, station_id: int, human: int, now: SimTime) -> int:
-        """Retire the human's token; returns the wait duration."""
-        return now - self.masters[station_id].retire(human)
+    def return_token(self, station_id: int, human: int) -> SimTime:
+        """Retire the human's token; returns its issue time."""
+        return self.masters[station_id].retire(human)
 
     # compartments
 
@@ -428,8 +421,7 @@ class TransportManager:
                     if not line.serves(dest):
                         continue
                     for d in (+1, -1):
-                        count = sum(c for s, c in sources.items()
-                                    if line.serves(s) and _run_reaches(line, s, dest, d))
+                        count = sum(c for s, c in sources.items() if line.reaches(s, dest, d))
                         if count:
                             key = (line_name, d, hour)
                             est.delta[key] = est.delta.get(key, 0) + count

@@ -245,6 +245,52 @@ def test_ride_seconds_equals_a_walk_along_the_path(circular):
                     assert line.ride_seconds(a, b, d) == seconds
 
 
+def run_walk(ids: list[int], circular: bool, direction: int) -> list[int]:
+    """The stations a run passes, walked along ``ids`` from its terminal:
+    end to end on a linear line, once round back to the anchor on a loop."""
+    n = len(ids)
+    start = 0 if circular or direction == +1 else n - 1
+    return [ids[(start + direction * k) % n] for k in range(n + 1 if circular else n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=st.lists(st.integers(0, 60), min_size=2, max_size=9, unique=True),
+       circular=st.booleans(), run=st.integers(1, 400), dwell=st.integers(0, 90))
+def test_run_table_matches_a_walk_of_the_stations(ids, circular, run, dwell):
+    svc = LineService(run_seconds=run, dwell_seconds=dwell, headway_seconds=300,
+                      first_departure=0, last_departure=3600)
+    line = TransitLine("P", list(ids), svc, circular=circular)
+    off_line = max(ids) + 1
+    assert line.serves(ids[0]) and not line.serves(off_line)
+    for d in (+1, -1):
+        walk = run_walk(ids, circular, d)
+        run_hops = len(walk) - 1
+        assert line.path(d) == walk and line.run_hops == run_hops
+        assert line.terminal(d) == walk[0]
+        with pytest.raises(ValueError):
+            line.position(off_line, d)
+        for a in ids:
+            i = walk.index(a)
+            assert line.position(a, d) == i
+            assert line.next_station(a, d) == (walk[i + 1] if i < run_hops else None)
+            for b in ids:
+                # stops from a to b, going round the loop again if need be
+                if circular:
+                    want = (walk[:-1] * 2).index(b, i) - i
+                else:
+                    want = walk.index(b) - i if b in walk[i:] else None
+                assert line.hops(a, b, d) == want
+                if want is not None:
+                    assert line.ride_seconds(a, b, d) == sum(
+                        run + (dwell if hop else 0) for hop in range(want))
+                # one run leaves a and stops at b later: the rule the ridership
+                # estimate used before the line answered it
+                k = line.hops(a, b, d)
+                assert line.reaches(a, b, d) == (bool(k) and line.position(a, d) + k <= run_hops)
+                assert line.reaches(a, b, d) == (a != b and b in walk[i + 1:])
+            assert not line.reaches(a, off_line, d) and not line.reaches(off_line, a, d)
+
+
 def test_linear_line_hops_and_next():
     line = TransitLine("EW", [0, 1, 2], SVC)
     assert line.next_station(2, +1) is None

@@ -70,8 +70,8 @@ def test_past_schedule_rejected():
 
 def test_empty_run_advances_clock():
     s = Scheduler()
-    summary = s.run_until(100, lambda a: None)
-    assert summary.dispatched == 0
+    s.run_until(100, lambda a: None)
+    assert s.dispatched == 0
     assert s.now == 100
 
 

@@ -135,7 +135,7 @@ def test_rail_path_rounds_a_half_second_wait_to_even(headway, wait):
     net = TransitNetwork(stations, [TransitLine("L", [0, 1, 2], svc(headway=headway))])
     p = RoutePlanner(net, ROAD)
     assert rail_path(p, 0, 2) == ((TrainLeg("L", +1, 0, 2),), wait, 2 * 120 + 30,
-                                  ((headway / 2, 2 * 120 + 30),))
+                                  (headway / 2 + 2 * 120 + 30,))
     assert rail_path(p, 0, 0) == ((), 0, 0, ())
 
 
@@ -277,7 +277,8 @@ def reference_rail_path(net, src, dst, first_waits=None):
     waits.reverse()
     rides = [net.lines[leg.line].ride_seconds(leg.board, leg.alight, leg.direction)
              for leg in legs]
-    return tuple(legs), int(round(sum(waits))), sum(rides), tuple(zip(waits, rides))
+    return (tuple(legs), int(round(sum(waits))), sum(rides),
+            tuple(w + r for w, r in zip(waits, rides)))
 
 
 @pytest.mark.parametrize("scenario", ["desk", "singapore-like"])

@@ -487,7 +487,7 @@ def test_sweep_refuses_a_token_off_the_holders_leg():
     w = rider_from_1_to_3()
     w.manager.issue_token(1, 0, 0)
     w._sweep(0)
-    w.manager.return_token(1, 0, 0)
+    w.manager.return_token(1, 0)
     w.manager.issue_token(2, 0, 0)
     with pytest.raises(ConservationError, match="human 0 waits at station 2 off its leg"):
         w._sweep(0)

@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
-every local name a function assigns is read, and only the transport manager
-names its run state."""
+every local name a function assigns is read, only the transport manager
+names its run state, and a line's run shape is asked of the line."""
 
 import ast
 from pathlib import Path
@@ -218,3 +218,47 @@ def test_scan_flags_terminal_times_and_pass_steps():
     assert timetable_formulas(tree) == ["last_departure (line 2)",
                                         "run_seconds + dwell_seconds (line 3)",
                                         "run_seconds + dwell_seconds (line 4)"]
+
+
+# a run's shape is laid out once, in TransitLine's run table: outside
+# city.py, only the fleet rule still asks whether a line is a loop
+CIRCULAR_READERS = {("transit.py", "TransportManager.fleet_size")}
+
+
+def circular_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing ``Class.function``, line) for each read of a ``.circular``
+    attribute, in source order; ``<module>`` outside any definition."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "circular"
+                    and isinstance(child.ctx, ast.Load)):
+                out.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, scope)
+
+    visit(tree, [])
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "city.py"],
+                         ids=lambda p: p.name)
+def test_only_the_line_lays_out_its_runs(path):
+    found = [f"{where} (line {line})"
+             for where, line in circular_reads(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, where) not in CIRCULAR_READERS]
+    assert not found, f"{path.name} asks whether a line is a loop: {', '.join(found)}"
+
+
+def test_scan_flags_circular_reads_by_their_function():
+    tree = ast.parse("class M:\n    def __init__(self, line):\n"
+                     "        ends = [1] if line.circular else [1, 2]\n"
+                     "        line.circular = False\n"
+                     "    def size(self, doc):\n        return doc['circular']\n"
+                     "def f(lines):\n    def g(l):\n        return l.circular\n"
+                     "    return [g(l) for l in lines]\n"
+                     "LOOPS = [l for l in LINES if l.circular]\n")
+    assert circular_reads(tree) == [("M.__init__", 3), ("f.g", 9), ("<module>", 11)]

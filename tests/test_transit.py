@@ -117,14 +117,14 @@ def test_token_ledger_counts_presence():
     for h in range(50):
         m.issue_token(1, human=h, now=100 + h)
     for h in range(20):
-        m.return_token(1, h, now=500)
+        m.return_token(1, h)
     master = m.masters[1]
     assert len(master.waiting) == 30
     assert master.issue_count == 50 and master.return_count == 20
     # queue preserves issue order across the gaps
     assert list(master.waiting) == list(range(20, 50))
     # a human who hands a token back and takes a new one rejoins at the back
-    m.return_token(1, 25, now=600)
+    m.return_token(1, 25)
     m.issue_token(1, human=25, now=610)
     assert list(master.waiting) == [h for h in range(20, 50) if h != 25] + [25]
     assert master.waiting[25] == 610
@@ -138,17 +138,17 @@ def test_token_errors():
     with pytest.raises(DuplicatePresenceError):
         m.issue_token(0, human=7, now=12)
     with pytest.raises(UnknownTokenError):
-        m.return_token(0, 999, now=20)
+        m.return_token(0, 999)
     # the token is held at station 0, not at station 1
     with pytest.raises(UnknownTokenError):
-        m.return_token(1, 7, now=20)
+        m.return_token(1, 7)
 
 
 def test_wait_is_recorded_on_return():
     net = linear_net()
     m = TransportManager(net, 2)
     m.issue_token(2, human=1, now=1000)
-    assert m.return_token(2, 1, now=1180) == 180
+    assert m.return_token(2, 1) == 1000
     assert not m.masters[2].waiting
 
 
