@@ -276,14 +276,14 @@ class TransitNetwork:
                 if sid not in self.stations:
                     raise DanglingReferenceError(f"line {line.name!r} references unknown station {sid}")
             self.lines[line.name] = line
-        # station -> [(line, index)] for routing
-        self.memberships: dict[int, list[tuple[str, int]]] = {sid: [] for sid in self.stations}
+        # station -> names of the lines serving it
+        self.memberships: dict[int, list[str]] = {sid: [] for sid in self.stations}
         for line in self.lines.values():
-            for idx, sid in enumerate(line.station_ids):
-                self.memberships[sid].append((line.name, idx))
+            for sid in line.station_ids:
+                self.memberships[sid].append(line.name)
         # station -> [(line, direction)] with a next stop from that station
         self._routes: dict[int, list[tuple[str, int]]] = {
-            sid: [(name, d) for name, _ in ms for d in (+1, -1)
+            sid: [(name, d) for name in ms for d in (+1, -1)
                   if self.lines[name].next_station(sid, d) is not None]
             for sid, ms in self.memberships.items()}
         self._ordered_ids = sorted(self.stations)

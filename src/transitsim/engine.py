@@ -107,9 +107,6 @@ class Scheduler:
         self._seq += 1
         return action.seq
 
-    def pending(self) -> int:
-        return len(self._heap)
-
     def run_until(self, t_end: SimTime, handler: Callable[[TimedAction], None]) -> None:
         """Dispatch every action with ``fire_at <= t_end`` and land on ``t_end``."""
         if t_end < self.now:

@@ -359,8 +359,10 @@ class World:
         if train.path_pos == line.run_hops:
             self._turnaround(tid, now)
             return
-        depart_at = max(now + line.service.dwell_seconds, train.slot_time)
-        self.scheduler.schedule(depart_at, "train", "train-depart", tid)
+        # a run whose slot falls within the first dwell of the simulation
+        # starts from a train taken to have docked before t = 0
+        ready = now + line.service.dwell_seconds if now or train.path_pos else 0
+        self.scheduler.schedule(max(ready, train.slot_time), "train", "train-depart", tid)
 
     def _on_train_depart(self, tid: int, now: SimTime) -> None:
         train = self.manager.trains[tid]

@@ -5,9 +5,13 @@ train inquiry, and hourly ridership estimation.
 A route here means one direction of one line. Scheduled terminal departures
 ("slots") repeat daily per the line's service block; each slot is one run
 from a terminal pool to the end of the line, once round on a loop, and into
-the pool there. The fleet per line is sized so the schedule is coverable,
-and a slot whose terminal pool is empty waits for the next returning train,
-oldest slot first, which starts it late. No log record marks such a wait;
+the pool there. Each run's terminal starts with
+``max(1, ceil((one_way_seconds + dwell) / headway))`` trains: a train that
+leaves on a slot can start another run one run and a dwell later. With at
+least two platforms per station and a headway no shorter than the dwell,
+every run then leaves its terminal within one dwell of its slot. A slot
+whose terminal pool is empty waits for the next returning train, oldest
+slot first, which starts it late. No log record marks such a wait;
 the late start shows only in that train's delay.
 """
 
@@ -19,7 +23,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .city import GeoPoint, Station, TransitLine, TransitNetwork, UnknownStationError
+from .city import GeoPoint, Station, TransitNetwork, UnknownStationError
 from .config import ConfigError
 from .engine import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimTime
 from .population import STUDENT, WORKING_PROFESSIONAL, Human
@@ -179,32 +183,24 @@ class TransportManager:
         self.departures = {(line.name, d, hour): count for line in network.lines.values()
                            for hour, count in enumerate(line.hourly_slots()) for d in (+1, -1)}
         for line in network.lines.values():
-            fleet = self.fleet_size(line)
-            # the first stops of its two runs, in order and without repeats
-            ends = list(dict.fromkeys(line.terminal(d) for d in (+1, -1)))
-            for end in ends:
-                self.pools[(line.name, end)] = deque()
-                self.waiting_slots[(line.name, end)] = deque()
+            svc = line.service
+            # a train can start another run a run and a dwell after its slot,
+            # so each run's terminal holds a train for every slot until then,
+            # and at least one; a loop's two runs both start from its anchor
+            per_run = max(1, math.ceil((line.one_way_seconds() + svc.dwell_seconds)
+                                       / svc.headway_seconds))
             for d in (+1, -1):
+                end = (line.name, line.terminal(d))
+                self.pools[end], self.waiting_slots[end] = deque(), deque()
                 self.active[(line.name, d)] = set()
                 self.dispatched_upto[(line.name, d)] = -1
-            for k in range(fleet):
-                tid = len(self.trains)
-                self.trains[tid] = Train(tid, line.name, compartments_per_train)
-                # alternate ends so both directions can start on time
-                end = ends[k % len(ends)]
-                self.pools[(line.name, end)].append(tid)
+            for _ in range(per_run):
+                for d in (+1, -1):  # dealt alternately to the two terminals
+                    tid = len(self.trains)
+                    self.trains[tid] = Train(tid, line.name, compartments_per_train)
+                    self.pools[(line.name, line.terminal(d))].append(tid)
 
-    # fleet and schedule arithmetic
-
-    def fleet_size(self, line: TransitLine) -> int:
-        svc = line.service
-        if line.circular:
-            # one fleet per direction, each covering the loop at the headway
-            per_dir = math.ceil(line.one_way_seconds() / svc.headway_seconds)
-            return 2 * per_dir
-        round_trip = 2 * (line.one_way_seconds() + svc.dwell_seconds)
-        return math.ceil(round_trip / svc.headway_seconds)
+    # schedule arithmetic
 
     def next_departure(self, line_name: str, station_id: int, direction: int,
                        t: SimTime, exclude_train: Optional[int] = None) -> Optional[SimTime]:

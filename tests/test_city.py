@@ -188,8 +188,8 @@ def test_line_geometry_and_direction():
 
 def test_station_line_memberships():
     net = grid_network()
-    assert sorted(name for name, _ in net.memberships[1]) == ["EW", "NS"]
-    assert net.memberships[0] == [("EW", 0)]
+    assert sorted(net.memberships[1]) == ["EW", "NS"]
+    assert net.memberships[0] == ["EW"]
     with pytest.raises(UnknownStationError):
         net.station(99)
 

@@ -22,18 +22,18 @@ DESK_SHA256 = {
 
 # the same for singapore-like (87 stations, one circular line) cut to 12 h
 CITY_12H_SHA256 = {
-    "event.log": "082e4792bd74c249",
-    "summary.csv": "93876f63d3e70187",
-    "usage.csv": "ee39dc1a256e10fb",
-    "wait.csv": "dba6c5004986d135",
+    "event.log": "fa920fa9b62858ab",
+    "summary.csv": "3bdd6d34f462665b",
+    "usage.csv": "e32632b45968e86f",
+    "wait.csv": "0191b4f05a06964b",
 }
 
 # the same for singapore-like as shipped (24 h)
 CITY_SHA256 = {
-    "event.log": "3dc7f868cea0f509",
-    "summary.csv": "0dff05738c3052f9",
-    "usage.csv": "8f3a43674d06e3cc",
-    "wait.csv": "61733c8e977827fd",
+    "event.log": "3b873894558194a7",
+    "summary.csv": "d0d5d42a89a42da2",
+    "usage.csv": "065800fc47aa103e",
+    "wait.csv": "d77f9c1bf6382fc5",
 }
 
 # the same for desk under the greedy strategy with alternative routing, which

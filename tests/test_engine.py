@@ -80,7 +80,9 @@ def test_actions_beyond_horizon_stay_queued():
     s.schedule(5, "a", "early")
     s.schedule(50, "a", "late")
     assert [k for _, _, k in collect(s, 10)] == ["early"]
-    assert s.pending() == 1
+    assert collect(s, 49) == []
+    assert collect(s, 50) == [(50, "a", "late")]
+    assert s.dispatched == 2
 
 
 def test_event_log_records_and_file(tmp_path):

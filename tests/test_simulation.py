@@ -1,13 +1,16 @@
-"""World-level behavior: schedule coverage and on-time slot starts,
-conservation sweeps, keyed-stream run pairing, diffusion pacing, the cascade
-as the world runs it, full-train rerouting, a change of trains at a loop's
-anchor, the road after the last pass, busy-human deferral, the turn back
-from an event that has ended, and the sweep's refusal of a token on a route
-that does not leave its station or of a train out of place."""
+"""World-level behavior: schedule coverage, on-time slot starts and runs
+that leave within a dwell of their slots, conservation sweeps, keyed-stream
+run pairing, diffusion pacing, the cascade as the world runs it, full-train
+rerouting, a change of trains at a loop's anchor, the road after the last
+pass, busy-human deferral, the turn back from an event that has ended, and
+the sweep's refusal of a token on a route that does not leave its station
+or of a train out of place."""
 
 import json
 from pathlib import Path
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -64,6 +67,22 @@ def slot_starts(w):
 
     w.manager._pair = spy
     return starts
+
+
+def terminal_departures(w):
+    """Record how long after its slot each run the world starts leaves its
+    terminal, as (line, direction, slot) -> seconds."""
+    late = {}
+    depart = w._handlers["train-depart"]
+
+    def spy(tid, now):
+        train = w.manager.trains[tid]
+        if train.path_pos == 0:
+            late[(train.line, train.direction, train.slot_time)] = now - train.slot_time
+        depart(tid, now)
+
+    w._handlers["train-depart"] = spy
+    return late
 
 
 def due_slots(w):
@@ -123,6 +142,63 @@ def test_singapore_like_slots_start_on_time():
     w.run()
     assert set(starts) == due_slots(w)
     assert max(starts.values()) <= 60
+    assert not any(w.manager.waiting_slots.values())
+
+
+def test_singapore_like_runs_leave_within_a_dwell():
+    # each run's terminal holds the trains its slots need, so no run waits
+    # for a train: it leaves at most one dwell after its slot
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "singapore-like.yaml"
+    net = network_from_dict(load_scenario(str(path)).network)
+    w = make_world(net, [], empty_graph(0), [], horizon=24)
+    late = terminal_departures(w)
+    w.run()
+    assert set(late) == due_slots(w)
+    for (name, _, _), seconds in late.items():
+        assert seconds <= net.lines[name].service.dwell_seconds
+
+
+@st.composite
+def one_line_services(draw):
+    """One line of 2-8 stations with 2-3 platforms each, linear or a loop,
+    a run of 0-400 s, a dwell of 0-300 s, a headway no shorter than the
+    dwell, and 1-30 slots from a first one in the first hour."""
+    n = draw(st.integers(2, 8))
+    dwell = draw(st.integers(0, 300))
+    headway = draw(st.integers(max(1, dwell), 1800))
+    first = draw(st.integers(0, 3600))
+    return {"n": n, "circular": draw(st.booleans()),
+            "platforms": draw(st.lists(st.integers(2, 3), min_size=n, max_size=n)),
+            "run": draw(st.integers(0, 400)), "dwell": dwell, "headway": headway,
+            "first": first, "last": first + headway * draw(st.integers(0, 29))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_line_services())
+# a line with no length still needs a train at each end
+@example({"n": 3, "circular": False, "platforms": [2, 2, 2], "run": 0, "dwell": 0,
+          "headway": 600, "first": 3600, "last": 18000})
+@example({"n": 3, "circular": True, "platforms": [2, 2, 2], "run": 0, "dwell": 0,
+          "headway": 600, "first": 3600, "last": 18000})
+# the first runs leave at t = 0 on their slot, not a dwell late, so they do
+# not bunch with the next runs and crowd the platforms
+@example({"n": 8, "circular": False, "platforms": [2] * 8, "run": 0, "dwell": 224,
+          "headway": 224, "first": 0, "last": 3360})
+def test_every_run_leaves_within_a_dwell_of_its_slot(case):
+    doc = {
+        "stations": [{"id": i, "name": f"s{i}", "lat": 1.0, "lon": 103.0 + 0.01 * i,
+                      "platforms": p} for i, p in enumerate(case["platforms"])],
+        "lines": [{"name": "A", "stations": list(range(case["n"])), "circular": case["circular"],
+                   "service": {"run_seconds": case["run"], "dwell_seconds": case["dwell"],
+                               "headway_seconds": case["headway"],
+                               "first_departure": case["first"],
+                               "last_departure": case["last"]}}],
+    }
+    w = make_world(network_from_dict(doc), [], empty_graph(0), [], horizon=20)
+    late = terminal_departures(w)
+    w.run()
+    assert set(late) == due_slots(w)
+    assert max(late.values()) <= case["dwell"]
     assert not any(w.manager.waiting_slots.values())
 
 
@@ -228,12 +304,13 @@ def test_trip_across_the_anchor_changes_trains_there():
 
     w._board = spy
     w.run()
-    # the 3600 run passes 6 at 4500 and ends at 0 at 4770; the 4800 run
-    # leaves 0 on time
-    assert runs == [(3600, 6, 4500), (4800, 0, 4800)]
+    # the 3600 run passes 6 at 4500 and reaches 0 at 4770, where idle
+    # trains for the two 4800 runs hold both platforms; it docks as they
+    # leave at 4800, so the rider takes the 5100 run
+    assert runs == [(3600, 6, 4500), (5100, 0, 5100)]
     assert [(r.station, r.start, r.end) for r in w.metrics.waits] == [
-        (6, 4000, 4500), (0, 4770, 4800)]
-    assert [(r.start, r.end) for r in w.metrics.trips] == [(4000, 4920)]
+        (6, 4000, 4500), (0, 4800, 5100)]
+    assert [(r.start, r.end) for r in w.metrics.trips] == [(4000, 5220)]
     assert w.state[0].point == at1 and w.state[0].trip is None
     # hour ticks 0..3 plus the closing sweep, none raised
     assert w.sweeps == 5

@@ -1,8 +1,10 @@
 """Source hygiene: every name a module imports is used in that module,
 every local name a function assigns is read, only the transport manager
-names its run state, and a line's run shape is asked of the line."""
+names its run state, a line's run shape is asked of the line, and every
+function, method and class in src/ is named by the program."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -221,8 +223,7 @@ def test_scan_flags_terminal_times_and_pass_steps():
 
 
 # a run's shape is laid out once, in TransitLine's run table: outside
-# city.py, only the fleet rule still asks whether a line is a loop
-CIRCULAR_READERS = {("transit.py", "TransportManager.fleet_size")}
+# city.py, no module asks whether a line is a loop
 
 
 def circular_reads(tree: ast.Module) -> list[tuple[str, int]]:
@@ -248,8 +249,7 @@ def circular_reads(tree: ast.Module) -> list[tuple[str, int]]:
                          ids=lambda p: p.name)
 def test_only_the_line_lays_out_its_runs(path):
     found = [f"{where} (line {line})"
-             for where, line in circular_reads(ast.parse(path.read_text(encoding="utf-8")))
-             if (path.name, where) not in CIRCULAR_READERS]
+             for where, line in circular_reads(ast.parse(path.read_text(encoding="utf-8")))]
     assert not found, f"{path.name} asks whether a line is a loop: {', '.join(found)}"
 
 
@@ -262,3 +262,83 @@ def test_scan_flags_circular_reads_by_their_function():
                      "    return [g(l) for l in lines]\n"
                      "LOOPS = [l for l in LINES if l.circular]\n")
     assert circular_reads(tree) == [("M.__init__", 3), ("f.g", 9), ("<module>", 11)]
+
+
+# every function, method and class in src/ is named by the program: by
+# src/, the demos or the benchmark, whose tracer wraps some by string.
+# Two are kept for the tests alone, as references the tests compare against.
+PROGRAM = [SRC, SRC.parents[1] / "demos", SRC.parents[1] / "perfbench"]
+TEST_ONLY = {
+    ("engine.py", "RngStreams.keyed_uniform"):
+        "the scalar keyed draw that the batched draws are tested against",
+    ("social.py", "cascade_trial_batch"):
+        "the Monte Carlo cascade that criterion 2 checks against enumeration",
+}
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def named(tree: ast.Module) -> set[str]:
+    """Every identifier, attribute and imported name the module uses, and
+    each part of a string that is a name or a dotted path of names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED_NAME.fullmatch(node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(``Class.function`` path, line) of each function, method and class
+    but dunder methods, in source order."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    out.append((".".join(scope + [child.name]), child.lineno))
+                visit(child, scope + [child.name])
+
+    visit(tree, [])
+    return out
+
+
+def unnamed_definitions(trees: dict[str, ast.Module],
+                        users: list[ast.Module]) -> list[tuple[str, str, int]]:
+    """(module, path, line) for each definition in ``trees`` whose own name
+    no module in ``users`` uses."""
+    used = set().union(*(named(tree) for tree in users))
+    return [(module, path, line) for module, tree in trees.items()
+            for path, line in definitions(tree) if path.rsplit(".", 1)[-1] not in used]
+
+
+def test_everything_in_src_is_named_by_the_program():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    users = [ast.parse(p.read_text(encoding="utf-8"))
+             for root in PROGRAM for p in sorted(root.glob("*.py"))]
+    found = unnamed_definitions(trees, users)
+    extra = [f"{module}:{path} (line {line})" for module, path, line in found
+             if (module, path) not in TEST_ONLY]
+    assert not extra, f"only the tests name: {', '.join(extra)}"
+    stale = set(TEST_ONLY) - {(module, path) for module, path, _ in found}
+    assert not stale, f"the program names these, so they need no exemption: {sorted(stale)}"
+
+
+def test_scan_flags_a_definition_nothing_names():
+    tree = ast.parse('import a.b\nclass C:\n    def __init__(self):\n        self.go()\n'
+                     '    def go(self):\n        return helper\n'
+                     '    def spare(self):\n        """spare is only in a docstring"""\n'
+                     'def helper():\n    def inner():\n        pass\n'
+                     'class Wrapped:\n    pass\n'
+                     'def traced():\n    pass\n'
+                     'def b():\n    pass\n')
+    user = ast.parse("wrap(mod, 'traced', 'mod.Wrapped')\n")
+    assert unnamed_definitions({"m.py": tree}, [tree, user]) == [
+        ("m.py", "C", 2), ("m.py", "C.spare", 7), ("m.py", "helper.inner", 10)]

@@ -90,20 +90,20 @@ def test_initial_capacity_reference_values():
 def test_fleet_capacity_and_pool_split():
     net = linear_net()
     m = TransportManager(net, compartments_per_train=10, pool_compartments=3)
-    # round trip 2*(3*120 + 2*30 + 30) = 900s at 300s headway
-    assert len(m.trains) == 3
+    # a run and a dwell, 3*120 + 2*30 + 30 = 450s, at 300s headway: two
+    # trains at each run's terminal, dealt alternately
+    assert len(m.trains) == 4
     assert all(tr.capacity == 310 for tr in m.trains.values())
-    ends = sorted(m.pools)
-    assert ends == [("A", 0), ("A", 3)]
-    assert sum(len(q) for q in m.pools.values()) == 3
-    assert m.total_compartments() == 3 * 10 + 3
+    assert {key: list(q) for key, q in m.pools.items()} == {("A", 0): [0, 2], ("A", 3): [1, 3]}
+    assert m.total_compartments() == 4 * 10 + 3
 
 
 def test_circular_fleet_pools_at_anchor():
     net = linear_net(n=6, circular=True)
     m = TransportManager(net, compartments_per_train=2)
+    # each run's train is back after the loop and a dwell at the anchor
     loop = 6 * 150
-    assert len(m.trains) == 2 * math.ceil(loop / 300)
+    assert len(m.trains) == 2 * math.ceil((loop + 30) / 300)
     assert list(m.pools) == [("A", 0)]
     assert len(m.pools[("A", 0)]) == len(m.trains)
 
@@ -527,7 +527,7 @@ def test_train_to_train_move_waits_for_the_donated_compartment():
     assert m.terminal_service(m.trains[0]) == (1, 0)
     assert m.terminal_service(m.trains[1]) == (0, 1)
     assert m.trains[0].compartments == 1 and m.trains[1].compartments == 3
-    assert m.total_compartments() == 2 * 3
+    assert m.total_compartments() == 2 * len(m.trains)
 
 
 def test_detach_never_displaces_riders():
