@@ -48,8 +48,8 @@ def main() -> None:
 
     print("\n== nearest stations ==")
     for pt in (GeoPoint(1.301, 103.772), GeoPoint(1.352, 103.761)):
-        st = net.nearest_station(pt)
-        print(f"  ({pt.lat:.3f}, {pt.lon:.3f}) -> {st.name} (id {st.id})")
+        st, km = net.nearest_station(pt)
+        print(f"  ({pt.lat:.3f}, {pt.lon:.3f}) -> {st.name} (id {st.id}), {km:.2f} km")
 
     print("\n== route plans at 08:00 (static wait estimate) ==")
     planner = RoutePlanner(net, RoadRouter(float(cfg.transit["road_speed_kmh"])))

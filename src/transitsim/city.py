@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -15,10 +15,13 @@ from .config import LINE, NETWORK, SERVICE, STATION, ConfigError, read_block
 from .engine import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimTime
 
 EARTH_RADIUS_KM = 6371.0
+# points per array pass of TransitNetwork.cache_nearest: a pass holds a few
+# points-by-stations arrays, and larger ones leave a network of 87 stations
+# with a higher peak RSS for the rest of the run
+NEAREST_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class GeoPoint:
+class GeoPoint(NamedTuple):
     lat: float
     lon: float
 
@@ -110,8 +113,12 @@ class RoadRouter:
             raise ValueError(f"road speed must be positive: {speed_kmh}")
         self.speed_kmh = speed_kmh
 
+    def seconds(self, km: float) -> int:
+        """Whole seconds to cover ``km`` of road."""
+        return int(round(km / self.speed_kmh * 3600.0))
+
     def travel_seconds(self, a: GeoPoint, b: GeoPoint) -> int:
-        return int(round(haversine_km(a, b) / self.speed_kmh * 3600.0))
+        return self.seconds(haversine_km(a, b))
 
 
 class DanglingReferenceError(ConfigError):
@@ -287,11 +294,12 @@ class TransitNetwork:
                   if self.lines[name].next_station(sid, d) is not None]
             for sid, ms in self.memberships.items()}
         self._ordered_ids = sorted(self.stations)
-        self._nearest: dict[GeoPoint, Station] = {}
-        # radians and cos-latitude per station in id order
+        # point -> (nearest station, km to it)
+        self._nearest: dict[GeoPoint, tuple[Station, float]] = {}
+        # latitude and longitude in radians and cos-latitude per station in id order
         points = [self.stations[sid].point for sid in self._ordered_ids]
-        self._lat, self._lon, self._cos_lat = radians_and_cos(
-            np.array([p.lat for p in points]), np.array([p.lon for p in points]))
+        self._where = radians_and_cos(np.array([p.lat for p in points]),
+                                      np.array([p.lon for p in points]))
 
     def station(self, station_id: int) -> Station:
         try:
@@ -303,40 +311,54 @@ class TransitNetwork:
         """(line, direction) routes that leave the station for a next stop."""
         return self._routes[station_id]
 
-    def nearest_station(self, point: GeoPoint) -> Station:
-        """Closest station by great-circle distance; ties go to the lower id.
+    def nearest_station(self, point: GeoPoint) -> tuple[Station, float]:
+        """The station closest to ``point`` by great-circle distance, ties to
+        the lower id, and ``haversine_km(point, station.point)``.
 
-        The answer is cached per query point (keyed by the point's value) for
-        the life of the network, so stations must not be added, removed or
+        Answers come from a cache keyed by the point's value, which
+        ``cache_nearest`` fills: a day's trip ends in one pass as the day
+        begins, any other point on its first lookup. Entries last for the
+        life of the network, so stations must not be added, removed or
         moved after construction.
         """
-        best = self._nearest.get(point)
-        if best is None:
-            best = self._nearest[point] = self.stations[self._scan_nearest(point)]
-        return best
+        hit = self._nearest.get(point)
+        if hit is None:
+            self.cache_nearest([point])
+            hit = self._nearest[point]
+        return hit
 
-    def _scan_nearest(self, point: GeoPoint) -> int:
-        """Id of the station nearest to ``point``, as a full scan with
-        haversine_km and a strict ``<`` in id order would find it.
+    def cache_nearest(self, points: list[GeoPoint]) -> None:
+        """Look up every point not in the cache yet, in blocks of
+        ``NEAREST_BLOCK``, as a full scan with haversine_km and a strict
+        ``<`` in id order would find each.
 
-        Distance grows with the haversine term h, so the vector step keeps
-        only the stations whose h is within a relative 1e-9 of the least
-        (numpy's sin may differ from math.sin in the last bits), and the
-        exact scalar scan breaks ties among those.
+        Distance grows with the haversine term h, so numpy's h for every
+        station keeps those within a relative 1e-9 of the least (numpy's sin
+        may differ from math.sin in the last bits), and the exact scalar
+        haversine_km breaks ties among those. The km to the station found is
+        ``haversine_km_array``'s, which is haversine_km's bit for bit.
         """
-        la, lo = math.radians(point.lat), math.radians(point.lon)
-        h = (np.sin((self._lat - la) / 2) ** 2
-             + math.cos(la) * self._cos_lat * np.sin((self._lon - lo) / 2) ** 2)
-        near = np.flatnonzero(h <= h.min() * (1 + 1e-9))
-        if len(near) == 1:
-            return self._ordered_ids[near[0]]
-        best_id, best_d = None, math.inf
-        for i in near:
-            sid = self._ordered_ids[i]
-            d = haversine_km(point, self.stations[sid].point)
-            if d < best_d:
-                best_d, best_id = d, sid
-        return best_id
+        cache = self._nearest
+        todo = list(dict.fromkeys(p for p in points if p not in cache))
+        ids, lat, lon, cos_lat = self._ordered_ids, *self._where
+        for start in range(0, len(todo), NEAREST_BLOCK):
+            block = todo[start:start + NEAREST_BLOCK]
+            at = radians_and_cos(np.array([p.lat for p in block]),
+                                 np.array([p.lon for p in block]))
+            la, lo, cos_la = at[:, :, None]
+            h = (np.sin((lat - la) / 2) ** 2
+                 + cos_la * cos_lat * np.sin((lon - lo) / 2) ** 2)
+            near = h <= h.min(axis=1, keepdims=True) * (1 + 1e-9)
+            best = near.argmax(axis=1)
+            for row in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+                best_d = math.inf
+                for i in np.flatnonzero(near[row]).tolist():
+                    d = haversine_km(block[row], self.stations[ids[i]].point)
+                    if d < best_d:
+                        best_d, best[row] = d, i
+            km = haversine_km_array(at, self._where[:, best])
+            for p, i, d in zip(block, best.tolist(), km.tolist()):
+                cache[p] = (self.stations[ids[i]], d)
 
 
 def network_from_dict(doc: dict) -> TransitNetwork:

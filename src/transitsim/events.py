@@ -96,7 +96,7 @@ def generate_events(config: dict, streams: RngStreams) -> list[SocialEvent]:
 
 
 class BroadcastFeed:
-    """Schedule of events plus per-human poll bookkeeping.
+    """Schedule of events plus, per event, whom a poll has shown it to.
 
     A poll succeeds with ``poll_probability``; on success the human sees
     every event currently broadcast that it has not seen before. The poll
@@ -113,7 +113,8 @@ class BroadcastFeed:
         self.events = list(events)
         self.poll_interval = poll_interval
         self.poll_probability = poll_probability
-        self._seen: dict[int, set[int]] = {}
+        # event -> ids of the humans it has shown itself to
+        self._seen: dict[int, set[int]] = {ev.id: set() for ev in self.events}
 
     def on_air(self, t: SimTime) -> bool:
         """Is any event being broadcast at t?"""
@@ -130,11 +131,11 @@ class BroadcastFeed:
     def poll(self, h: Human, t: SimTime) -> list[SocialEvent]:
         """What a successful poll at t shows h: the events on air that it
         has not seen before."""
-        seen = self._seen.setdefault(h.id, set())
         out = []
         for ev in self.events:
-            if ev.broadcast_from <= t < ev.end and ev.id not in seen:
-                seen.add(ev.id)
+            seen = self._seen[ev.id]
+            if ev.broadcast_from <= t < ev.end and h.id not in seen:
+                seen.add(h.id)
                 out.append(ev)
         return out
 

@@ -30,7 +30,7 @@ def overlap(a0: SimTime, a1: SimTime, b0: SimTime, b1: SimTime) -> int:
     return max(0, min(a1, b1) - max(a0, b0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaitRecord:
     human: int
     station: int
@@ -42,7 +42,7 @@ class WaitRecord:
             raise ValueError("wait ends before it starts")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripRecord:
     human: int
     start: SimTime

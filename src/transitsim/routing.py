@@ -85,8 +85,8 @@ class RoutePlanner:
         board station answers every alight station, and each answer is
         kept. The network must not change after the planner is built.
         """
-        board = self.network.nearest_station(origin)
-        return self._fastest(origin, dest, board, t, self._timetable[board.id])
+        board, access_km = self.network.nearest_station(origin)
+        return self._fastest(origin, dest, board, access_km, t, self._timetable[board.id])
 
     def alternative(self, station_id: int, dest: GeoPoint,
                     first_waits: dict[tuple[str, int], int], t: SimTime) -> Route:
@@ -101,21 +101,23 @@ class RoutePlanner:
         board = self.network.station(station_id)
         if (station_id, first_waits) != self._detour[:2]:
             self._detour = (station_id, dict(first_waits), self._query(station_id, first_waits))
-        return self._fastest(board.point, dest, board, t, self._detour[2])
+        return self._fastest(board.point, dest, board, 0.0, t, self._detour[2])
 
     def _query(self, board: int, first_waits: dict[tuple[str, int], float]) -> _RailQuery:
         """The rail query from ``board`` under ``first_waits``, kept from its first use."""
         key = (board, tuple(sorted(first_waits.items())))
         return self._rail.setdefault(key, _RailQuery(first_waits))
 
-    def _fastest(self, here: GeoPoint, dest: GeoPoint, board: Station, t: SimTime,
-                 query: _RailQuery) -> Route:
+    def _fastest(self, here: GeoPoint, dest: GeoPoint, board: Station, access_km: float,
+                 t: SimTime, query: _RailQuery) -> Route:
         """Rail from ``board`` to the station nearest ``dest``, reached from
-        ``here`` by road, or the road all the way if that is strictly
-        faster, no rail path exists or the rail trip misses a last pass (see
-        ``plan``). A query's answer is kept from its ``_rail_path`` call."""
+        ``here`` by ``access_km`` of road, or the road all the way if that is
+        strictly faster, no rail path exists or the rail trip misses a last
+        pass (see ``plan``). A query's answer is kept from its ``_rail_path``
+        call. Egress is the destination's km to its station, which
+        haversine_km's symmetry makes the km back from it."""
         road_total = self.road.travel_seconds(here, dest)
-        alight = self.network.nearest_station(dest)
+        alight, egress_km = self.network.nearest_station(dest)
         if alight.id == board.id:
             return _road_route(road_total)
         answers = query.answers
@@ -125,8 +127,8 @@ class RoutePlanner:
         if rail is None:
             return _road_route(road_total)
         legs, wait_s, ride_s, steps = rail
-        access = self.road.travel_seconds(here, board.point)
-        egress = self.road.travel_seconds(alight.point, dest)
+        access = self.road.seconds(access_km)
+        egress = self.road.seconds(egress_km)
         total = access + wait_s + ride_s + egress
         if road_total < total:
             return _road_route(road_total)

@@ -171,7 +171,10 @@ class World:
     # humans
 
     def _on_new_day(self, day: int, now: SimTime) -> None:
-        for trip in daily_trips(self.humans, day, self.streams, until=self.horizon):
+        trips = daily_trips(self.humans, day, self.streams, until=self.horizon)
+        # the day's plans then read each trip end's station from the cache
+        self.network.cache_nearest([p for trip in trips for p in (trip.origin, trip.dest)])
+        for trip in trips:
             self.scheduler.schedule(max(trip.chosen_start, now), "human", "trip-start", trip)
 
     def _on_trip_start(self, trip: Trip, now: SimTime) -> None:

@@ -409,9 +409,9 @@ class TransportManager:
             for event, attendees in attendee_sets:
                 if not (event.start < hi and event.end > lo):
                     continue
-                dest = self.network.nearest_station(event.location).id
+                dest = self.network.nearest_station(event.location)[0].id
                 sources = Counter(
-                    self.network.nearest_station(attendee_source_point(humans[hid], hour)).id
+                    self.network.nearest_station(attendee_source_point(humans[hid], hour))[0].id
                     for hid in attendees)
                 for line_name, line in self.network.lines.items():
                     if not line.serves(dest):

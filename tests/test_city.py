@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transitsim.city import (
+    NEAREST_BLOCK,
     DanglingReferenceError,
     GeoPoint,
     InvariantViolationError,
@@ -109,19 +110,23 @@ def test_nearest_station_brute_force_and_ties():
     for lat in [1.28, 1.31, 1.35, 1.39]:
         for lon in [103.72, 103.79, 103.84, 103.88]:
             p = GeoPoint(lat, lon)
-            got = net.nearest_station(p)
+            got = net.nearest_station(p)[0]
             best = min(net.stations.values(), key=lambda s: (haversine_km(p, s.point), s.id))
             assert got.id == best.id
     # exact tie between station 0 and 2: equidistant point picks lower id
     tie = GeoPoint(1.30, 103.80)  # station 1 sits here, distance 0
-    assert net.nearest_station(tie).id == 1
+    assert net.nearest_station(tie)[0].id == 1
 
 
-def singapore_like_stations():
-    with open(ROOT / "scenarios" / "singapore-like.yaml", encoding="utf-8") as f:
+def scenario_stations(name):
+    with open(ROOT / "scenarios" / name, encoding="utf-8") as f:
         doc = yaml.safe_load(f)
     return [Station(int(s["id"]), s["name"], GeoPoint(float(s["lat"]), float(s["lon"])))
             for s in doc["network"]["stations"]]
+
+
+def singapore_like_stations():
+    return scenario_stations("singapore-like.yaml")
 
 
 def brute_nearest(net, p):
@@ -137,7 +142,7 @@ def test_nearest_station_matches_full_scan_on_singapore_like():
     points = [bbox.sample(rng) for _ in range(3000)]
     points += [s.point for s in stations[::10]]   # on a station
     for p in points:
-        assert net.nearest_station(p).id == brute_nearest(net, p)
+        assert net.nearest_station(p)[0].id == brute_nearest(net, p)
 
 
 def test_nearest_station_ties_on_singapore_like():
@@ -151,7 +156,7 @@ def test_nearest_station_ties_on_singapore_like():
     south = min(stations, key=lambda s: (s.point.lat, s.id))
     net = TransitNetwork(copies() + [Station(extra, "X", south.point)], [])
     for p in (south.point, GeoPoint(south.point.lat - 0.001, south.point.lon)):
-        assert net.nearest_station(p).id == brute_nearest(net, p) == south.id
+        assert net.nearest_station(p)[0].id == brute_nearest(net, p) == south.id
     # a point on the equator is exactly as far from a station as from its
     # mirror image; nudged toward the equator by an ulp or two, the mirror
     # can lie closer in the haversine term yet at the same rounded distance,
@@ -163,7 +168,7 @@ def test_nearest_station_ties_on_singapore_like():
         for nudge in range(4):
             mirror = Station(extra, "M", GeoPoint(lat, s.point.lon))
             net = TransitNetwork([Station(s.id, s.name, s.point), mirror], [])
-            assert net.nearest_station(p).id == brute_nearest(net, p)
+            assert net.nearest_station(p)[0].id == brute_nearest(net, p)
             near_ties += nudge > 0 and haversine_km(p, mirror.point) == haversine_km(p, s.point)
             lat = math.nextafter(lat, 0.0)
     assert near_ties > 10
@@ -172,7 +177,72 @@ def test_nearest_station_ties_on_singapore_like():
     assert a.point.lon == b.point.lon
     net = TransitNetwork(copies(), [])
     mid = GeoPoint((a.point.lat + b.point.lat) / 2, a.point.lon)
-    assert net.nearest_station(mid).id == brute_nearest(net, mid)
+    assert net.nearest_station(mid)[0].id == brute_nearest(net, mid)
+
+
+def full_scan(net, p):
+    """The station nearest ``p`` and its km, as a scan of every station in
+    id order with haversine_km and a strict ``<`` finds them."""
+    best, best_km = None, math.inf
+    for sid in sorted(net.stations):
+        km = haversine_km(p, net.stations[sid].point)
+        if km < best_km:
+            best, best_km = net.stations[sid], km
+    return best, best_km
+
+
+@pytest.mark.parametrize("scenario", ["desk.yaml", "singapore-like.yaml"])
+def test_bulk_lookup_matches_a_full_scan(scenario):
+    stations = scenario_stations(scenario)
+    # a second station on the first one's spot: an exact tie, to the lower id
+    twin = Station(max(s.id for s in stations) + 1, "T", stations[0].point)
+    net = TransitNetwork(stations + [twin], [])
+    rng = np.random.default_rng(26)
+    bbox = bounding_box_around([s.point for s in stations], margin_km=2.0)
+    points = [bbox.sample(rng) for _ in range(2 * NEAREST_BLOCK + 7)]
+    points += [s.point for s in stations]
+    # halfway between each station and the next in id order
+    points += [GeoPoint((a.point.lat + b.point.lat) / 2, (a.point.lon + b.point.lon) / 2)
+               for a, b in zip(stations, stations[1:])]
+    # the same places again, as equal points and as the same objects
+    points += [GeoPoint(p.lat, p.lon) for p in points[:300]] + points[-300:]
+    assert len(set(points)) > NEAREST_BLOCK
+    net.cache_nearest(points)
+    tied = set()
+    for p in points:
+        station, km = net.nearest_station(p)
+        want_station, want_km = full_scan(net, p)
+        assert station is want_station
+        assert km.hex() == want_km.hex() == haversine_km(p, station.point).hex()
+        if sum(haversine_km(p, s.point) == km for s in net.stations.values()) > 1:
+            tied.add(p)
+    # the twin's spot and some midpoints are exact ties
+    assert stations[0].point in tied and len(tied) > 4
+
+
+def test_haversine_is_symmetric_bit_for_bit():
+    # egress reads the destination's km to its station as the km back from it
+    rng = np.random.default_rng(2026)
+    n = 200_000
+    lat = rng.uniform(-60, 60, n)
+    lon = rng.uniform(-180, 180, n)
+    # half of them 0-10 km apart, the rest anywhere
+    km = rng.uniform(0, 10, n // 2)
+    bearing = rng.uniform(0, 2 * np.pi, n // 2)
+    deg = 180.0 / (6371.0 * np.pi)
+    lat2 = np.concatenate([lat[:n // 2] + km * np.cos(bearing) * deg,
+                           rng.uniform(-60, 60, n // 2)])
+    lon2 = np.concatenate([lon[:n // 2] + km * np.sin(bearing) * deg
+                           / np.cos(np.radians(lat[:n // 2])),
+                           rng.uniform(-180, 180, n // 2)])
+    road = RoadRouter(35.0)
+    asymmetric = slower = 0
+    for a, b, c, d in zip(lat.tolist(), lon.tolist(), lat2.tolist(), lon2.tolist()):
+        p, q = GeoPoint(a, b), GeoPoint(c, d)
+        there = haversine_km(p, q)
+        asymmetric += there != haversine_km(q, p)
+        slower += road.seconds(there) != road.travel_seconds(p, q)
+    assert asymmetric == 0 and slower == 0
 
 
 def test_line_geometry_and_direction():

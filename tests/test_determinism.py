@@ -45,6 +45,15 @@ DESK_GREEDY_ALT_SHA256 = {
     "wait.csv": "1fe6c43f198eb059",
 }
 
+# the same for the crowd: desk's network and event with 20,000 humans, a
+# denser follower graph, the greedy strategy and alternative routing, 12 h
+CROWD_SHA256 = {
+    "event.log": "de60c6f8053ef76a",
+    "summary.csv": "a170541e3a4e73f4",
+    "usage.csv": "483d8fe8fa50c942",
+    "wait.csv": "7648dc7630173336",
+}
+
 
 def assert_bytes_match_across_hash_seeds(scenario: Path, want: dict, tmp_path: Path) -> None:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -98,3 +107,15 @@ def test_desk_greedy_alt_bytes_match_across_hash_seeds(tmp_path):
                              lambda doc: doc["strategy"].update(name="greedy", alt_routing=True),
                              tmp_path / "desk-greedy-alt.yaml")
     assert_bytes_match_across_hash_seeds(scenario, DESK_GREEDY_ALT_SHA256, tmp_path)
+
+
+def crowd(doc: dict) -> None:
+    doc["horizon_hours"] = 12
+    doc["population"]["size"] = 20000
+    doc["social"].update(degree_mean=10.0, degree_max=100)
+    doc["strategy"].update(name="greedy", alt_routing=True)
+
+
+def test_crowd_bytes_match_across_hash_seeds(tmp_path):
+    scenario = write_variant("desk.yaml", crowd, tmp_path / "crowd.yaml")
+    assert_bytes_match_across_hash_seeds(scenario, CROWD_SHA256, tmp_path)

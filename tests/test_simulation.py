@@ -2,9 +2,10 @@
 that leave within a dwell of their slots, conservation sweeps, keyed-stream
 run pairing, diffusion pacing, the cascade as the world runs it, full-train
 rerouting, a change of trains at a loop's anchor, the road after the last
-pass, busy-human deferral, the turn back from an event that has ended, and
-the sweep's refusal of a token on a route that does not leave its station
-or of a train out of place."""
+pass, busy-human deferral, the turn back from an event that has ended, the
+sweep's refusal of a token on a route that does not leave its station or of
+a train out of place, and a day's plans read from the nearest-station cache
+the day's start fills."""
 
 import json
 from pathlib import Path
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 from transitsim.city import GeoPoint, bounding_box_around, network_from_dict
+from transitsim.cli import build_world
 from transitsim.config import load_scenario
 from transitsim.engine import RngStreams, hms
 from transitsim.events import SocialEvent
-from transitsim.population import Human, Trip, generate_population
+from transitsim.population import Human, Trip, daily_trips, generate_population
 from transitsim.routing import TrainLeg
 from transitsim.simulation import RETRY_SECONDS, ActiveTrip, ConservationError, World
 import transitsim.social as social
@@ -663,3 +665,23 @@ def test_hourly_demand_view_only_for_strategies_that_plan():
         w.manager.estimate_ridership = lambda *a, name=name: calls.append(name) or estimate(*a)
         w.run()
     assert calls == ["greedy"] * 7
+
+
+def test_a_days_trips_plan_with_no_scan(monkeypatch):
+    # the day's start looks up every trip end in one bulk pass; planning
+    # the day's trips then reads each from the cache
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml"
+    w = build_world(load_scenario(str(path)))
+    net = w.network
+    passes = []
+    monkeypatch.setattr(net, "cache_nearest",
+                        lambda points, real=net.cache_nearest: passes.append(len(points))
+                        or real(points))
+    w._on_new_day(0, 0)
+    trips = daily_trips(w.humans, 0, w.streams, until=w.horizon)
+    assert len(trips) > 5000 and passes == [2 * len(trips)]
+    for trip in trips:
+        net.nearest_station(trip.origin)
+        net.nearest_station(trip.dest)
+        w.planner.plan(trip.origin, trip.dest, trip.chosen_start)
+    assert passes == [2 * len(trips)]

@@ -630,7 +630,7 @@ def oracle_estimate(net, day, attendee_sets, humans, issue_history, slots_in_hou
         for event, attendees in attendee_sets:
             if event.end <= lo or event.start >= lo + 3600:
                 continue
-            dest_sid = net.nearest_station(event.location).id
+            dest_sid = net.nearest_station(event.location)[0].id
             for name, line in net.lines.items():
                 for d in (1, -1):
                     seq = line.path(d)
@@ -639,7 +639,7 @@ def oracle_estimate(net, day, attendee_sets, humans, issue_history, slots_in_hou
                     n = 0
                     for hid in attendees:
                         src = net.nearest_station(
-                            attendee_source_point(humans[hid], hour)).id
+                            attendee_source_point(humans[hid], hour))[0].id
                         # the venue's station comes later in the same run's
                         # stop list; a loop's anchor is its first and last stop
                         after = seq[seq.index(src) + 1:] if src in seq else []
