@@ -89,22 +89,6 @@ def bounding_box_around(points: list[GeoPoint], margin_km: float) -> BoundingBox
     )
 
 
-def random_point_within(rng, center: GeoPoint, radius_km: float) -> GeoPoint:
-    """Uniform point in the great-circle disc around ``center``.
-
-    Rejection sampling in the enclosing lat/lon box; exact under haversine.
-    """
-    lat_deg = radius_km / (EARTH_RADIUS_KM * math.pi / 180.0)
-    lon_deg = lat_deg / max(0.1, math.cos(math.radians(center.lat)))
-    while True:
-        p = GeoPoint(
-            center.lat + float(rng.uniform(-lat_deg, lat_deg)),
-            center.lon + float(rng.uniform(-lon_deg, lon_deg)),
-        )
-        if haversine_km(center, p) <= radius_km:
-            return p
-
-
 class RoadRouter:
     """Point-to-point road travel at a flat speed over the crow-flies path."""
 
@@ -315,20 +299,26 @@ class TransitNetwork:
         """The station closest to ``point`` by great-circle distance, ties to
         the lower id, and ``haversine_km(point, station.point)``.
 
-        Answers come from a cache keyed by the point's value, which
-        ``cache_nearest`` fills: a day's trip ends in one pass as the day
-        begins, any other point on its first lookup. Entries last for the
-        life of the network, so stations must not be added, removed or
-        moved after construction.
+        Answers come from a cache keyed by the point's value:
+        ``cache_nearest`` sets it to a day's trip ends as the day begins, and
+        any other point joins it on its first lookup. Stations must not be
+        added, removed or moved after construction.
         """
         hit = self._nearest.get(point)
         if hit is None:
-            self.cache_nearest([point])
+            self._look_up([point])
             hit = self._nearest[point]
         return hit
 
     def cache_nearest(self, points: list[GeoPoint]) -> None:
-        """Look up every point not in the cache yet, in blocks of
+        """Make the cache hold ``points`` alone: answers already held are
+        kept, the rest looked up, and every other entry dropped."""
+        held = self._nearest
+        self._nearest = {p: held[p] for p in points if p in held}
+        self._look_up(points)
+
+    def _look_up(self, points: list[GeoPoint]) -> None:
+        """Cache every point not in the cache yet, in blocks of
         ``NEAREST_BLOCK``, as a full scan with haversine_km and a strict
         ``<`` in id order would find each.
 

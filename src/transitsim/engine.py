@@ -192,10 +192,14 @@ class RngStreams:
 def keyed_uniform_batch(streams: RngStreams, name: str, fixed_prefix: tuple[int, ...],
                         varying: np.ndarray, suffix: tuple[int, ...] = ()) -> np.ndarray:
     """Vector of keyed uniforms equal to ``streams.keyed_uniform(name,
-    *fixed_prefix, v, *suffix)`` for each v in ``varying``."""
+    *fixed_prefix, v, *suffix)`` for each v in a 1-D ``varying``. A 2-D
+    ``varying`` holds one row per varying key position: column j draws
+    ``keyed_uniform(name, *fixed_prefix, *varying[:, j], *suffix)``."""
     prefix = mix64(streams.seed, _name_key(name), *fixed_prefix)
-    h = np.full(varying.shape, prefix, dtype=np.uint64)
-    h = _np_mix_step(h, varying.astype(np.uint64))
+    rows = np.atleast_2d(varying)
+    h = np.full(rows.shape[1:], prefix, dtype=np.uint64)
+    for row in rows:
+        h = _np_mix_step(h, row.astype(np.uint64))
     for v in suffix:
         h = _np_mix_step(h, v)
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .city import (EARTH_RADIUS_KM, BoundingBox, GeoPoint, haversine_km_array, radians_and_cos,
-                   random_point_within)
+from .city import (EARTH_RADIUS_KM, BoundingBox, GeoPoint, haversine_km, haversine_km_array,
+                   radians_and_cos)
 from .engine import SECONDS_PER_DAY, RngStreams, SimTime, hms, keyed_uniform_batch
 
 WORKING_PROFESSIONAL = "working-professional"
@@ -44,7 +45,7 @@ OTHER_RADIUS_KM = 5.0       # "other" and home-maker shop: within this of home
 RESTAURANT_RADIUS_KM = 1.0  # lunch restaurant: within this of office
 
 
-@dataclass
+@dataclass(slots=True)
 class Human:
     id: int
     category: str
@@ -68,33 +69,119 @@ class Trip:
 
 
 def generate_population(n: int, bbox: BoundingBox, streams: RngStreams) -> list[Human]:
-    """Draw ``n`` humans with seeded category, age and contact points."""
+    """Draw ``n`` humans with seeded category, age and contact points.
+
+    Each human reads the ``"population"`` stream in turn: a category draw and
+    an age draw (a uniform times the weights' total, against their running
+    sums), home (lat, lon) uniform in ``bbox``, then an office or school
+    (lat, lon) in ``bbox`` for a working professional or a student, or a shop
+    for a home-maker, drawn by rejection from the lat/lon box around the
+    5 km great-circle disc about home. A coordinate drawn in [lo, hi] is
+    ``lo + (hi - lo) * u``, as ``BoundingBox.sample`` draws it. The stream
+    is read in blocks of ``_BLOCK`` humans, never past the last double the
+    population uses, and turned into humans by array passes.
+    """
     if n < 0:
         raise ValueError(f"population size must be non-negative: {n}")
-    w = [CATEGORY_WEIGHTS[c] for c in CATEGORIES]
     rng = streams.generator("population")
-    humans = []
-    for i in range(n):
-        cat = CATEGORIES[_weighted_index(rng, w)]
-        allowed = CATEGORY_AGE_GROUPS[cat]
-        age_w = [AGE_GROUP_SHARES[g] for g in allowed]
-        age = allowed[_weighted_index(rng, age_w)]
-        home = bbox.sample(rng)
-        office = bbox.sample(rng) if cat == WORKING_PROFESSIONAL else None
-        school = bbox.sample(rng) if cat == STUDENT else None
-        shop = random_point_within(rng, home, OTHER_RADIUS_KM) if cat == HOME_MAKER else None
-        humans.append(Human(i, cat, age, home, office, school, shop))
+    humans: list[Human] = []
+    for lo in range(0, n, _BLOCK):
+        humans += _draw_humans(rng, bbox, lo, min(lo + _BLOCK, n))
     return humans
 
 
-def _weighted_index(rng, weights) -> int:
-    u = rng.random() * sum(weights)
-    acc = 0.0
-    for i, x in enumerate(weights):
-        acc += x
-        if u < acc:
-            return i
-    return len(weights) - 1
+# humans per array pass of generate_population
+_BLOCK = 2048
+
+# categories with an office or a school drawn in bbox after home: they read 6
+# doubles (category, age, home, the other place), the rest 4, and a
+# home-maker 2 more per shop attempt
+_SECOND_PLACE = {WORKING_PROFESSIONAL: "office", STUDENT: "school"}
+_READS = [6 if c in _SECOND_PLACE else 4 for c in CATEGORIES]
+_HOME_MAKER = CATEGORIES.index(HOME_MAKER)
+# half the height of the lat/lon box about home that a shop is drawn from
+_SHOP_DLAT = OTHER_RADIUS_KM / (EARTH_RADIUS_KM * math.pi / 180.0)
+
+
+def _pick(u: np.ndarray, weights) -> np.ndarray:
+    """The index each uniform in ``u`` picks over ``weights``: the first whose
+    running sum exceeds the uniform times the weights' total, else the last."""
+    sums = np.array(list(accumulate(weights)))
+    return np.minimum(np.searchsorted(sums, u * sums[-1], side="right"), len(sums) - 1)
+
+
+def _category_codes(u: np.ndarray) -> np.ndarray:
+    return _pick(u, [CATEGORY_WEIGHTS[c] for c in CATEGORIES])
+
+
+def _draw_humans(rng, bbox: BoundingBox, lo: int, hi: int) -> list[Human]:
+    """Humans ``lo`` to ``hi - 1``, drawn from the stream's next doubles.
+
+    A walk over the humans finds where each one's doubles start, from the
+    category its first double picks and its shop attempts; array passes then
+    read every category, age group and place from those offsets.
+    """
+    count = hi - lo
+    u = rng.random(4 * count)  # every human reads at least 4
+    codes = _category_codes(u).tolist()  # the category of a human starting there
+    lat0, lon0 = float(bbox.min_lat), float(bbox.min_lon)
+    d_lat, d_lon = float(bbox.max_lat) - lat0, float(bbox.max_lon) - lon0
+
+    def draw_up_to(sure: int) -> None:
+        # the walk reads past the doubles drawn: draw up to ``sure``, what the
+        # population is sure to read, and never more
+        nonlocal u
+        more = rng.random(sure - len(u))
+        u = np.concatenate((u, more))
+        codes.extend(_category_codes(more).tolist())
+
+    starts = []
+    shops = []
+    pos = 0
+    for later in range(count - 1, -1, -1):
+        if pos + 4 > len(u):
+            draw_up_to(pos + 4 + 4 * later)
+        starts.append(pos)
+        if codes[pos] != _HOME_MAKER:
+            pos += _READS[codes[pos]]
+            continue
+        home = GeoPoint(lat0 + d_lat * float(u[pos + 2]), lon0 + d_lon * float(u[pos + 3]))
+        box_lon = _SHOP_DLAT / max(0.1, math.cos(math.radians(home.lat)))
+        pos += 4
+        while True:
+            if pos + 2 > len(u):
+                draw_up_to(pos + 2 + 4 * later)
+            shop = GeoPoint(home.lat + (-_SHOP_DLAT + 2 * _SHOP_DLAT * float(u[pos])),
+                            home.lon + (-box_lon + 2 * box_lon * float(u[pos + 1])))
+            pos += 2
+            if haversine_km(home, shop) <= OTHER_RADIUS_KM:
+                break
+        shops.append(shop)
+    if pos > len(u):
+        draw_up_to(pos)  # the last human's office or school
+    at = np.array(starts, dtype=np.intp)
+    cats = _category_codes(u[at])
+    ages = np.empty(count, dtype=np.int64)
+    for c, cat in enumerate(CATEGORIES):
+        mine = np.flatnonzero(cats == c)
+        groups = CATEGORY_AGE_GROUPS[cat]
+        ages[mine] = np.array(groups)[_pick(u[at[mine] + 1], [AGE_GROUP_SHARES[g] for g in groups])]
+
+    def points(first: np.ndarray) -> list[GeoPoint]:
+        # (lat, lon) in bbox from the doubles at ``first`` and ``first + 1``
+        lat = lat0 + d_lat * u[first]
+        lon = lon0 + d_lon * u[first + 1]
+        return list(map(GeoPoint, lat.tolist(), lon.tolist()))
+
+    places = {kind: [None] * count for kind in ("office", "school", "shop")}
+    for cat, kind in _SECOND_PLACE.items():
+        mine = np.flatnonzero(cats == CATEGORIES.index(cat))
+        for j, p in zip(mine.tolist(), points(at[mine] + 4)):
+            places[kind][j] = p
+    for j, shop in zip(np.flatnonzero(cats == _HOME_MAKER).tolist(), shops):
+        places["shop"][j] = shop
+    return list(map(Human, range(lo, hi), [CATEGORIES[c] for c in cats.tolist()], ages.tolist(),
+                    points(at + 2), places["office"], places["school"], places["shop"]))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,6 +32,8 @@ MEAN_TOLERANCE = 0.05
 # followers per array pass in generate_graph: bounds the per-edge temporaries,
 # which for a whole crowd-sized graph at once would raise the run's peak memory
 _BLOCK = 2048
+# posters per coin pass of spread: bounds the per-edge arrays of a round
+_POSTERS = 256
 
 
 class InfeasibleDegreeError(ConfigError):
@@ -131,10 +133,14 @@ class SocialGraph:
         bounds = self.out_ptr.tolist()
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def followers_of(self, poster: int) -> tuple[np.ndarray, np.ndarray]:
-        """The followers of ``poster`` and their activation probabilities."""
-        lo, hi = self.indptr[poster], self.indptr[poster + 1]
-        return self.follower_ids[lo:hi], self.edge_probs[lo:hi]
+    def edges_from(self, posters: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges out of each of ``posters`` in turn, followers in
+        ascending id: the poster, the follower and the activation
+        probability of each."""
+        lo, hi = self.indptr[posters], self.indptr[posters + 1]
+        count = hi - lo
+        edges = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+        return np.repeat(posters, count), self.follower_ids[edges], self.edge_probs[edges]
 
     def least_proximate(self, node: int) -> float:
         if self._lpc is None:
@@ -182,22 +188,66 @@ def generate_graph(population: Sequence[Human], streams: RngStreams,
     degrees = _sample_degrees(n, dmin, dmax, dmean, gen)
     out_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=out_ptr[1:])
-    targets = (_draw_targets(gen, n, x, want) for x, want in enumerate(degrees.tolist()))
-    posters = np.fromiter(chain.from_iterable(targets), dtype=np.int64, count=int(out_ptr[-1]))
+    posters = _follow_targets(gen, n, degrees)
     if constant_probability is not None:
         probs = np.full(len(posters), constant_probability, dtype=np.float64)
         return SocialGraph(out_ptr, posters, probs)
     return SocialGraph(out_ptr, posters, *_influence_edges(population, out_ptr, posters))
 
 
-def _draw_targets(gen, n: int, x: int, want: int) -> list[int]:
-    """First ``want`` distinct uniform draws over [0, n) minus x, sorted."""
-    kept: dict[int, None] = {}  # distinct, in draw order
-    while len(kept) < want:
-        batch = gen.integers(0, n, size=(want - len(kept)) + max(8, want // 16))
-        kept.update(dict.fromkeys(batch.tolist()))
-        kept.pop(x, None)
-    return sorted(islice(kept, want))
+def _follow_targets(gen, n: int, degrees: np.ndarray) -> np.ndarray:
+    """The posters each follower x follows, ascending, in follower order:
+    the first ``degrees[x]`` distinct values other than x that ``gen``
+    draws uniform over [0, n) for x, in batches.
+
+    Each follower's first batch holds ``want + max(8, want // 16)`` draws for
+    ``want`` targets, and the first batches of a block of followers are one
+    ``gen.integers`` call, which reads the stream as the calls one at a time
+    would. One stable sort of (follower, value) per block finds each
+    follower's distinct values in draw order. A follower whose batch falls
+    short continues the stream with a batch of ``max(8, want // 16)`` more
+    draws than it still needs, until it has ``want``; the block's draws past
+    its first batch are then drawn again from the stream after it.
+    """
+    sizes = degrees + np.maximum(8, degrees // 16)
+    pieces = []
+    lo = 0
+    while lo < n:
+        hi = min(lo + _BLOCK, n)
+        state = gen.bit_generator.state
+        size, want = sizes[lo:hi], degrees[lo:hi]
+        drawn = gen.integers(0, n, size=int(size.sum()))
+        owner = np.repeat(np.arange(lo, hi), size)
+        key = owner * n + drawn
+        order = np.argsort(key, kind="stable")
+        repeat = np.zeros(len(drawn), dtype=bool)  # drawn before by the same follower
+        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+        fresh = ~repeat & (drawn != owner)
+        seen = np.concatenate(([0], np.cumsum(fresh)))  # fresh values before each draw
+        first = np.concatenate(([0], np.cumsum(size)))  # each follower's first draw
+        before = seen[first[:-1]]
+        # a fresh value is kept while its follower has fewer than ``want``
+        keep = fresh & (seen[1:] - np.repeat(before, size) <= np.repeat(want, size))
+        short = np.flatnonzero(seen[first[1:]] - before < want)
+        done = hi if len(short) == 0 else lo + int(short[0])
+        kept = order[keep[order]]  # by follower, then value
+        pieces.append(drawn[kept[:int(want[:done - lo].sum())]])
+        if done == hi:
+            lo = hi
+            continue
+        # follower ``done`` falls short: take the stream back to the end of
+        # its first batch and continue it
+        gen.bit_generator.state = state
+        gen.integers(0, n, size=int(sizes[lo:done + 1].sum()))
+        x, need = done, int(want[done - lo])
+        targets = dict.fromkeys(drawn[(owner == x) & fresh].tolist())
+        while len(targets) < need:
+            batch = gen.integers(0, n, size=(need - len(targets)) + max(8, need // 16))
+            targets.update(dict.fromkeys(batch.tolist()))
+            targets.pop(x, None)
+        pieces.append(np.array(sorted(islice(targets, need)), dtype=np.int64))
+        lo = x + 1
+    return np.concatenate(pieces)
 
 
 def _influence_edges(population: Sequence[Human], out_ptr: np.ndarray, posters: np.ndarray
@@ -253,9 +303,10 @@ def spread(graph: SocialGraph, active: set[int], posters: Iterable[int], event_k
     they activated: they post in the next round.
     """
     fresh: list[int] = []
-    for poster in posters:
-        followers, probs = graph.followers_of(poster)
-        coins = keyed_uniform_batch(streams, "cascade", (event_key, poster), followers)
+    posters = np.fromiter(posters, dtype=np.int64)
+    for lo in range(0, len(posters), _POSTERS):
+        by, followers, probs = graph.edges_from(posters[lo:lo + _POSTERS])
+        coins = keyed_uniform_batch(streams, "cascade", (event_key,), np.stack((by, followers)))
         for follower in followers[coins < probs].tolist():
             if follower not in active and (accept is None or accept(follower)):
                 active.add(follower)
@@ -272,44 +323,3 @@ def cascade(graph: SocialGraph, seeds: Iterable[int], event_key: int,
     while frontier:
         frontier = spread(graph, active, frontier, event_key, streams)
     return active
-
-
-def cascade_trial_batch(graph: SocialGraph, seeds: Iterable[int], trials: int,
-                        streams: RngStreams, event_key_base: int = 0,
-                        return_masks: bool = False):
-    """Per-node activation counts over Monte-Carlo cascades.
-
-    Trial t replays exactly ``cascade(graph, seeds, event_key_base + t,
-    streams)``: same coins, same result, just evaluated for all trials at
-    once via live-edge reachability. Needs a graph small enough for bitmask
-    state (≤ 63 nodes). Returns an (n,) array of activation counts, plus the
-    per-trial node bitmasks when asked.
-    """
-    n = graph.n
-    if n > 63:
-        raise ValueError("bitmask trial batch supports at most 63 nodes")
-    seed_mask = np.uint64(0)
-    for s in seeds:
-        seed_mask |= np.uint64(1) << np.uint64(s)
-    t_keys = np.arange(trials, dtype=np.uint64) + np.uint64(event_key_base)
-    # open[e, t]: edge e's coin succeeds in trial t
-    posters = np.repeat(np.arange(n), np.diff(graph.indptr))
-    edges = list(zip(posters.tolist(), graph.follower_ids.tolist(), graph.edge_probs.tolist()))
-    opens = []
-    for poster, follower, p in edges:
-        u = keyed_uniform_batch(streams, "cascade", (), t_keys, suffix=(poster, follower))
-        opens.append(u < p)
-    active = np.full(trials, seed_mask, dtype=np.uint64)
-    for _ in range(n):
-        prev = active
-        for (poster, follower, _), open_e in zip(edges, opens):
-            fires = ((active >> np.uint64(poster)) & np.uint64(1)).astype(bool) & open_e
-            active = active | np.where(fires, np.uint64(1) << np.uint64(follower), np.uint64(0))
-        if np.array_equal(active, prev):
-            break
-    counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        counts[i] = int((((active >> np.uint64(i)) & np.uint64(1)) != 0).sum())
-    if return_masks:
-        return counts, active
-    return counts

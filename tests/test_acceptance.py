@@ -22,9 +22,10 @@ from transitsim.engine import RngStreams
 from transitsim.events import SocialEvent
 from transitsim.metrics import avg_total_travel, avg_wait, section_usage
 from transitsim.population import Human, generate_population
-from transitsim.social import (SocialGraph, cascade_trial_batch, generate_graph,
-                               influence_probability)
+from transitsim.social import SocialGraph, generate_graph, influence_probability
 from transitsim.transit import TransportManager, initial_capacity
+
+from oracles import cascade_trial_batch
 
 DESK = str(Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml")
 

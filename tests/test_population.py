@@ -1,24 +1,31 @@
 import math
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from transitsim.city import BoundingBox, GeoPoint, haversine_km
 from transitsim.engine import SECONDS_PER_DAY, RngStreams, hms
+import transitsim.population as population
 from transitsim.population import (
     AGE_GROUP_SHARES,
     CATEGORIES,
     CATEGORY_AGE_GROUPS,
     CATEGORY_WEIGHTS,
     DRAWS_PER_PAIR,
+    HOME_MAKER,
     POINT_BUDGET,
     TRIP_TABLE,
     Trip,
     daily_trips,
     generate_population,
 )
+
+import oracles
 
 BBOX = BoundingBox(1.24, 103.6, 1.46, 103.99)
 
@@ -39,6 +46,47 @@ def test_empty_population():
     assert make_pop(0) == []
     with pytest.raises(ValueError):
         make_pop(-1)
+
+
+def assert_equals_the_scalar_draws(n, bbox, seed):
+    """The humans, the population stream's state and its next draw are the
+    scalar reference's."""
+    got, want = RngStreams(seed), RngStreams(seed)
+    humans = generate_population(n, bbox, got)
+    assert humans == oracles.generate_population(n, bbox, want)
+    assert got.generator("population").bit_generator.state == (
+        want.generator("population").bit_generator.state)
+    assert got.generator("population").random() == want.generator("population").random()
+    return humans
+
+
+def boxes():
+    # latitudes on both sides of 84.3 degrees, past which a shop's lon box
+    # stops widening (cos 0.1)
+    return st.builds(lambda lat, lon, height, width: BoundingBox(lat, lon, lat + height,
+                                                                 lon + width),
+                     st.floats(-88, 86), st.floats(-180, 170), st.floats(0, 2), st.floats(0, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 300), seed=st.integers(0, 2**63), bbox=boxes(),
+       block=st.sampled_from([1, 3, 64, population._BLOCK]))
+def test_population_equals_the_scalar_draws(n, seed, bbox, block):
+    with patch.object(population, "_BLOCK", block):
+        assert_equals_the_scalar_draws(n, bbox, seed)
+
+
+@pytest.mark.parametrize("block", [5, population._BLOCK])
+def test_population_equals_the_scalar_draws_through_shop_rejections(block, monkeypatch):
+    attempts = []
+    monkeypatch.setattr(oracles, "haversine_km",
+                        lambda a, b, real=oracles.haversine_km: attempts.append(1) or real(a, b))
+    n = 2 * population._BLOCK + 300
+    monkeypatch.setattr(population, "_BLOCK", block)
+    humans = assert_equals_the_scalar_draws(n, BBOX, 31)
+    # about one shop attempt in five is rejected, some more than once
+    makers = sum(h.category == HOME_MAKER for h in humans)
+    assert len(attempts) - makers > 100
 
 
 def test_contact_point_invariants():

@@ -14,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
+import yaml
 
-from transitsim.city import GeoPoint, bounding_box_around, network_from_dict
+from transitsim.city import GeoPoint, TransitNetwork, bounding_box_around, network_from_dict
 from transitsim.cli import build_world
-from transitsim.config import load_scenario
+from transitsim.config import load_scenario, scenario_from_dict
 from transitsim.engine import RngStreams, hms
 from transitsim.events import SocialEvent
 from transitsim.population import Human, Trip, daily_trips, generate_population
@@ -263,13 +264,14 @@ def test_diffusion_advances_one_round_per_poll_cycle():
 
 def test_simulated_cascade_posts_each_attendee_once(monkeypatch):
     """The cascade the world runs: seeds come in over several feed cycles,
-    each (event, poster) draws its followers' coins at most once, and the
-    posters are exactly the attendees."""
-    draws = []
+    each (event, poster, follower) coin is drawn at most once, and the
+    posters are exactly the attendees, each posting to all of its
+    followers."""
+    coins = []
     real = social.keyed_uniform_batch
 
     def counting(streams, name, prefix, varying, suffix=()):
-        draws.append(prefix)
+        coins.extend(prefix + tuple(key) + suffix for key in np.atleast_2d(varying).T.tolist())
         return real(streams, name, prefix, varying, suffix)
 
     monkeypatch.setattr(social, "keyed_uniform_batch", counting)
@@ -282,8 +284,9 @@ def test_simulated_cascade_posts_each_attendee_once(monkeypatch):
                      age_range=frozenset({6}), broadcast_from=3600)
     w = make_world(net, humans, graph, [ev], horizon=10, poll_probability=0.5)
     w.run()
-    assert len(draws) == len(set(draws))
-    assert sorted(poster for _, poster in draws) == sorted(w.attendees[0])
+    assert len(w.attendees[0]) > 1
+    assert len(coins) == len(set(coins))
+    assert sorted(coins) == sorted((0, y, (y + 1) % 4) for y in w.attendees[0])
 
 
 def test_trip_across_the_anchor_changes_trains_there():
@@ -674,8 +677,8 @@ def test_a_days_trips_plan_with_no_scan(monkeypatch):
     w = build_world(load_scenario(str(path)))
     net = w.network
     passes = []
-    monkeypatch.setattr(net, "cache_nearest",
-                        lambda points, real=net.cache_nearest: passes.append(len(points))
+    monkeypatch.setattr(net, "_look_up",
+                        lambda points, real=net._look_up: passes.append(len(points))
                         or real(points))
     w._on_new_day(0, 0)
     trips = daily_trips(w.humans, 0, w.streams, until=w.horizon)
@@ -685,3 +688,34 @@ def test_a_days_trips_plan_with_no_scan(monkeypatch):
         net.nearest_station(trip.dest)
         w.planner.plan(trip.origin, trip.dest, trip.chosen_start)
     assert passes == [2 * len(trips)]
+
+
+def test_nearest_cache_holds_one_days_places(monkeypatch):
+    """Each day begins with the cache set to the day's trip ends; through
+    the day only the points looked up and missed join it, so places drawn
+    on earlier days do not pile up."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml"
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    doc["population"]["size"] = 1000
+    doc["horizon_hours"] = 96
+    w = build_world(scenario_from_dict(doc))
+    net = w.network
+    days = []  # per day: distinct trip ends, misses, entries as the next day begins
+
+    def bulk(points, real=net.cache_nearest):
+        if days:
+            days[-1].append(len(net._nearest))
+        real(points)
+        days.append([len(set(points)), 0])
+
+    def nearest_station(self, point, real=TransitNetwork.nearest_station):
+        days[-1][1] += point not in self._nearest
+        return real(self, point)
+
+    monkeypatch.setattr(net, "cache_nearest", bulk)
+    monkeypatch.setattr(TransitNetwork, "nearest_station", nearest_station)
+    w.run()
+    days[-1].append(len(net._nearest))
+    assert len(days) == 5  # the last begins at the horizon, with no trips
+    for ends, misses, held in days:
+        assert held <= ends + misses

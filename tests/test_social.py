@@ -19,7 +19,6 @@ from transitsim.social import (
     SocialGraph,
     _sample_degrees,
     cascade,
-    cascade_trial_batch,
     generate_graph,
     influence,
     influence_probability,
@@ -28,6 +27,9 @@ from transitsim.social import (
     similar_class_influence,
     spread,
 )
+
+import oracles
+from oracles import cascade_trial_batch
 
 BBOX = BoundingBox(1.24, 103.6, 1.46, 103.99)
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -151,7 +153,8 @@ def assert_graph_follows_model(pop, g):
         assert g.least_proximate(x) == max(proximity(pop[y], pop[x]) for y in t)
     assert g.edge_count() == sum(len(t) for t in g.following)
     for y in range(g.n):
-        ids, probs = g.followers_of(y)
+        posters, ids, probs = g.edges_from(np.array([y]))
+        assert posters.tolist() == [y] * len(followers[y])
         assert ids.tolist() == followers[y]
         for x, p in zip(ids.tolist(), probs.tolist()):
             assert 0.0 <= p <= 1.0
@@ -229,6 +232,34 @@ def test_dense_graph_pinned():
     assert streams.generator("graph").random() == 0.6803981745682851
 
 
+@pytest.mark.parametrize("block", [1, 2, 7, social._BLOCK])
+@pytest.mark.parametrize("n,degree_params", [(3, (2, 2, 2)), (12, (1, 11, 8)), (60, (1, 59, 30))])
+def test_follow_targets_equal_the_scalar_draws(n, degree_params, block, monkeypatch):
+    """The follow lists and the graph stream's state are the per-follower
+    reference's, through batches that fall short, also at a block's ends: a
+    short follower continues the stream, and the next draws from after it."""
+    monkeypatch.setattr(social, "_BLOCK", block)
+    pop = [human(i) for i in range(n)]
+    shorts = []
+    for seed in range(60):
+        got, want = RngStreams(seed), RngStreams(seed)
+        g = generate_graph(pop, got, degree_params, constant_probability=0.5)
+        gen = want.generator("graph")
+        degrees = _sample_degrees(n, *degree_params, gen)
+        posters, short = oracles.follow_targets(gen, n, degrees)
+        assert g.out_ptr.tolist() == [0] + np.cumsum(degrees).tolist()
+        assert g.posters.tolist() == posters.tolist()
+        # the whole state: a half-used 32-bit word included
+        assert got.generator("graph").bit_generator.state == gen.bit_generator.state
+        assert got.generator("graph").random() == gen.random()
+        shorts += short
+    # with n = 3 and 2 targets, a follower's 10 draws miss one about 3.5% of
+    # the time; some short followers open a block and some close one
+    assert len(shorts) >= 3
+    assert any(x % block == 0 for x in shorts)
+    assert any(x % block == block - 1 or x == n - 1 for x in shorts)
+
+
 def test_graph_holds_no_per_follower_lists():
     # a run reads the CSR arrays only; the list view is built on demand
     cfg = load_scenario(str(SCENARIOS / "desk.yaml"))
@@ -298,28 +329,34 @@ def test_cascade_path_monte_carlo_vs_enumeration():
     assert np.all(np.abs(freq - exact) <= np.maximum(3 * sigma, 1e-12))
 
 
-def test_cascade_single_attempt_per_edge(monkeypatch):
-    """Each (event, poster) draws its followers' coins at most once, so no
-    edge is tried twice."""
-    draws = []
-    real = social.keyed_uniform_batch
+def drawn_coins(monkeypatch, module) -> list[tuple[int, ...]]:
+    """The keys of the keyed coins ``module`` draws from now on, one per
+    coin drawn, in draw order."""
+    coins = []
+    real = module.keyed_uniform_batch
 
     def counting(streams, name, prefix, varying, suffix=()):
-        draws.append((prefix, varying.tolist()))
+        coins.extend(prefix + tuple(key) + suffix for key in np.atleast_2d(varying).T.tolist())
         return real(streams, name, prefix, varying, suffix)
 
-    monkeypatch.setattr(social, "keyed_uniform_batch", counting)
-    following = [[1, 2], [0, 2], [0, 1]]
-    probs = [[0.9, 0.9], [0.9, 0.9], [0.9, 0.9]]
+    monkeypatch.setattr(module, "keyed_uniform_batch", counting)
+    return coins
+
+
+def test_cascade_single_attempt_per_edge(monkeypatch):
+    """Each (event, poster, follower) coin is drawn at most once, so no edge
+    is tried twice, and every active node posts once, to all of its
+    followers."""
+    coins = drawn_coins(monkeypatch, social)
+    following = [[1, 2], [0, 2], [0, 1], [0]]
+    probs = [[0.9, 0.9], [0.9, 0.9], [0.9, 0.9], [0.9]]
     g = hand_graph(following, probs=probs)
     streams = RngStreams(1)
     active = cascade(g, [0], 5, streams)
-    prefixes = [prefix for prefix, _ in draws]
-    assert len(prefixes) == len(set(prefixes))
-    # every active node posted once, to all of its followers
-    assert sorted(poster for _, poster in prefixes) == sorted(active)
-    for (_, poster), followers in draws:
-        assert followers == g.followers_of(poster)[0].tolist()
+    assert active == {0, 1, 2, 3}
+    assert len(coins) == len(set(coins))
+    assert sorted(coins) == sorted((5, y, x) for x, t in enumerate(following) for y in t
+                                   if y in active)
 
 
 @settings(max_examples=60, deadline=None)

@@ -266,13 +266,12 @@ def test_scan_flags_circular_reads_by_their_function():
 
 # every function, method and class in src/ is named by the program: by
 # src/, the demos or the benchmark, whose tracer wraps some by string.
-# Two are kept for the tests alone, as references the tests compare against.
+# One is kept for the tests alone, as a reference the tests compare against;
+# the others live in tests/oracles.py.
 PROGRAM = [SRC, SRC.parents[1] / "demos", SRC.parents[1] / "perfbench"]
 TEST_ONLY = {
     ("engine.py", "RngStreams.keyed_uniform"):
         "the scalar keyed draw that the batched draws are tested against",
-    ("social.py", "cascade_trial_batch"):
-        "the Monte Carlo cascade that criterion 2 checks against enumeration",
 }
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
