@@ -300,9 +300,10 @@ class TransitNetwork:
         the lower id, and ``haversine_km(point, station.point)``.
 
         Answers come from a cache keyed by the point's value:
-        ``cache_nearest`` sets it to a day's trip ends as the day begins, and
-        any other point joins it on its first lookup. Stations must not be
-        added, removed or moved after construction.
+        ``cache_nearest`` sets it to a day's trip ends, every human's place
+        and every venue as the day begins, and any other point joins it on
+        its first lookup. Stations must not be added, removed or moved after
+        construction.
         """
         hit = self._nearest.get(point)
         if hit is None:

@@ -21,7 +21,7 @@ from .config import (EVENTS, INITIAL_CAPACITY, ConfigError, RunManifest, Scenari
                      check_settings, config_hash, load_scenario, read_block)
 from .engine import RngStreams, parse_clock
 from .events import generate_events
-from .metrics import avg_total_travel, avg_wait, emit_report
+from .metrics import emit_report
 from .population import generate_population
 from .simulation import World
 from .social import generate_graph
@@ -85,19 +85,13 @@ def run_one(cfg: ScenarioConfig, out_dir: str, label: str) -> dict:
         world.run()
     finally:
         gc.unfreeze()
-    emit_report(world.metrics, world.network, run_dir,
-                hours=cfg.horizon_hours, population=len(world.humans))
+    avg_wait, avg_travel = emit_report(world.metrics, world.network, run_dir,
+                                       hours=cfg.horizon_hours, population=len(world.humans))
     outputs = ["usage.csv", "wait.csv", "summary.csv", "event.log"]
     manifest = RunManifest(config_hash(cfg), cfg.seed, label, 0,
                            cfg.horizon_hours * 3600, outputs)
     manifest.write(os.path.join(run_dir, "manifest.json"))
-    horizon = cfg.horizon_hours * 3600
-    return {
-        "dir": run_dir,
-        "world": world,
-        "avg_wait": avg_wait(world.metrics, 0, horizon, len(world.humans)),
-        "avg_travel": avg_total_travel(world.metrics, 0, horizon),
-    }
+    return {"dir": run_dir, "world": world, "avg_wait": avg_wait, "avg_travel": avg_travel}
 
 
 def _read_series(run_dir: str, name: str) -> dict[tuple[str, str, str], float]:

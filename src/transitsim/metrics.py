@@ -10,15 +10,24 @@ sections absorb remainders); a section's usage is the occupied fraction of
 the seat-time trains spent inside it (the stretch from docking at a station
 to docking at the next one counts toward the first station's section), its
 wait averages the in-window waits of the humans standing at its stations.
+
+The report reads each train's series once: integer prefix sums of onboard
+x seconds and capacity x seconds give the integral up to any instant by one
+array lookup, so a piece of a docking interval inside one window costs two
+lookups and a subtraction. Docking intervals and waits are split at the
+window edges in array passes and summed per cell in whole seconds, so every
+figure is exact while the sums stay below 2**53.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
+from operator import itemgetter
 from typing import Optional
+
+import numpy as np
 
 from .city import TransitLine, TransitNetwork
 from .engine import SECONDS_PER_HOUR, SimTime
@@ -48,10 +57,6 @@ class TripRecord:
     start: SimTime
     end: SimTime
 
-    @property
-    def total_seconds(self) -> int:
-        return self.end - self.start
-
 
 class OccupancySeries:
     """Step function of (onboard, capacity) over time for one train."""
@@ -74,28 +79,26 @@ class OccupancySeries:
             self.onboard.append(onboard)
             self.capacity.append(capacity)
 
-    def integrate(self, t0: SimTime, t1: SimTime) -> tuple[float, float]:
-        """(occupied seat-seconds, available seat-seconds) over [t0, t1).
+    def cumulative(self, at: np.ndarray | list[SimTime]) -> np.ndarray:
+        """Seat-seconds (row 0) and capacity-seconds (row 1) from the first
+        record up to each instant of ``at``, as int64. An instant at or
+        before the first record reads 0, and the last record holds past its
+        time. Needs at least one record."""
+        times = np.array(self.times, dtype=np.int64)
+        values = np.array((self.onboard, self.capacity), dtype=np.int64)
+        prefix = np.zeros_like(values)
+        np.cumsum(values[:, :-1] * np.diff(times), axis=1, out=prefix[:, 1:])
+        at = np.asarray(at, dtype=np.int64)
+        i = np.maximum(np.searchsorted(times, at, side="right") - 1, 0)
+        return prefix[:, i] + values[:, i] * np.maximum(at - times[i], 0)
 
-        Only the segments that overlap the window are visited: the scan
-        starts at the last record at or before t0 and stops at t1.
-        """
-        times = self.times
-        if t1 <= t0 or not times:
+    def integrate(self, t0: SimTime, t1: SimTime) -> tuple[float, float]:
+        """(occupied seat-seconds, available seat-seconds) over [t0, t1),
+        the difference of two ``cumulative`` reads."""
+        if t1 <= t0 or not self.times:
             return 0.0, 0.0
-        seat_s = 0.0
-        cap_s = 0.0
-        n = len(times)
-        # before the first record the train does not exist for the metric
-        i = max(0, bisect_right(times, t0) - 1)
-        while i < n and times[i] < t1:
-            seg_end = times[i + 1] if i + 1 < n else t1
-            d = overlap(times[i], seg_end, t0, t1)
-            if d > 0:
-                seat_s += self.onboard[i] * d
-                cap_s += self.capacity[i] * d
-            i += 1
-        return seat_s, cap_s
+        (s0, s1), (c0, c1) = self.cumulative([t0, t1]).tolist()
+        return float(s1 - s0), float(c1 - c0)
 
 
 def line_sections(line: TransitLine) -> list[list[int]]:
@@ -142,48 +145,83 @@ def avg_wait(ledger: MetricsLedger, t0: SimTime, t1: SimTime, population: int) -
     return total / population
 
 
-def _windows(edges: list[SimTime], a: SimTime, b: SimTime):
-    """(w, lo, hi): [a, b) clipped to each window [edges[w], edges[w + 1]) it overlaps."""
-    for w in range(max(0, bisect_right(edges, a) - 1),
-                   min(bisect_left(edges, b), len(edges) - 1)):
-        lo, hi = max(a, edges[w]), min(b, edges[w + 1])
-        if hi > lo:
-            yield w, lo, hi
+def _pieces(edges: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(j, w, lo, hi) arrays: each [a[j], b[j]) clipped to every window
+    [edges[w], edges[w + 1]) it overlaps by a positive span, in order."""
+    first = np.maximum(np.searchsorted(edges, a, side="right") - 1, 0)
+    n = np.maximum(np.minimum(np.searchsorted(edges, b), len(edges) - 1) - first, 0)
+    j = np.repeat(np.arange(len(a)), n)
+    w = first[j] + np.arange(len(j)) - np.repeat(np.cumsum(n) - n, n)
+    lo, hi = np.maximum(a[j], edges[w]), np.minimum(b[j], edges[w + 1])
+    keep = hi > lo
+    return j[keep], w[keep], lo[keep], hi[keep]
 
 
 def section_tables(ledger: MetricsLedger, lines: list[TransitLine],
                    edges: list[SimTime]) -> tuple[list[float], list[float]]:
     """Usage and mean wait of every (window, line, section) cell, in that
-    order, where window w is [edges[w], edges[w + 1]), from one walk of the
-    visits and one of the waits. A pair of dockings at the same station is a
-    train idling between runs and charges nothing. A wait counts in each
-    window it overlaps by a positive span, at every section of its station.
-    """
+    order, where window w is [edges[w], edges[w + 1])."""
     width = len(lines) * SECTIONS_PER_LINE
-    seat, cap, total, count = ([0] * ((len(edges) - 1) * width) for _ in range(4))
     cell = {(line.name, sid): i * SECTIONS_PER_LINE + s for i, line in enumerate(lines)
             for s, group in enumerate(line_sections(line)) for sid in group}
-    runs: dict[tuple[int, str], list[tuple[SimTime, int]]] = {}
-    for t, train, ln, sid in ledger.visits:
-        if (ln, sid) in cell and train in ledger.occupancy:
-            runs.setdefault((train, ln), []).append((t, sid))
-    for (train, ln), seq in runs.items():
-        series = ledger.occupancy[train]
-        seq.sort()
-        for (ta, sa), (tb, sb) in zip(seq, seq[1:]):
-            if sa != sb:
-                for w, lo, hi in _windows(edges, ta, tb):
-                    s, c = series.integrate(lo, hi)
-                    seat[w * width + cell[ln, sa]] += s
-                    cap[w * width + cell[ln, sa]] += c
-    for rec in ledger.waits:
-        at = [cell[line.name, rec.station] for line in lines if (line.name, rec.station) in cell]
-        for w, lo, hi in _windows(edges, rec.start, rec.end):
-            for k in at:
-                total[w * width + k] += hi - lo
-                count[w * width + k] += 1
-    return ([min(1.0, s / c) if c > 0 else 0.0 for s, c in zip(seat, cap)],
-            [t / n if n else 0.0 for t, n in zip(total, count)])
+    edges = np.asarray(edges, dtype=np.int64)
+    seat, cap = _seat_time(ledger, cell, edges, width)
+    total, count = _wait_time(ledger, cell, edges, width)
+    empty = np.zeros(len(seat))
+    usage = np.minimum(1.0, np.divide(seat, cap, out=empty.copy(), where=cap > 0))
+    wait = np.divide(total, count, out=empty, where=count > 0)
+    return usage.tolist(), wait.tolist()
+
+
+def _seat_time(ledger: MetricsLedger, cell: dict[tuple[str, int], int],
+               edges: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seat-seconds and capacity-seconds per cell. Each (train, line) run's
+    dockings are taken in time order, ties by station, and each stretch
+    from one docking to the next is split at the edges and charged to the
+    first station's cell; a train's pieces are priced by one
+    ``cumulative`` read of its series. A pair of dockings at the same
+    station is a train idling between runs and charges nothing."""
+    size = (len(edges) - 1) * width
+    visits, n = ledger.visits, len(ledger.visits)
+    k = np.fromiter(map(cell.get, map(itemgetter(2, 3), visits), repeat(-1)), np.int64, n)
+    held = np.fromiter(map(ledger.occupancy.__contains__, map(itemgetter(1), visits)), bool, n)
+    t, train, sid = (np.fromiter(map(itemgetter(i), visits), np.int64, n) for i in (0, 1, 3))
+    order = np.lexsort((sid, t, k // SECTIONS_PER_LINE, train))
+    order = order[(held & (k >= 0))[order]]
+    t, train, sid, k = t[order], train[order], sid[order], k[order]
+    line = k // SECTIONS_PER_LINE
+    # where one train docks on one line twice in a row, at two stations
+    moved = np.flatnonzero((train[:-1] == train[1:]) & (line[:-1] == line[1:])
+                           & (sid[:-1] != sid[1:]))
+    seat, cap = np.zeros(size), np.zeros(size)
+    owner = train[moved]
+    for run in np.split(moved, np.flatnonzero(owner[1:] != owner[:-1]) + 1):
+        if not len(run):
+            continue
+        j, w, lo, hi = _pieces(edges, t[run], t[run + 1])
+        ends = ledger.occupancy[int(train[run[0]])].cumulative(np.concatenate((lo, hi)))
+        piece_seat, piece_cap = ends[:, len(lo):] - ends[:, :len(lo)]
+        into = w * width + k[run[j]]
+        seat += np.bincount(into, piece_seat, size)
+        cap += np.bincount(into, piece_cap, size)
+    return seat, cap
+
+
+def _wait_time(ledger: MetricsLedger, cell: dict[tuple[str, int], int],
+               edges: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Summed in-window wait seconds and wait counts per cell: a wait counts
+    in each window it overlaps by a positive span, at every section of its
+    station."""
+    size = (len(edges) - 1) * width
+    at_station: dict[int, list[int]] = {}
+    for (_, sid), k in cell.items():
+        at_station.setdefault(sid, []).append(k)
+    cells, start, end = np.array([(c, rec.start, rec.end) for rec in ledger.waits
+                                  for c in at_station.get(rec.station, ())],
+                                 dtype=np.int64).reshape(-1, 3).T
+    j, w, lo, hi = _pieces(edges, start, end)
+    into = w * width + cells[j]
+    return np.bincount(into, hi - lo, size), np.bincount(into, minlength=size)
 
 
 def section_usage(ledger: MetricsLedger, line: TransitLine,
@@ -199,7 +237,7 @@ def section_wait(ledger: MetricsLedger, line: TransitLine,
 
 
 def avg_total_travel(ledger: MetricsLedger, t0: SimTime, t1: SimTime) -> Optional[float]:
-    done = [tr.total_seconds for tr in ledger.trips if t0 <= tr.end < t1]
+    done = [tr.end - tr.start for tr in ledger.trips if t0 <= tr.end < t1]
     if not done:
         return None
     return sum(done) / len(done)
@@ -210,8 +248,9 @@ def _fmt(x: float) -> str:
 
 
 def emit_report(ledger: MetricsLedger, network: TransitNetwork, out_dir: str,
-                hours: int, population: int) -> None:
-    """usage.csv and wait.csv per hour/line/section, one-row summary.csv."""
+                hours: int, population: int) -> tuple[float, Optional[float]]:
+    """usage.csv and wait.csv per hour/line/section, one-row summary.csv;
+    returns the summary's whole-horizon average wait and travel time."""
     os.makedirs(out_dir, exist_ok=True)
     lines = [network.lines[name] for name in sorted(network.lines)]
     tables = section_tables(ledger, lines, [h * SECONDS_PER_HOUR for h in range(hours + 1)])
@@ -229,3 +268,4 @@ def emit_report(ledger: MetricsLedger, network: TransitNetwork, out_dir: str,
         f.write("avg_wait_s,avg_travel_s,alt_route_fraction\n")
         travel_s = _fmt(travel) if travel is not None else ""
         f.write(f"{_fmt(w_all)},{travel_s},{_fmt(frac)}\n")
+    return w_all, travel

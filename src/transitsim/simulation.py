@@ -172,8 +172,11 @@ class World:
 
     def _on_new_day(self, day: int, now: SimTime) -> None:
         trips = daily_trips(self.humans, day, self.streams, until=self.horizon)
-        # the day's plans then read each trip end's station from the cache
-        self.network.cache_nearest([p for trip in trips for p in (trip.origin, trip.dest)])
+        # the day's plans then read each trip end's station from the cache,
+        # and an attendance plan its human's place and the venue
+        self.network.cache_nearest([p for trip in trips for p in (trip.origin, trip.dest)]
+                                   + [s.point for s in self.state]
+                                   + [ev.location for ev in self.events])
         for trip in trips:
             self.scheduler.schedule(max(trip.chosen_start, now), "human", "trip-start", trip)
 

@@ -107,6 +107,37 @@ def test_integrate_matches_per_second_sum():
             assert s.integrate(t0, t1) == want
 
 
+def test_integrate_is_exact_over_a_week_at_twenty_compartments():
+    """The prefix sums are whole seat-seconds: over a week of records at
+    620 seats, each window's integral equals the closed-form sum of onboard
+    times the seconds it holds, exactly, as a float."""
+    rng = random.Random(7)
+    cap = 20 * 31
+    s = OccupancySeries()
+    t = 0
+    while t < 7 * 86400:
+        s.record(t, rng.randrange(0, cap + 1), cap)
+        t += rng.randrange(1, 600)
+    last = s.times[-1]
+
+    def closed_form(t0, t1):
+        ends = s.times[1:] + [max(t1, last)]
+        d = [overlap(a, b, t0, t1) for a, b in zip(s.times, ends)]
+        return (sum(o * x for o, x in zip(s.onboard, d)),
+                sum(c * x for c, x in zip(s.capacity, d)))
+
+    windows = [(0, last), (0, 7 * 86400), (-500, last + 3600), (last, last + 90)]
+    windows += [sorted(rng.sample(range(-100, last + 1000), 2)) for _ in range(20)]
+    for t0, t1 in windows:
+        seat_s, cap_s = s.integrate(t0, t1)
+        assert (seat_s, cap_s) == closed_form(t0, t1)
+        assert type(seat_s) is float and seat_s.is_integer() and cap_s.is_integer()
+    seat_s, cap_s = s.integrate(0, last)
+    d = [b - a for a, b in zip(s.times, s.times[1:])]
+    assert seat_s == sum(o * x for o, x in zip(s.onboard, d))
+    assert cap_s == cap * last
+
+
 def test_usage_requires_ordered_and_bounded_records():
     s = OccupancySeries()
     s.record(10, 5, 62)
@@ -319,6 +350,44 @@ def mixed_case():
     return net, 2, led, [0, 1800, 3600, 7200], (3000, 4000)
 
 
+def example_case(visits=(), occupancy=(), waits=(), edges=(0, 3600, 7200),
+                 window=(0, 3600), hours=2):
+    """A fixed case on lines A (stations 0-3) and B (2, 4, 5): visits as
+    (t, train, line, station), occupancy as (t, train, onboard) on 62 seats,
+    waits as (station, start, end)."""
+    led = MetricsLedger()
+    for v in visits:
+        led.record_visit(*v)
+    for t, train, onboard in occupancy:
+        led.record_occupancy(t, train, onboard, 62)
+    for human, (sid, start, end) in enumerate(waits):
+        led.record_wait(human, sid, start, end)
+    return two_line_net(4, 3, hub=2), hours, led, list(edges), window
+
+
+# a docking interval over four windows, and one that ends past the horizon
+ACROSS_WINDOWS = example_case(
+    visits=((100, 0, "A", 0), (9000, 0, "A", 1), (11000, 0, "A", 3)),
+    occupancy=((0, 0, 20), (2000, 0, 40), (5000, 0, 62), (9500, 0, 7)),
+    edges=(0, 1800, 3600, 5400, 7200, 10800), window=(500, 8000), hours=3)
+# the edges start after the first record and end before the last one
+INSIDE_THE_SERIES = example_case(
+    visits=((0, 0, "A", 0), (2000, 0, "A", 1), (4000, 0, "A", 2), (7000, 0, "A", 3),
+            (300, 1, "B", 2), (6500, 1, "B", 5)),
+    occupancy=((0, 0, 10), (3000, 0, 50), (10000, 0, 50), (0, 1, 31), (7000, 1, 0)),
+    edges=(1000, 2500, 6000), window=(1500, 5000), hours=3)
+# a train with a single record, which docks before and after it
+ONE_RECORD = example_case(
+    visits=((0, 0, "A", 0), (4000, 0, "A", 1), (5000, 0, "A", 3)),
+    occupancy=((300, 0, 31),), window=(200, 4500))
+# a wait at the interchange station 2 of lines A and B, over an hour edge
+INTERCHANGE_WAIT = example_case(
+    visits=((0, 0, "A", 2), (3000, 0, "A", 3), (100, 1, "B", 2), (4000, 1, "B", 4)),
+    occupancy=((0, 0, 12), (0, 1, 40)),
+    waits=((2, 3000, 4500), (4, 3500, 3700)), window=(3500, 5000))
+EMPTY_LEDGER = example_case()
+
+
 @st.composite
 def ledger_cases(draw):
     n_a = draw(st.integers(2, 8))
@@ -353,6 +422,11 @@ def csv_rows(path):
 @settings(max_examples=40, deadline=None)
 @given(case=ledger_cases())
 @example(case=mixed_case())
+@example(case=ACROSS_WINDOWS)
+@example(case=INSIDE_THE_SERIES)
+@example(case=ONE_RECORD)
+@example(case=INTERCHANGE_WAIT)
+@example(case=EMPTY_LEDGER)
 def test_tables_match_per_second_reference(case):
     net, hours, led, edges, (t0, t1) = case
     lines = [net.lines[name] for name in sorted(net.lines)]
@@ -370,12 +444,32 @@ def test_tables_match_per_second_reference(case):
                 f"{h},{line},r{s},{x:.4f}" for (h, line, s), x in zip(cells, table)]
 
 
-def test_report_is_a_pure_read(tmp_path):
-    """Writing the report leaves the ledger as it found it, so a second
-    report of the same run writes the same bytes."""
+@pytest.fixture(scope="module")
+def desk_run():
+    """The shipped desk scenario's config and its world, run to the horizon."""
     cfg = load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml"))
     world = build_world(cfg)
     world.run()
+    return cfg, world
+
+
+def test_report_integrates_no_interval_on_its_own(desk_run, tmp_path, monkeypatch):
+    """The report reads each train's series once, by its prefix sums; it
+    makes no per-interval ``integrate`` call."""
+    cfg, world = desk_run
+    calls = []
+    real = OccupancySeries.integrate
+    monkeypatch.setattr(OccupancySeries, "integrate",
+                        lambda self, t0, t1: calls.append((t0, t1)) or real(self, t0, t1))
+    emit_report(world.metrics, world.network, str(tmp_path),
+                hours=cfg.horizon_hours, population=len(world.humans))
+    assert len(world.metrics.visits) > 1000 and calls == []
+
+
+def test_report_is_a_pure_read(desk_run, tmp_path):
+    """Writing the report leaves the ledger as it found it, so a second
+    report of the same run writes the same bytes."""
+    cfg, world = desk_run
     led = world.metrics
 
     def snapshot():

@@ -671,8 +671,9 @@ def test_hourly_demand_view_only_for_strategies_that_plan():
 
 
 def test_a_days_trips_plan_with_no_scan(monkeypatch):
-    # the day's start looks up every trip end in one bulk pass; planning
-    # the day's trips then reads each from the cache
+    # the day's start looks up every trip end, every human's place and every
+    # venue in one bulk pass; planning the day's trips then reads each from
+    # the cache
     path = Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml"
     w = build_world(load_scenario(str(path)))
     net = w.network
@@ -682,12 +683,27 @@ def test_a_days_trips_plan_with_no_scan(monkeypatch):
                         or real(points))
     w._on_new_day(0, 0)
     trips = daily_trips(w.humans, 0, w.streams, until=w.horizon)
-    assert len(trips) > 5000 and passes == [2 * len(trips)]
+    bulk = [2 * len(trips) + len(w.humans) + len(w.events)]
+    assert len(trips) > 5000 and passes == bulk
     for trip in trips:
         net.nearest_station(trip.origin)
         net.nearest_station(trip.dest)
         w.planner.plan(trip.origin, trip.dest, trip.chosen_start)
-    assert passes == [2 * len(trips)]
+    assert passes == bulk
+
+
+def test_a_day_start_caches_every_place_and_venue():
+    """An attendance choice plans from its human's place to the venue, so
+    the day's bulk pass holds both, with the answers a single lookup gives:
+    a human with no trip that day costs no lookup of its own."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml"
+    w = build_world(load_scenario(str(path)))
+    w._on_new_day(0, 0)
+    held = dict(w.network._nearest)
+    places = [s.point for s in w.state] + [ev.location for ev in w.events]
+    assert w.events and all(p in held for p in places)
+    w.network._nearest = {}
+    assert all(w.network.nearest_station(p) == held[p] for p in places)
 
 
 def test_nearest_cache_holds_one_days_places(monkeypatch):
