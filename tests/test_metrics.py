@@ -444,19 +444,27 @@ def test_tables_match_per_second_reference(case):
                 f"{h},{line},r{s},{x:.4f}" for (h, line, s), x in zip(cells, table)]
 
 
+def ledger_snapshot(led):
+    """Copies of every record the report reads from a ledger."""
+    return (list(led.visits), list(led.waits),
+            {train: (list(s.times), list(s.onboard), list(s.capacity))
+             for train, s in led.occupancy.items()})
+
+
 @pytest.fixture(scope="module")
 def desk_run():
-    """The shipped desk scenario's config and its world, run to the horizon."""
+    """The shipped desk scenario's config, its world run to the horizon, and
+    the ledger's snapshot taken before any test writes a report of it."""
     cfg = load_scenario(str(Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml"))
     world = build_world(cfg)
     world.run()
-    return cfg, world
+    return cfg, world, ledger_snapshot(world.metrics)
 
 
 def test_report_integrates_no_interval_on_its_own(desk_run, tmp_path, monkeypatch):
     """The report reads each train's series once, by its prefix sums; it
     makes no per-interval ``integrate`` call."""
-    cfg, world = desk_run
+    cfg, world, _ = desk_run
     calls = []
     real = OccupancySeries.integrate
     monkeypatch.setattr(OccupancySeries, "integrate",
@@ -469,20 +477,13 @@ def test_report_integrates_no_interval_on_its_own(desk_run, tmp_path, monkeypatc
 def test_report_is_a_pure_read(desk_run, tmp_path):
     """Writing the report leaves the ledger as it found it, so a second
     report of the same run writes the same bytes."""
-    cfg, world = desk_run
+    cfg, world, before = desk_run
     led = world.metrics
-
-    def snapshot():
-        return (list(led.visits), list(led.waits),
-                {train: (list(s.times), list(s.onboard), list(s.capacity))
-                 for train, s in led.occupancy.items()})
-
-    before = snapshot()
     files = []
     for name in ("a", "b"):
         emit_report(led, world.network, str(tmp_path / name),
                     hours=cfg.horizon_hours, population=len(world.humans))
         files.append({fn: (tmp_path / name / fn).read_bytes()
                       for fn in ("usage.csv", "wait.csv", "summary.csv")})
-        assert snapshot() == before
+        assert ledger_snapshot(led) == before
     assert files[0] == files[1]
