@@ -25,7 +25,7 @@ from .metrics import emit_report
 from .population import generate_population
 from .simulation import World
 from .social import generate_graph
-from .strategies import make_strategy
+from .strategies import GreedyReallocation, Strategy
 from .transit import initial_capacity, SEATS_PER_COMPARTMENT
 
 
@@ -47,13 +47,14 @@ def build_world(cfg: ScenarioConfig, log_path: Optional[str] = None) -> World:
     events = generate_events(cfg.events, streams)
     feed_cfg = read_block("events", cfg.events, EVENTS)
     strat_cfg = cfg.strategy
-    strategy = make_strategy(strat_cfg["name"], strat_cfg["alt_routing"])
+    strategy = GreedyReallocation() if strat_cfg["name"] == "greedy" else Strategy()
     return World(
         network, humans, graph, events, streams,
         horizon_hours=cfg.horizon_hours,
         compartments_per_train=compartments_per_train(cfg.transit),
         pool_compartments=strat_cfg["pool"],
         strategy=strategy,
+        alt_routing=strat_cfg["alt_routing"],
         poll_interval=feed_cfg["poll_interval"],
         poll_probability=feed_cfg["poll_probability"],
         road_speed_kmh=cfg.transit["road_speed_kmh"],

@@ -167,9 +167,9 @@ class RngStreams:
     """Named, independently seeded random streams.
 
     Each stream is derived from ``(global seed, stream name)`` only, so adding
-    draws to one stream never perturbs another. ``keyed_uniform`` gives a
-    stateless draw addressed by integers (human id, tick, ...), which makes
-    the value independent of dispatch order as well.
+    draws to one stream never perturbs another. ``keyed_uniform_batch``
+    gives stateless draws addressed by integers (human id, tick, ...), which
+    makes each value independent of dispatch order as well.
     """
 
     def __init__(self, seed: int):
@@ -184,17 +184,14 @@ class RngStreams:
             self._cache[name] = gen
         return gen
 
-    def keyed_uniform(self, name: str, *key: int) -> float:
-        h = mix64(self.seed, _name_key(name), *key)
-        return (h >> 11) * 2.0**-53
-
 
 def keyed_uniform_batch(streams: RngStreams, name: str, fixed_prefix: tuple[int, ...],
                         varying: np.ndarray, suffix: tuple[int, ...] = ()) -> np.ndarray:
-    """Vector of keyed uniforms equal to ``streams.keyed_uniform(name,
-    *fixed_prefix, v, *suffix)`` for each v in a 1-D ``varying``. A 2-D
-    ``varying`` holds one row per varying key position: column j draws
-    ``keyed_uniform(name, *fixed_prefix, *varying[:, j], *suffix)``."""
+    """Vector of keyed uniforms, one for the key ``(*fixed_prefix, v,
+    *suffix)`` of each v in a 1-D ``varying``. A 2-D ``varying`` holds one
+    row per varying key position: column j draws the key ``(*fixed_prefix,
+    *varying[:, j], *suffix)``. A key's draw is the top 53 bits of
+    ``mix64(seed, name key, *key)``, the same in any batch."""
     prefix = mix64(streams.seed, _name_key(name), *fixed_prefix)
     rows = np.atleast_2d(varying)
     h = np.full(rows.shape[1:], prefix, dtype=np.uint64)

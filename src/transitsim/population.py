@@ -238,8 +238,8 @@ def daily_trips(humans: Sequence[Human], day: int, streams: RngStreams,
     human in the order given and by start time within a human; trips that
     would start after ``until`` are left out.
 
-    Every draw is the keyed uniform ``streams.keyed_uniform("trips", h.id,
-    day, k)`` at a fixed draw index k, so a human's plan is independent of
+    Every draw is the keyed uniform of stream "trips" at the key ``(h.id,
+    day, k)`` for a fixed draw index k, so a human's plan is independent of
     anything else that happened in the run and of who else is in the batch.
     Each draw index is one ``keyed_uniform_batch`` call over the humans
     (over those still rejecting, for the place draws), and a start in the

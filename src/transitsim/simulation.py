@@ -31,7 +31,7 @@ from .metrics import MetricsLedger, TripRecord
 from .population import Human, Trip, daily_trips
 from .routing import RoutePlanner, TrainLeg, leg_times
 from .social import SocialGraph, spread
-from .strategies import Strategy, snapshot
+from .strategies import Strategy
 from .transit import ConservationError, Train, TransportManager
 
 RETRY_SECONDS = 300  # put-off plans start on this grid once their human is free
@@ -68,8 +68,8 @@ class World:
                  graph: SocialGraph, events: list[SocialEvent],
                  streams: RngStreams, horizon_hours: int,
                  compartments_per_train: int, pool_compartments: int,
-                 strategy: Strategy, poll_interval: int, poll_probability: float,
-                 road_speed_kmh: float, alt_margin_seconds: int,
+                 strategy: Strategy, alt_routing: bool, poll_interval: int,
+                 poll_probability: float, road_speed_kmh: float, alt_margin_seconds: int,
                  log_path: Optional[str] = None):
         self.network = network
         self.humans = humans
@@ -78,6 +78,7 @@ class World:
         self.streams = streams
         self.horizon = horizon_hours * SECONDS_PER_HOUR
         self.strategy = strategy
+        self.alt_routing = alt_routing
         self.alt_margin = alt_margin_seconds
         self.log = EventLog(log_path) if log_path else None
         self.scheduler = Scheduler(log=self.log)
@@ -87,8 +88,8 @@ class World:
         self.metrics = MetricsLedger()
         self.state = [HumanState(h.home) for h in humans]
         self._human_ids = np.array([h.id for h in humans], dtype=np.uint64)
-        # the base strategy ignores the hourly demand view, so it is only
-        # built for a strategy that overrides on_hour
+        # the base strategy ignores the fleet and the demand estimate, so the
+        # estimate is only built for a strategy that overrides on_hour
         self._hourly_view = type(strategy).on_hour is not Strategy.on_hour
         self.attendees: dict[int, set[int]] = {ev.id: set() for ev in self.events}
         self.spread_frontier: dict[int, list[int]] = {ev.id: [] for ev in self.events}
@@ -431,7 +432,7 @@ class World:
             else:
                 denied.append(human)
         self.full_train_denials += len(denied)
-        if denied and self.strategy.alt_routing:
+        if denied and self.alt_routing:
             waits = self.manager.live_waits(station, now, train.id)
             for human in denied:
                 self._handle_full(human, station, waits, now)
@@ -480,8 +481,8 @@ class World:
             hour_of_day = (now % SECONDS_PER_DAY) // SECONDS_PER_HOUR
             sets = [(ev, self.attendees[ev.id]) for ev in self.events]
             estimate = self.manager.estimate_ridership(day, sets, self.humans)
-            view = snapshot(self.manager, estimate, hour_of_day)
-            decision = self.strategy.on_hour(view)
+            decision = self.strategy.on_hour(self.manager.trains.values(),
+                                             self.manager.unattached, estimate, hour_of_day)
             if decision.moves:
                 self.manager.queue_moves(decision.moves)
                 if self.log is not None:

@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the program against.
 
 Each is the plain, one-draw-at-a-time form of something the program does in
-bulk: the population and the follow targets read the same sequential named
-streams one human at a time, and the trial batch replays many cascades by
-live-edge reachability.
+bulk: the keyed uniform is one draw of ``keyed_uniform_batch``, the
+population and the follow targets read the same sequential named streams one
+human at a time, and the trial batch replays many cascades by live-edge
+reachability.
 """
 
 from __future__ import annotations
@@ -15,11 +16,18 @@ from typing import Iterable
 import numpy as np
 
 from transitsim.city import EARTH_RADIUS_KM, BoundingBox, GeoPoint, haversine_km
-from transitsim.engine import RngStreams, keyed_uniform_batch
+from transitsim.engine import RngStreams, _name_key, keyed_uniform_batch, mix64
 from transitsim.population import (AGE_GROUP_SHARES, CATEGORIES, CATEGORY_AGE_GROUPS,
                                    CATEGORY_WEIGHTS, HOME_MAKER, OTHER_RADIUS_KM, STUDENT,
                                    WORKING_PROFESSIONAL, Human)
 from transitsim.social import SocialGraph
+
+
+def keyed_uniform(streams: RngStreams, name: str, *key: int) -> float:
+    """The stateless draw of stream ``name`` addressed by integers (human
+    id, tick, ...), independent of dispatch order."""
+    h = mix64(streams.seed, _name_key(name), *key)
+    return (h >> 11) * 2.0**-53
 
 
 def weighted_index(rng, weights) -> int:

@@ -18,6 +18,8 @@ from transitsim.engine import (
     splitmix64,
 )
 
+from oracles import keyed_uniform
+
 
 def collect(scheduler, t_end):
     seen = []
@@ -142,10 +144,10 @@ def test_keyed_uniform_stays_below_one_at_the_top_hash():
     # the key whose keyed hash is 2**64 - 1, which h / 2**64 rounds to 1.0
     key = mix64(r.seed, _name_key("polls")) ^ _splitmix64_inverse(top)
     assert mix64(r.seed, _name_key("polls"), key) == top
-    assert r.keyed_uniform("polls", key) == 1.0 - 2.0**-53
+    assert keyed_uniform(r, "polls", key) == 1.0 - 2.0**-53
     batch = keyed_uniform_batch(r, "polls", (), np.array([key, 0], dtype=np.uint64))
     assert batch[0] == 1.0 - 2.0**-53
-    assert batch[1] == r.keyed_uniform("polls", 0)
+    assert batch[1] == keyed_uniform(r, "polls", 0)
 
 
 def test_splitmix64_reference_values():
@@ -181,17 +183,17 @@ def test_streams_reproducible_and_isolated():
 
 def test_keyed_uniform_is_stateless_and_order_free():
     r = RngStreams(seed=7)
-    v1 = r.keyed_uniform("cascade", 10, 20, 30)
+    v1 = keyed_uniform(r, "cascade", 10, 20, 30)
     r.generator("cascade").random()  # consume from the sequential stream
-    assert r.keyed_uniform("cascade", 10, 20, 30) == v1
+    assert keyed_uniform(r, "cascade", 10, 20, 30) == v1
     assert 0.0 <= v1 < 1.0
-    assert r.keyed_uniform("cascade", 10, 20, 31) != v1
-    assert r.keyed_uniform("polls", 10, 20, 30) != v1
+    assert keyed_uniform(r, "cascade", 10, 20, 31) != v1
+    assert keyed_uniform(r, "polls", 10, 20, 30) != v1
 
 
 def test_keyed_uniform_roughly_uniform():
     r = RngStreams(seed=3)
-    vals = np.array([r.keyed_uniform("cascade", i) for i in range(20000)])
+    vals = np.array([keyed_uniform(r, "cascade", i) for i in range(20000)])
     hist, _ = np.histogram(vals, bins=10, range=(0, 1))
     assert hist.min() > 1800 and hist.max() < 2200
 
@@ -204,7 +206,7 @@ def test_keyed_uniform_roughly_uniform():
 def test_keyed_uniform_deterministic_property(seed, key):
     r1 = RngStreams(seed=seed)
     r2 = RngStreams(seed=seed)
-    assert r1.keyed_uniform("cascade", *key) == r2.keyed_uniform("cascade", *key)
+    assert keyed_uniform(r1, "cascade", *key) == keyed_uniform(r2, "cascade", *key)
 
 
 def test_np_splitmix_matches_scalar():
@@ -220,4 +222,4 @@ def test_keyed_uniform_batch_matches_scalar():
     t = np.arange(200, dtype=np.uint64)
     u = keyed_uniform_batch(streams, "cascade", (), t, suffix=(3, 8))
     for i in range(200):
-        assert u[i] == streams.keyed_uniform("cascade", i, 3, 8)
+        assert u[i] == keyed_uniform(streams, "cascade", i, 3, 8)

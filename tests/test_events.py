@@ -22,6 +22,8 @@ from transitsim.events import (
 from transitsim.population import Human
 from transitsim.routing import RoutePlanner
 
+from oracles import keyed_uniform
+
 
 def ev(start=hms(8, 30), end=hms(11, 30), lead=7200, ages=(1, 2, 3, 4, 5, 6)):
     return SocialEvent(0, GeoPoint(1.33, 103.85), start, end,
@@ -99,7 +101,7 @@ def test_poll_probability_frequency():
     h = student()
     hits = sum(
         1 for tick in range(10_000)
-        if streams.keyed_uniform("polls", h.id, tick) < feed.poll_probability
+        if keyed_uniform(streams, "polls", h.id, tick) < feed.poll_probability
     )
     assert abs(hits / 10_000 - 0.3) < 0.02
     # polls_succeed flips the same coin: human t at tick t
@@ -116,7 +118,7 @@ def test_batched_poll_matches_scalar_coin():
         feed = BroadcastFeed([], poll_interval=900, poll_probability=p)
         for t in (0, 899, 900, hms(7, 30), hms(8, 0, 1), 86_400):
             got = feed.polls_succeed(ids, t, streams)
-            want = [streams.keyed_uniform("polls", int(i), t // 900) < p for i in ids]
+            want = [keyed_uniform(streams, "polls", int(i), t // 900) < p for i in ids]
             assert got.tolist() == want
 
 

@@ -26,6 +26,7 @@ from transitsim.population import (
 )
 
 import oracles
+from oracles import keyed_uniform
 
 BBOX = BoundingBox(1.24, 103.6, 1.46, 103.99)
 
@@ -229,7 +230,7 @@ def scalar_day(h, day, streams, over_budget):
     POINT_BUDGET (lat, lon) rejection draws), continued past the budget by
     draws keyed (block + 3, n)."""
     def u(*k):
-        return streams.keyed_uniform("trips", h.id, day, *k)
+        return keyed_uniform(streams, "trips", h.id, day, *k)
 
     trips = []
     for j, pair in enumerate(TRIP_TABLE[h.category]):

@@ -26,7 +26,7 @@ from transitsim.routing import TrainLeg
 from transitsim.simulation import RETRY_SECONDS, ActiveTrip, ConservationError, World
 import transitsim.social as social
 from transitsim.social import SocialGraph, generate_graph
-from transitsim.strategies import make_strategy
+from transitsim.strategies import GreedyReallocation, Strategy
 
 
 def line4(first=3600, last=18000, headway=600):
@@ -110,7 +110,8 @@ def empty_graph(n):
 def make_world(net, humans, graph, events, seed=1, horizon=6, **kw):
     kw.setdefault("compartments_per_train", 1)
     kw.setdefault("pool_compartments", 0)
-    kw.setdefault("strategy", make_strategy("none"))
+    kw.setdefault("strategy", Strategy())
+    kw.setdefault("alt_routing", False)
     kw.setdefault("poll_interval", 3600)
     kw.setdefault("poll_probability", 1.0)
     kw.setdefault("road_speed_kmh", 5.0)
@@ -219,7 +220,7 @@ def test_runs_identical_before_broadcast_with_and_without_event():
     for label, events in (("event", [ev]), ("plain", [])):
         w = World(net, humans, graph, events, RngStreams(5), horizon_hours=10,
                   compartments_per_train=2, pool_compartments=0,
-                  strategy=make_strategy("none"), poll_interval=3600,
+                  strategy=Strategy(), alt_routing=False, poll_interval=3600,
                   poll_probability=1.0, road_speed_kmh=5.0, alt_margin_seconds=300)
         w.run()
         results[label] = w
@@ -331,8 +332,7 @@ def seniors_at_a_full_train():
     ev = SocialEvent(id=0, location=net.stations[3].point,
                      start=14400, end=18000,
                      age_range=frozenset({6}), broadcast_from=7200)
-    return make_world(net, humans, empty_graph(40), [ev],
-                      strategy=make_strategy("none", alt_routing=True),
+    return make_world(net, humans, empty_graph(40), [ev], alt_routing=True,
                       road_speed_kmh=13.0, alt_margin_seconds=0)
 
 
@@ -391,7 +391,7 @@ def greedy_town():
                      age_range=frozenset(range(1, 7)), broadcast_from=hms(7, 30))
     return World(net, humans, graph, [ev], RngStreams(5), horizon_hours=12,
                  compartments_per_train=1, pool_compartments=2,
-                 strategy=make_strategy("greedy", alt_routing=True), poll_interval=3600,
+                 strategy=GreedyReallocation(), alt_routing=True, poll_interval=3600,
                  poll_probability=1.0, road_speed_kmh=5.0, alt_margin_seconds=0)
 
 
@@ -644,7 +644,7 @@ def test_event_log_lines_equal_json_dumps(tmp_path):
     path = tmp_path / "event.log"
     w = World(net, humans, graph, [ev], RngStreams(5), horizon_hours=12,
               compartments_per_train=1, pool_compartments=2,
-              strategy=make_strategy("greedy", alt_routing=True), poll_interval=3600,
+              strategy=GreedyReallocation(), alt_routing=True, poll_interval=3600,
               poll_probability=1.0, road_speed_kmh=5.0, alt_margin_seconds=300,
               log_path=str(path))
     w.run()
@@ -662,8 +662,8 @@ def test_event_log_lines_equal_json_dumps(tmp_path):
 
 def test_hourly_demand_view_only_for_strategies_that_plan():
     calls = []
-    for name in ("none", "greedy"):
-        w = make_world(line4(), [], empty_graph(0), [], strategy=make_strategy(name))
+    for name, strategy in (("none", Strategy()), ("greedy", GreedyReallocation())):
+        w = make_world(line4(), [], empty_graph(0), [], strategy=strategy)
         estimate = w.manager.estimate_ridership
         w.manager.estimate_ridership = lambda *a, name=name: calls.append(name) or estimate(*a)
         w.run()

@@ -29,7 +29,7 @@ from transitsim.social import (
 )
 
 import oracles
-from oracles import cascade_trial_batch
+from oracles import cascade_trial_batch, keyed_uniform
 
 BBOX = BoundingBox(1.24, 103.6, 1.46, 103.99)
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -397,7 +397,7 @@ def test_constant_model_matches_plain_oracle():
             for y in frontier:
                 for x in followers[y]:
                     if x not in active and x not in nxt:
-                        if streams.keyed_uniform("cascade", event_key, y, x) < 0.37:
+                        if keyed_uniform(streams, "cascade", event_key, y, x) < 0.37:
                             nxt.add(x)
             active |= nxt
             frontier = nxt
@@ -431,7 +431,7 @@ def _scalar_spread(following, probs, active, posters, event_key, streams, accept
         for follower in range(len(following)):
             if (poster, follower) not in prob:
                 continue
-            coin = streams.keyed_uniform("cascade", event_key, poster, follower)
+            coin = keyed_uniform(streams, "cascade", event_key, poster, follower)
             if (coin < prob[(poster, follower)] and follower not in active
                     and accept(follower)):
                 active.add(follower)

@@ -266,13 +266,8 @@ def test_scan_flags_circular_reads_by_their_function():
 
 # every function, method and class in src/ is named by the program: by
 # src/, the demos or the benchmark, whose tracer wraps some by string.
-# One is kept for the tests alone, as a reference the tests compare against;
-# the others live in tests/oracles.py.
+# References that only the tests compare against live in tests/oracles.py.
 PROGRAM = [SRC, SRC.parents[1] / "demos", SRC.parents[1] / "perfbench"]
-TEST_ONLY = {
-    ("engine.py", "RngStreams.keyed_uniform"):
-        "the scalar keyed draw that the batched draws are tested against",
-}
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
@@ -322,12 +317,9 @@ def test_everything_in_src_is_named_by_the_program():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     users = [ast.parse(p.read_text(encoding="utf-8"))
              for root in PROGRAM for p in sorted(root.glob("*.py"))]
-    found = unnamed_definitions(trees, users)
-    extra = [f"{module}:{path} (line {line})" for module, path, line in found
-             if (module, path) not in TEST_ONLY]
-    assert not extra, f"only the tests name: {', '.join(extra)}"
-    stale = set(TEST_ONLY) - {(module, path) for module, path, _ in found}
-    assert not stale, f"the program names these, so they need no exemption: {sorted(stale)}"
+    found = [f"{module}:{path} (line {line})"
+             for module, path, line in unnamed_definitions(trees, users)]
+    assert not found, f"only the tests name: {', '.join(found)}"
 
 
 def test_scan_flags_a_definition_nothing_names():

@@ -33,7 +33,7 @@ from transitsim.population import (
 from transitsim.events import SocialEvent
 from transitsim.simulation import World
 from transitsim.social import SocialGraph
-from transitsim.strategies import make_strategy
+from transitsim.strategies import Strategy
 from transitsim.transit import (
     DuplicatePresenceError,
     InvalidMoveError,
@@ -364,9 +364,9 @@ def departures_seen_by_a_run(net, hours):
     inquiry about every route each station lists. Returns the number of
     questions and the answers that were None."""
     w = World(net, [], empty_graph(), [], RngStreams(1), horizon_hours=hours,
-              compartments_per_train=1, pool_compartments=0, strategy=make_strategy("none"),
-              poll_interval=3600, poll_probability=0.25, road_speed_kmh=35.0,
-              alt_margin_seconds=300)
+              compartments_per_train=1, pool_compartments=0, strategy=Strategy(),
+              alt_routing=False, poll_interval=3600, poll_probability=0.25,
+              road_speed_kmh=35.0, alt_margin_seconds=300)
     asked, missing = 0, []
 
     def handle(action):
@@ -395,9 +395,9 @@ def test_inquiry_names_every_departure_as_it_happens(build):
     # inquiry for that route and station answers now
     net = build()
     w = World(net, [], empty_graph(), [], RngStreams(1), horizon_hours=24,
-              compartments_per_train=1, pool_compartments=0, strategy=make_strategy("none"),
-              poll_interval=3600, poll_probability=0.25, road_speed_kmh=35.0,
-              alt_margin_seconds=300)
+              compartments_per_train=1, pool_compartments=0, strategy=Strategy(),
+              alt_routing=False, poll_interval=3600, poll_probability=0.25,
+              road_speed_kmh=35.0, alt_margin_seconds=300)
     departures, missed = 0, []
 
     def handle(action):
