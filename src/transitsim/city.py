@@ -170,9 +170,6 @@ class TransitLine:
     def n(self) -> int:
         return len(self.station_ids)
 
-    def serves(self, station_id: int) -> bool:
-        return station_id in self._runs[+1][1]
-
     @property
     def run_hops(self) -> int:
         """Hops in one run: ``n - 1`` on a linear line, ``n`` on a loop."""

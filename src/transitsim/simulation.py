@@ -4,8 +4,9 @@ into one dispatch loop.
 Daily activity plans become timed trips; event broadcasts spread over the
 social graph, gated by each human's attendance decision, and attendees travel
 to the venue and back. The transport manager runs each train from slot to
-pool and re-estimates demand every hour for whichever strategy is plugged in;
-station masters arbitrate platforms and hold the boarding queues.
+pool and, for a strategy that plans, counts each attendee into its demand
+forecast as it commits and reads that forecast out every hour; station
+masters arbitrate platforms and hold the boarding queues.
 Conservation checks run at every hourly checkpoint and raise on violation.
 """
 
@@ -301,7 +302,8 @@ class World:
 
     def _affirm(self, human: int, ev: SocialEvent, now: SimTime) -> bool:
         """Whether the human commits to the event, scheduling its departure
-        if so; the caller then adds it to the event's attendees."""
+        and counting it in the demand forecast if so; the caller then adds
+        it to the event's attendees."""
         state = self.state[human]
         if state.at_event is not None:
             return False
@@ -315,6 +317,8 @@ class World:
         depart = max(now, ev.start - route.total_seconds)
         if depart <= self.horizon:
             self.scheduler.schedule(depart, "human", "attend-depart", (human, ev.id))
+        if self._hourly_view:
+            self.manager.count_attendee(ev, self.humans[human])
         return True
 
     def _on_attend_depart(self, payload: tuple[int, int], now: SimTime) -> None:
@@ -479,8 +483,7 @@ class World:
         if self._hourly_view:
             day = now // SECONDS_PER_DAY
             hour_of_day = (now % SECONDS_PER_DAY) // SECONDS_PER_HOUR
-            sets = [(ev, self.attendees[ev.id]) for ev in self.events]
-            estimate = self.manager.estimate_ridership(day, sets, self.humans)
+            estimate = self.manager.estimate_ridership(day)
             decision = self.strategy.on_hour(self.manager.trains.values(),
                                              self.manager.unattached, estimate, hour_of_day)
             if decision.moves:

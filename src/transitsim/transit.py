@@ -1,6 +1,6 @@
 """Rail operations: station masters with token-based occupancy tracking and
 platform arbitration, trains and terminal pools, schedule arithmetic, the
-train inquiry, and hourly ridership estimation.
+train inquiry, and the ridership forecast.
 
 A route here means one direction of one line. Scheduled terminal departures
 ("slots") repeat daily per the line's service block; each slot is one run
@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .city import GeoPoint, Station, TransitNetwork, UnknownStationError
 from .config import ConfigError
 from .engine import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimTime
+from .events import SocialEvent
 from .population import STUDENT, WORKING_PROFESSIONAL, Human
 
 SEATS_PER_COMPARTMENT = 31
@@ -136,7 +137,6 @@ class RidershipEstimate:
     """Per-route hourly demand for one day: station-history baseline plus the
     event-attendee delta from the route-traversal count."""
 
-    day: int
     baseline: dict[tuple[str, int, int], float] = field(default_factory=dict)
     delta: dict[tuple[str, int, int], int] = field(default_factory=dict)
     departures: dict[tuple[str, int, int], int] = field(default_factory=dict)
@@ -179,6 +179,8 @@ class TransportManager:
         self.dispatched_upto: dict[tuple[str, int], SimTime] = {}
         self.unattached = pool_compartments
         self.issue_history: dict[tuple[int, int], int] = {}  # (station, abs hour) -> count
+        # day -> (line, direction, clock hour) -> committed event attendees
+        self.event_riders: dict[int, dict[tuple[str, int, int], int]] = {}
         # (line, direction, clock hour) -> slots, the same every day
         self.departures = {(line.name, d, hour): count for line in network.lines.values()
                            for hour, count in enumerate(line.hourly_slots()) for d in (+1, -1)}
@@ -376,19 +378,32 @@ class TransportManager:
 
     # ridership
 
-    def estimate_ridership(self, day: int, attendee_sets, humans: list[Human]) -> RidershipEstimate:
-        """Hourly per-route demand for one day.
+    def count_attendee(self, event: SocialEvent, human: Human) -> None:
+        """Add a committed attendee to the event part of the forecast. Per
+        clock hour the event runs, the attendee is one rider from the station
+        nearest its estimated source location to the station nearest the
+        event, counted on every route one of whose runs passes the source
+        and then reaches the destination."""
+        dest = self.network.nearest_station(event.location)[0].id
+        for abs_hour in range(event.start // SECONDS_PER_HOUR,
+                              math.ceil(event.end / SECONDS_PER_HOUR)):
+            hour = abs_hour % 24
+            source = self.network.nearest_station(attendee_source_point(human, hour))[0].id
+            riders = self.event_riders.setdefault(abs_hour // 24, {})
+            for line_name, line in self.network.lines.items():
+                for d in (+1, -1):
+                    if line.reaches(source, dest, d):
+                        key = (line_name, d, hour)
+                        riders[key] = riders.get(key, 0) + 1
 
-        ``attendee_sets`` pairs each event with the ids of humans planning to
-        attend. Per hour the event runs, each attendee contributes one rider
-        from the station nearest its estimated source location to the station
-        nearest the event, counted on every route one of whose runs passes
-        the source and then reaches the destination. The baseline is the
-        same hour of the previous day's token issues, split evenly over the
-        routes serving each issuing station.
+    def estimate_ridership(self, day: int) -> RidershipEstimate:
+        """Hourly per-route demand for one day: the day's counted event
+        attendees, plus a baseline of the same hour of the previous day's
+        token issues, split evenly over the routes serving each issuing
+        station.
         """
-        est = RidershipEstimate(day, departures=self.departures)
-        base_day = day * SECONDS_PER_DAY
+        est = RidershipEstimate(delta=dict(self.event_riders.get(day, {})),
+                                departures=self.departures)
         # baseline from yesterday's issues
         if day > 0:
             for (sid, abs_hour), count in self.issue_history.items():
@@ -402,23 +417,4 @@ class TransportManager:
                 for line_name, d in routes:
                     key = (line_name, d, hour)
                     est.baseline[key] = est.baseline.get(key, 0.0) + share
-        # event deltas from route traversal
-        for hour in range(24):
-            lo = base_day + hour * SECONDS_PER_HOUR
-            hi = lo + SECONDS_PER_HOUR
-            for event, attendees in attendee_sets:
-                if not (event.start < hi and event.end > lo):
-                    continue
-                dest = self.network.nearest_station(event.location)[0].id
-                sources = Counter(
-                    self.network.nearest_station(attendee_source_point(humans[hid], hour))[0].id
-                    for hid in attendees)
-                for line_name, line in self.network.lines.items():
-                    if not line.serves(dest):
-                        continue
-                    for d in (+1, -1):
-                        count = sum(c for s, c in sources.items() if line.reaches(s, dest, d))
-                        if count:
-                            key = (line_name, d, hour)
-                            est.delta[key] = est.delta.get(key, 0) + count
         return est

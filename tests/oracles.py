@@ -1,26 +1,31 @@
 """Reference implementations the tests compare the program against.
 
 Each is the plain, one-draw-at-a-time form of something the program does in
-bulk: the keyed uniform is one draw of ``keyed_uniform_batch``, the
-population and the follow targets read the same sequential named streams one
-human at a time, and the trial batch replays many cascades by live-edge
-reachability.
+bulk or as it goes: the keyed uniform is one draw of
+``keyed_uniform_batch``, the population and the follow targets read the same
+sequential named streams one human at a time, the trial batch replays many
+cascades by live-edge reachability, and the ridership rebuild works out a
+day's forecast from the attendee sets the transport manager counts as each
+attendee commits.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
 from transitsim.city import EARTH_RADIUS_KM, BoundingBox, GeoPoint, haversine_km
-from transitsim.engine import RngStreams, _name_key, keyed_uniform_batch, mix64
+from transitsim.engine import (SECONDS_PER_DAY, SECONDS_PER_HOUR, RngStreams, _name_key,
+                               keyed_uniform_batch, mix64)
 from transitsim.population import (AGE_GROUP_SHARES, CATEGORIES, CATEGORY_AGE_GROUPS,
                                    CATEGORY_WEIGHTS, HOME_MAKER, OTHER_RADIUS_KM, STUDENT,
                                    WORKING_PROFESSIONAL, Human)
 from transitsim.social import SocialGraph
+from transitsim.transit import RidershipEstimate, TransportManager, attendee_source_point
 
 
 def keyed_uniform(streams: RngStreams, name: str, *key: int) -> float:
@@ -138,3 +143,47 @@ def cascade_trial_batch(graph: SocialGraph, seeds: Iterable[int], trials: int,
     if return_masks:
         return counts, active
     return counts
+
+
+def rebuild_estimate(manager: TransportManager, day: int, attendee_sets,
+                     humans: list[Human]) -> RidershipEstimate:
+    """``TransportManager.estimate_ridership`` as a whole-day rebuild.
+
+    ``attendee_sets`` pairs each event with the ids of humans planning to
+    attend. Per hour of the day the event runs, each attendee contributes
+    one rider from the station nearest its estimated source location to the
+    station nearest the event, counted on every route one of whose runs
+    passes the source and then reaches the destination. The baseline is the
+    same hour of the previous day's token issues, split evenly over the
+    routes serving each issuing station.
+    """
+    network = manager.network
+    est = RidershipEstimate(departures=manager.departures)
+    if day > 0:
+        for (sid, abs_hour), count in manager.issue_history.items():
+            if abs_hour // 24 != day - 1:
+                continue
+            routes = network.routes_at(sid)
+            if not routes:
+                continue
+            share = count / len(routes)
+            for line_name, d in routes:
+                key = (line_name, d, abs_hour % 24)
+                est.baseline[key] = est.baseline.get(key, 0.0) + share
+    for hour in range(24):
+        lo = day * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR
+        hi = lo + SECONDS_PER_HOUR
+        for event, attendees in attendee_sets:
+            if not (event.start < hi and event.end > lo):
+                continue
+            dest = network.nearest_station(event.location)[0].id
+            sources = Counter(
+                network.nearest_station(attendee_source_point(humans[hid], hour))[0].id
+                for hid in attendees)
+            for line_name, line in network.lines.items():
+                for d in (+1, -1):
+                    count = sum(c for s, c in sources.items() if line.reaches(s, dest, d))
+                    if count:
+                        key = (line_name, d, hour)
+                        est.delta[key] = est.delta.get(key, 0) + count
+    return est

@@ -359,7 +359,9 @@ def _c04():
                             age_range=frozenset(range(1, 7)), broadcast_from=0)
         n_att = int(rng.integers(0, m + 1))
         attendees = set(int(v) for v in rng.choice(m, size=n_att, replace=False))
-        est = manager.estimate_ridership(day, [(event, attendees)], humans)
+        for hid in sorted(attendees):
+            manager.count_attendee(event, humans[hid])
+        est = manager.estimate_ridership(day)
         base, delta, deps = _own_estimate(doc, manager.issue_history, day,
                                           event, attendees, humans)
         for line in net.lines:

@@ -331,7 +331,6 @@ def test_run_table_matches_a_walk_of_the_stations(ids, circular, run, dwell):
                       first_departure=0, last_departure=3600)
     line = TransitLine("P", list(ids), svc, circular=circular)
     off_line = max(ids) + 1
-    assert line.serves(ids[0]) and not line.serves(off_line)
     for d in (+1, -1):
         walk = run_walk(ids, circular, d)
         run_hops = len(walk) - 1

@@ -33,3 +33,5 @@ def test_traced_operation_reports_every_declared_layer(tmp_path):
     declared = {m["name"] for m in bench["per_layer"]} - {"trace.overhead_s"}
     assert set(layers) == declared
     assert layers["strategies.on_hour.calls"] > 0
+    # one demand estimate per hook call, read through the tracer's wrapper
+    assert layers["transit.estimate_ridership.calls"] == layers["strategies.on_hour.calls"]

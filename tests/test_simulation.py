@@ -2,10 +2,11 @@
 that leave within a dwell of their slots, conservation sweeps, keyed-stream
 run pairing, diffusion pacing, the cascade as the world runs it, full-train
 rerouting, a change of trains at a loop's anchor, the road after the last
-pass, busy-human deferral, the turn back from an event that has ended, the
-sweep's refusal of a token on a route that does not leave its station or of
-a train out of place, and a day's plans read from the nearest-station cache
-the day's start fills."""
+pass, busy-human deferral, the hourly demand estimate against a whole-day
+rebuild, the turn back from an event that has ended, the sweep's refusal of
+a token on a route that does not leave its station or of a train out of
+place, and a day's plans read from the nearest-station cache the day's
+start fills."""
 
 import json
 from pathlib import Path
@@ -27,6 +28,8 @@ from transitsim.simulation import RETRY_SECONDS, ActiveTrip, ConservationError, 
 import transitsim.social as social
 from transitsim.social import SocialGraph, generate_graph
 from transitsim.strategies import GreedyReallocation, Strategy
+
+from oracles import rebuild_estimate
 
 
 def line4(first=3600, last=18000, headway=600):
@@ -322,7 +325,7 @@ def test_trip_across_the_anchor_changes_trains_there():
     assert w.sweeps == 5
 
 
-def seniors_at_a_full_train():
+def seniors_at_a_full_train(**kw):
     """40 seniors bound for one event: one 31-seat train serves the rush.
     The road is slower than the planned rail trip but beats waiting out a
     missed train, so it only wins after a full-train denial."""
@@ -333,7 +336,17 @@ def seniors_at_a_full_train():
                      start=14400, end=18000,
                      age_range=frozenset({6}), broadcast_from=7200)
     return make_world(net, humans, empty_graph(40), [ev], alt_routing=True,
-                      road_speed_kmh=13.0, alt_margin_seconds=0)
+                      road_speed_kmh=13.0, alt_margin_seconds=0, **kw)
+
+
+def test_only_a_strategy_that_plans_counts_attendees():
+    # all 40 commit under either strategy; the forecast that only greedy
+    # reads counts them, in the event's one hour, from s0 up the line
+    for strategy, want in ((Strategy(), {}), (GreedyReallocation(), {0: {("L", 1, 4): 40}})):
+        w = seniors_at_a_full_train(strategy=strategy)
+        w.run()
+        assert w.attendees[0] == set(range(40))
+        assert w.manager.event_riders == want
 
 
 def test_full_train_spills_to_road_when_margin_met():
@@ -668,6 +681,34 @@ def test_hourly_demand_view_only_for_strategies_that_plan():
         w.manager.estimate_ridership = lambda *a, name=name: calls.append(name) or estimate(*a)
         w.run()
     assert calls == ["greedy"] * 7
+
+
+def test_hourly_estimate_equals_a_whole_day_rebuild():
+    """Over two days of desk under greedy, with the event held again on day
+    1, every hour's estimate, counted as attendees commit, equals the
+    whole-day rebuild from that moment's attendee sets and token issues."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "desk.yaml"
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    doc["horizon_hours"] = 48
+    doc["strategy"]["name"] = "greedy"
+    event = doc["events"]["events"][0]
+    doc["events"]["events"].append(dict(event, start=event["start"] + 86400,
+                                        end=event["end"] + 86400))
+    w = build_world(scenario_from_dict(doc))
+    read = w.manager.estimate_ridership
+    seen = []
+
+    def checked(day):
+        est = read(day)
+        sets = [(ev, w.attendees[ev.id]) for ev in w.events]
+        assert est == rebuild_estimate(w.manager, day, sets, w.humans)
+        seen.append((day, bool(est.baseline), bool(est.delta)))
+        return est
+
+    w.manager.estimate_ridership = checked
+    w.run()
+    assert len(seen) == 49
+    assert (1, True, True) in seen
 
 
 def test_a_days_trips_plan_with_no_scan(monkeypatch):

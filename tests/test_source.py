@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every local name a function assigns is read, only the transport manager
-names its run state, a line's run shape is asked of the line, and every
-function, method and class in src/ is named by the program."""
+names its run state and its forecast's inputs, a line's run shape is asked
+of the line, and every function, method and class in src/ is named by the
+program."""
 
 import ast
 import re
@@ -99,25 +100,36 @@ def test_scan_flags_an_assigned_name_nobody_reads():
 # the transport manager's run state: the per-terminal queues of idle trains
 # and waiting slots, the running trains per route, and the last slot started
 RUN_STATE = {"pools", "waiting_slots", "active", "dispatched_upto"}
+# the forecast's inputs: token issues per station and hour, and the event
+# attendees counted as they commit
+FORECAST_INPUTS = {"issue_history", "event_riders"}
+NOT_TRANSIT = [p for p in sorted(SRC.glob("*.py")) if p.name != "transit.py"]
 
 
-def run_state_names(tree: ast.Module) -> list[str]:
-    """``attribute (line N)`` for each attribute of the run state named."""
+def attributes_named(tree: ast.Module, names: set[str]) -> list[str]:
+    """``attribute (line N)`` for each attribute in ``names`` named."""
     return [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in RUN_STATE]
+            if isinstance(node, ast.Attribute) and node.attr in names]
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "transit.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", NOT_TRANSIT, ids=lambda p: p.name)
 def test_only_the_transport_manager_names_its_run_state(path):
-    named = run_state_names(ast.parse(path.read_text(encoding="utf-8")))
+    named = attributes_named(ast.parse(path.read_text(encoding="utf-8")), RUN_STATE)
     assert not named, f"{path.name} reaches into the transport manager's runs: {', '.join(named)}"
+
+
+@pytest.mark.parametrize("path", NOT_TRANSIT, ids=lambda p: p.name)
+def test_only_the_transport_manager_names_its_forecast_inputs(path):
+    named = attributes_named(ast.parse(path.read_text(encoding="utf-8")), FORECAST_INPUTS)
+    assert not named, (f"{path.name} reaches into the transport manager's forecast: "
+                       f"{', '.join(named)}")
 
 
 def test_scan_flags_run_state_named_as_an_attribute():
     tree = ast.parse("def f(w, active):\n    w.manager.pools[k].append(1)\n"
-                     "    return active, w.active_trips\n")
-    assert run_state_names(tree) == ["pools (line 2)"]
+                     "    return active, w.active_trips, w.manager.event_riders\n")
+    assert attributes_named(tree, RUN_STATE) == ["pools (line 2)"]
+    assert attributes_named(tree, FORECAST_INPUTS) == ["event_riders (line 3)"]
 
 
 # the readers of scenario input build from values that config.py's tables

@@ -18,7 +18,7 @@ def greedy(trains, pool, est, hour=10):
 
 def est_with(per_hour):
     """per_hour: {(line, dir, hour): (total, departures)}"""
-    est = RidershipEstimate(0)
+    est = RidershipEstimate()
     for key, (total, deps) in per_hour.items():
         est.delta[key] = total
         est.departures[key] = deps

@@ -1,6 +1,7 @@
 """Rail operations layer: tokens, platforms, fleets, inquiry arithmetic,
-compartment moves, and the hourly ridership estimate (checked against an
-independent re-implementation of the counting procedure)."""
+compartment moves, and the ridership forecast, counted as attendees commit
+and read each hour (checked against an independent re-implementation of the
+counting procedure and against a whole-day rebuild)."""
 
 import itertools
 import math
@@ -44,6 +45,8 @@ from transitsim.transit import (
     attendee_source_point,
     initial_capacity,
 )
+
+from oracles import rebuild_estimate
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -651,6 +654,13 @@ def oracle_estimate(net, day, attendee_sets, humans, issue_history, slots_in_hou
     return baseline, delta
 
 
+def count_all(manager, attendee_sets, humans):
+    """Count every attendee into the manager's forecast, lowest id first."""
+    for event, attendees in attendee_sets:
+        for hid in sorted(attendees):
+            manager.count_attendee(event, humans[hid])
+
+
 def test_estimate_matches_independent_oracle():
     net = cross_net()
     m = TransportManager(net, 2)
@@ -671,14 +681,15 @@ def test_estimate_matches_independent_oracle():
         for _ in range(c):
             m.issue_token(2, human=next(ids), now=h * 3600)
     m.issue_token(4, human=1, now=9 * 3600 + 30)
+    count_all(m, sets, humans)
     for day in (0, 1):
-        est = m.estimate_ridership(day, sets, humans)
+        est = m.estimate_ridership(day)
         base, delta = oracle_estimate(net, day, sets, humans, m.issue_history, None)
         for key in set(base) | set(est.baseline):
             assert est.baseline.get(key, 0.0) == pytest.approx(base.get(key, 0.0))
         assert est.delta == delta
     # day 0 carries the event but no history yet
-    est0 = m.estimate_ridership(0, sets, humans)
+    est0 = m.estimate_ridership(0)
     assert est0.baseline == {}
     # student comes up the A line from school s1; senior rides down from s3;
     # home-maker and the office worker approach along B
@@ -688,7 +699,7 @@ def test_estimate_matches_independent_oracle():
     # the event contributes to every hour it spans, none outside
     assert sorted({k[2] for k in est0.delta}) == [10, 11, 12]
     # day 1 sees yesterday's issues but the event is over
-    est1 = m.estimate_ridership(1, sets, humans)
+    est1 = m.estimate_ridership(1)
     assert est1.delta == {}
     assert sum(est1.baseline.values()) == pytest.approx(11.0)
 
@@ -709,9 +720,10 @@ def test_estimate_on_one_line_matches_independent_oracle(circular):
     ids = itertools.count(1000)
     for sid, hour in ((0, 8), (3, 9), (5, 9), (5, 10)):
         m.issue_token(sid, human=next(ids), now=hour * 3600)
+    count_all(m, sets, humans)
     deltas = []
     for day in (0, 1):
-        est = m.estimate_ridership(day, sets, humans)
+        est = m.estimate_ridership(day)
         base, delta = oracle_estimate(net, day, sets, humans, m.issue_history, None)
         for key in set(base) | set(est.baseline):
             assert est.baseline.get(key, 0.0) == pytest.approx(base.get(key, 0.0))
@@ -732,14 +744,15 @@ def test_estimate_counts_a_loop_toward_its_anchor():
     humans = [Human(0, HOME_MAKER, 4, home=net.stations[3].point)]
     ev = SocialEvent(0, net.stations[0].point, start=10 * 3600, end=12 * 3600,
                      age_range=frozenset(range(1, 7)), broadcast_from=0)
-    est = m.estimate_ridership(0, [(ev, {0})], humans)
+    m.count_attendee(ev, humans[0])
+    est = m.estimate_ridership(0)
     assert est.delta == {("A", d, hour): 1 for d in (1, -1) for hour in (10, 11)}
 
 
 def test_estimate_departure_counts_follow_headway():
     net = cross_net()
     m = TransportManager(net, 2)
-    est = m.estimate_ridership(0, [], [])
+    est = m.estimate_ridership(0)
     assert est.departures[("A", 1, 10)] == 12   # 300s headway
     assert est.departures[("B", 1, 10)] == 6    # 600s headway
     assert est.departures[("A", 1, 2)] == 0     # before first departure
@@ -752,14 +765,18 @@ def test_per_departure_spreads_total():
     humans = [Human(0, HOME_MAKER, 4, home=GeoPoint(1.0, 103.0))]
     ev = SocialEvent(0, GeoPoint(1.04, 103.0), start=10 * 3600, end=11 * 3600,
                      age_range=frozenset(range(1, 7)), broadcast_from=0)
-    est = m.estimate_ridership(0, [(ev, {0})], humans)
+    m.count_attendee(ev, humans[0])
+    est = m.estimate_ridership(0)
     assert est.total("A", 1, 10) == 1
     assert est.per_departure("A", 1, 10) == pytest.approx(1 / 12)
 
 
 def test_cached_estimate_equals_fresh_rebuild():
-    # one manager answers every hour of two days while attendee sets grow
-    # and tokens are issued; each answer must equal a fresh manager's
+    # one manager counts attendees as the sets grow and answers every hour of
+    # two days while tokens are issued; each answer must equal a fresh
+    # manager's count of the whole sets and the whole-day rebuild. A human's
+    # places never change during a run, so the places read when an attendee
+    # commits are the ones a later rebuild would read.
     net = cross_net()
     rng = random.Random(77)
     cats = (WORKING_PROFESSIONAL, STUDENT, HOME_MAKER, SENIOR_CITIZEN)
@@ -767,11 +784,8 @@ def test_cached_estimate_equals_fresh_rebuild():
     def place():
         return GeoPoint(1.0 + rng.uniform(0, 0.05), 103.0 + rng.uniform(0, 0.05))
 
-    def population():
-        return [Human(i, cats[i % 4], 3, place(), office=place() if i % 4 == 0 else None,
-                      school=place() if i % 4 == 1 else None) for i in range(60)]
-
-    humans = population()
+    humans = [Human(i, cats[i % 4], 3, place(), office=place() if i % 4 == 0 else None,
+                    school=place() if i % 4 == 1 else None) for i in range(60)]
     events = [SocialEvent(0, GeoPoint(1.02, 103.0), start=8 * 3600, end=11 * 3600 + 900,
                           age_range=frozenset(range(1, 7)), broadcast_from=0),
               SocialEvent(1, GeoPoint(1.02, 103.04), start=86400 + 13 * 3600,
@@ -784,16 +798,48 @@ def test_cached_estimate_equals_fresh_rebuild():
     for now in range(0, 2 * 86400, 3600):
         day = now // 86400
         for ev in events:
-            attendees[ev.id] |= set(rng.sample(range(60), rng.randrange(0, 6)))
+            for hid in rng.sample(range(60), rng.randrange(0, 6)):
+                if hid not in attendees[ev.id]:
+                    attendees[ev.id].add(hid)
+                    warm.count_attendee(ev, humans[hid])
         for _ in range(rng.randrange(0, 4)):
             warm.issue_token(rng.randrange(9), next(ids), now)
-        if now == 12 * 3600:
-            humans = population()  # same ids, new places: nothing stale may survive
         sets = [(ev, set(attendees[ev.id])) for ev in events]
         fresh = TransportManager(net, 2)
         fresh.issue_history = dict(warm.issue_history)
-        got = warm.estimate_ridership(day, sets, humans)
-        want = fresh.estimate_ridership(day, sets, humans)
-        assert got == want
-        compared += bool(want.delta)
+        count_all(fresh, sets, humans)
+        got = warm.estimate_ridership(day)
+        assert got == fresh.estimate_ridership(day)
+        assert got == rebuild_estimate(fresh, day, sets, humans)
+        compared += bool(got.delta)
     assert compared > 10
+
+
+def test_an_attendee_counts_in_every_clock_hour_its_event_overlaps():
+    # home at the anchor, office at station 5, the venue at station 3
+    net = linear_net(n=6)
+    at = [net.stations[i].point for i in range(6)]
+    everyone = frozenset(range(1, 7))
+    homebody = Human(0, HOME_MAKER, 4, home=at[0])
+    worker = Human(1, WORKING_PROFESSIONAL, 3, home=at[0], office=at[5])
+
+    def counted(human, start, end):
+        m = TransportManager(net, 2)
+        m.count_attendee(SocialEvent(0, at[3], start=start, end=end, age_range=everyone,
+                                     broadcast_from=0), human)
+        return m.event_riders
+
+    # an event ending on the hour does not reach into the next one
+    assert counted(homebody, 10 * 3600, 11 * 3600) == {0: {("A", 1, 10): 1}}
+    # across midnight: the last hour of one day, the first of the next
+    riders = counted(homebody, 23 * 3600 + 1800, 86400 + 1800)
+    assert riders == {0: {("A", 1, 23): 1}, 1: {("A", 1, 0): 1}}
+    m = TransportManager(net, 2)
+    m.event_riders = riders
+    assert m.estimate_ridership(0).delta == {("A", 1, 23): 1}
+    assert m.estimate_ridership(1).delta == {("A", 1, 0): 1}
+    # the worker sets out from home before 09:00 and from 18:00, and from the
+    # office, down the line, in between
+    assert counted(worker, 8 * 3600, 19 * 3600) == {0: {
+        **{("A", 1, hour): 1 for hour in (8, 18)},
+        **{("A", -1, hour): 1 for hour in range(9, 18)}}}
